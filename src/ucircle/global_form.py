@@ -203,10 +203,14 @@ def _expansion_move(points: Sequence[Point], leader: Point, sec: Circle, params:
     return best, q
 
 
-def sec_expansion(snapshot: Snapshot, params: GlobalParams) -> Action:
-    """Grow the SEC toward the required radius (one robot moves per cycle)."""
+def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle] = None) -> Action:
+    """Grow the SEC toward the required radius (one robot moves per cycle).
+
+    `sec` is the snapshot's SEC when the caller already has it.
+    """
     points = _all_points(snapshot)
-    sec = smallest_enclosing_circle(points)
+    if sec is None:
+        sec = smallest_enclosing_circle(points)
     me = snapshot.self_pos
     on_sec = _on_sec_points(points, sec)
     sym = detect_symmetry(on_sec, sec)
@@ -289,11 +293,15 @@ def _seg_point_dist(a: Point, b: Point, p: Point) -> float:
     return distance_point_to_segment(p, a, b)
 
 
-def form_ucircle(snapshot: Snapshot, params: GlobalParams) -> Action:
-    """Move robots onto the n target points, top vacant target first."""
+def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle] = None) -> Action:
+    """Move robots onto the n target points, top vacant target first.
+
+    `sec` is the snapshot's SEC when the caller already has it.
+    """
     points = _all_points(snapshot)
     me = snapshot.self_pos
-    sec = smallest_enclosing_circle(points)
+    if sec is None:
+        sec = smallest_enclosing_circle(points)
     targets = compute_target_points(params.n, sec).points
     if _settled(me, targets):
         return Action("stay", tag=TAG_FORM)
@@ -366,8 +374,8 @@ def global_step(snapshot: Snapshot, params: GlobalParams) -> Action:
     points = _all_points(snapshot)
     sec = smallest_enclosing_circle(points)
     if sec.radius < params.rad_req - PHASE_TOL:
-        return sec_expansion(snapshot, params)
-    return form_ucircle(snapshot, params)
+        return sec_expansion(snapshot, params, sec)
+    return form_ucircle(snapshot, params, sec)
 
 
 def make_global_algorithm(params: GlobalParams):

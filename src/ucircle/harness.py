@@ -90,6 +90,20 @@ _KNOWN_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number. Booleans, NaN and the infinities are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def parse_config(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
@@ -110,10 +124,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     max_cycles = raw.get("max_cycles")
-    if max_cycles is not None and (not isinstance(max_cycles, int) or max_cycles < 1):
+    if max_cycles is not None and not _is_count(max_cycles):
         raise ConfigError(f"max_cycles must be a positive integer, got {max_cycles!r}")
     fairness = raw.get("fairness_bound")
-    if fairness is not None and (not isinstance(fairness, int) or fairness < 1):
+    if fairness is not None and not _is_count(fairness):
         raise ConfigError(f"fairness_bound must be a positive integer, got {fairness!r}")
 
     a = raw.get("a")
@@ -122,22 +136,22 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if algorithm == "global":
         if a is None:
             raise ConfigError("global algorithm requires 'a'")
-        if not isinstance(a, (int, float)) or a <= 3:
-            raise ConfigError(f"'a' must exceed 3, got {a!r}")
+        if not _is_number(a) or a <= 3:
+            raise ConfigError(f"'a' must be a finite number > 3, got {a!r}")
         if rad is not None or vis is not None:
             raise ConfigError("'rad'/'vis' apply to the local algorithms only")
     else:
         if a is not None:
             raise ConfigError("'a' applies to the global algorithm only")
-        if rad is None or not isinstance(rad, (int, float)) or rad <= 0:
-            raise ConfigError(f"local algorithms require positive 'rad', got {rad!r}")
+        if not _is_number(rad) or rad <= 0:
+            raise ConfigError(f"local algorithms require a finite positive 'rad', got {rad!r}")
         if vis is None:
             raise ConfigError("local algorithms require 'vis'")
-        if isinstance(vis, (int, float)):
+        if _is_number(vis):
             if vis <= 0:
                 raise ConfigError(f"'vis' must be positive, got {vis!r}")
         elif isinstance(vis, (list, tuple)):
-            if len(vis) != n or not all(isinstance(v, (int, float)) and v > 0 for v in vis):
+            if len(vis) != n or not all(_is_number(v) and v > 0 for v in vis):
                 raise ConfigError("'vis' list needs one positive value per robot")
             vis = tuple(float(v) for v in vis)
         else:
@@ -152,8 +166,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"explicit placement needs {n} points, got {len(placement)}")
         pts = []
         for item in placement:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ConfigError(f"placement entries must be [x, y] pairs, got {item!r}")
+            if not (
+                isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_number, item))
+            ):
+                raise ConfigError(
+                    f"placement entries must be [x, y] pairs of finite numbers, got {item!r}"
+                )
             pts.append(Point(float(item[0]), float(item[1])))
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -173,7 +191,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         placement=placement,
         a=float(a) if a is not None else None,
         rad=float(rad) if rad is not None else None,
-        vis=float(vis) if isinstance(vis, (int, float)) else vis,
+        vis=float(vis) if _is_number(vis) else vis,
         max_cycles=max_cycles,
         fairness_bound=fairness,
     )

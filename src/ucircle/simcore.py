@@ -300,10 +300,40 @@ def execute_cycle(
 # ---------------------------------------------------------------------------
 
 
-def _all_would_stay(world: WorldState, algorithm: Callable[[Snapshot], Action]) -> bool:
-    for r in world.robots:
+def _memoized(algorithm: Callable[[Snapshot], Action]) -> Callable[[Snapshot], Action]:
+    """The algorithm with its decisions remembered, for one static world.
+
+    Algorithms are pure functions of the snapshot, so a robot looked at
+    twice in the same world decides the same. The key carries the sign of
+    the observer's own x: mirror twins in y-only frames can see equal
+    snapshots that differ only in the sign of their zeros.
+    """
+    memo: dict[tuple[Snapshot, float], Action] = {}
+
+    def decide(snap: Snapshot) -> Action:
+        key = (snap, math.copysign(1.0, snap.self_pos.x))
+        action = memo.get(key)
+        if action is None:
+            action = memo[key] = algorithm(snap)
+        return action
+
+    return decide
+
+
+def _all_would_stay(
+    world: WorldState,
+    algorithm: Callable[[Snapshot], Action],
+    first: Sequence[int] = (),
+) -> bool:
+    """True when no robot would move. Robots in `first` are asked first.
+
+    A move to a missing or NaN destination counts as staying here; an
+    activated robot that asks for it faults in `execute_cycle`.
+    """
+    ahead = set(first)
+    for r in sorted(world.robots, key=lambda r: r.rid not in ahead):
         action = algorithm(take_snapshot(world, r.rid))
-        if action.kind == "move":
+        if action.kind == "move" and action.dest is not None:
             obs_dest = _to_world(r, action.dest)
             if dist(obs_dest, r.pos) > EPS:
                 return False
@@ -341,7 +371,11 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
     while cycle < max_cycles:
         if termination(world):
             return Trace(events, OUTCOME_CONVERGED, initial, world, cycle, min_sep)
-        if _all_would_stay(world, algorithm):
+        # One decision per robot per round: the stall check, its diagnosis
+        # and the round itself share them.
+        decide = _memoized(algorithm)
+        active = next_activation(schedule, n, cycle)
+        if _all_would_stay(world, decide, active):
             return Trace(
                 events,
                 OUTCOME_STALL,
@@ -349,11 +383,10 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
                 world,
                 cycle,
                 min_sep,
-                diagnosis=_stall_tags(world, algorithm) or "fixed-point",
+                diagnosis=_stall_tags(world, decide) or "fixed-point",
             )
-        active = next_activation(schedule, n, cycle)
         try:
-            world, evs, sep = execute_cycle(world, active, algorithm, cycle)
+            world, evs, sep = execute_cycle(world, active, decide, cycle)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
@@ -428,6 +461,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     looks = 0
     budget_looks = max_cycles * n
     moving = 0
+    # The static world changes only on arrivals. A quiescent checkpoint with
+    # no arrival since the last one would repeat its "not done, not stalled".
+    arrivals = 0
+    checked_at = -1
 
     def instantaneous(t: float) -> WorldState:
         return WorldState(
@@ -469,6 +506,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
             rb.state = replace(rb.state, pos=seg.end)
             rb.hold_since = t
             moving -= 1
+            arrivals += 1
             heapq.heappush(heap, (t + delay(), rid, seq, "look"))
             seq += 1
         else:  # look
@@ -503,7 +541,8 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
             seq += 1
 
         # Quiescent checkpoints: only meaningful when nothing is in flight.
-        if moving == 0:
+        if moving == 0 and arrivals != checked_at:
+            checked_at = arrivals
             w = static_world(t)
             if termination(w):
                 return Trace(events, OUTCOME_CONVERGED, initial, w, (looks + n - 1) // n, min_sep)

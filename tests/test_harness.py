@@ -140,6 +140,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(base_global(fairness_bound=0))
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            base_global(max_cycles=True),
+            base_global(fairness_bound=True),
+            base_local(rad=True),
+            base_local(vis=True),
+            base_local(vis=[8.0, True, 10.0, 11.0]),
+            base_local(placement=[[0, 0], [5, 0], [0, 5], [5, True]]),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, raw):
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: base_global(a=x),
+            lambda x: base_local(rad=x),
+            lambda x: base_local(vis=x),
+            lambda x: base_local(vis=[8.0, 9.0, x, 11.0]),
+            lambda x: base_local(placement=[[0, 0], [5, 0], [x, 5], [5, 5]]),
+            lambda x: base_global(placement=[[0, 0], [5, 0], [0, 5], [5, x]]),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, make, bad):
+        with pytest.raises(ConfigError):
+            parse_config(make(bad))
+
+    def test_placement_coordinates_must_be_numbers(self):
+        for item in (["0", 5], [None, 5], [10**400, 5]):
+            with pytest.raises(ConfigError):
+                parse_config(base_local(placement=[[0, 0], [5, 0], item, [5, 5]]))
+
 
 # ---------------------------------------------------------------------------
 # Scenario generation
@@ -311,6 +347,24 @@ class TestCli:
     def test_run_invalid_config(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, base_global(a=2.0))
         assert main(["run", "--config", cfg]) == 1
+        assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"a": Infinity',
+            '"a": 4.0, "max_cycles": true',
+            '"a": 4.0, "placement": [[0, 0], [5, 0], [NaN, 5], [5, 5]]',
+        ],
+    )
+    def test_run_rejects_non_finite_and_boolean_json(self, tmp_path, capsys, text):
+        # Python's json module reads NaN, Infinity and true as numbers.
+        raw = '{"algorithm": "global", "n": 4, "scheduler": "SSYNC", "seed": 1'
+        if "placement" not in text:
+            raw += ', "placement": "random-disc"'
+        path = tmp_path / "bad.json"
+        path.write_text(raw + ", " + text + "}")
+        assert main(["run", "--config", str(path)]) == 1
         assert "invalid config" in capsys.readouterr().err
 
     def test_run_missing_file(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from ucircle.simcore import (
     OUTCOME_FAULT,
     OUTCOME_STALL,
     STAY,
+    Action,
     CollisionFault,
     RobotState,
     Schedule,
@@ -328,3 +329,141 @@ class TestRun:
         w = make_world([P(0, 0)])
         with pytest.raises(ValueError):
             run(w, lambda s: STAY, Schedule("FSYNC"), lambda w_: True, max_cycles=0)
+
+
+# ---------------------------------------------------------------------------
+# Each decision once per round
+# ---------------------------------------------------------------------------
+
+
+class Counted:
+    """Wraps a callable and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def step_to_x(target_x, step=2.0):
+    """Like gather_at_x, but at most `step` units per move."""
+
+    def algo(snap: Snapshot):
+        dx = target_x - snap.self_pos.x
+        if abs(dx) <= 1e-12:
+            return STAY
+        return move_to(P(snap.self_pos.x + max(-step, min(step, dx)), snap.self_pos.y))
+
+    return algo
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("kind", ["FSYNC", "SSYNC"])
+    def test_sync_round_asks_each_robot_at_most_once(self, kind):
+        w = make_world([P(0, 0), P(5, 4), P(-3, 8), P(9, -6)])
+        algo = Counted(step_to_x(1.0))
+        sched = Schedule(kind, seed=3, fairness_bound=2)
+        trace = run(w, algo, sched, all_at_x(1.0), max_cycles=50)
+        assert trace.outcome == OUTCOME_CONVERGED
+        assert trace.cycles_used > 1
+        assert algo.calls <= len(w.robots) * trace.cycles_used
+
+    def test_stall_diagnosis_reuses_the_stall_check(self):
+        w = make_world([P(0, 0), P(9, 0), P(0, 9)])
+        algo = Counted(lambda snap: Action("stay", tag=f"x{snap.self_pos.x:g}"))
+        trace = run(w, algo, Schedule("SSYNC", seed=1), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_STALL
+        assert trace.diagnosis == "x0,x9"
+        assert algo.calls == len(w.robots)
+
+    @pytest.mark.parametrize("kind", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_stall_after_moves_keeps_tags(self, kind):
+        # Robots walk to x=1, then stay with a tag naming their row; one
+        # robot ends on a zero-length move, which also counts as staying.
+        def algo(snap: Snapshot):
+            if abs(snap.self_pos.x - 1.0) > 1e-12:
+                return move_to(P(1.0, snap.self_pos.y), tag="walk")
+            if snap.self_pos.y == 0:
+                return move_to(snap.self_pos, tag="hold")
+            return Action("stay", tag="row")
+
+        w = make_world([P(0, 0), P(5, 4), P(-3, 8)])
+        sched = Schedule(kind, seed=5, fairness_bound=3)
+        trace = run(w, algo, sched, lambda w_: False, max_cycles=100)
+        assert trace.outcome == OUTCOME_STALL
+        assert trace.diagnosis == "hold,row"
+
+    def test_async_checks_only_after_an_arrival(self, monkeypatch):
+        import ucircle.simcore as simcore
+
+        stall_check = Counted(simcore._all_would_stay)
+        monkeypatch.setattr(simcore, "_all_would_stay", stall_check)
+        term = Counted(all_at_x(1.0))
+        # Robots 0 and 1 already sit on x=1 and keep looking, with nothing
+        # in flight, between the short steps of robot 2.
+        w = make_world([P(1, 0), P(1, 5), P(20, 9)])
+        sched = Schedule("ASYNC", seed=4, fairness_bound=6)
+        trace = run(w, step_to_x(1.0), sched, term, max_cycles=200)
+        assert trace.outcome == OUTCOME_CONVERGED
+        arrivals = sum(1 for e in trace.events if e.phase == "move")
+        looks = sum(1 for e in trace.events if e.phase == "look")
+        assert looks > arrivals + 1
+        # The first quiescent checkpoint, then at most one per arrival.
+        assert term.calls <= arrivals + 1
+        assert stall_check.calls <= arrivals + 1
+
+    def test_mirror_twins_decide_apart(self):
+        # Mirrored y-only twins see equal snapshots whose zeros differ in
+        # sign; each still gets its own decision.
+        w = WorldState(
+            (
+                RobotState(0, P(-1.0, 0.0), frame=FRAME_Y_ONLY, chirality=-1),
+                RobotState(1, P(1.0, 0.0), frame=FRAME_Y_ONLY, chirality=1),
+            )
+        )
+        assert take_snapshot(w, 0) == take_snapshot(w, 1)
+
+        def algo(snap: Snapshot):
+            return Action("stay", tag="neg" if math.copysign(1.0, snap.self_pos.x) < 0 else "pos")
+
+        trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
+        assert trace.diagnosis == "neg,pos"
+
+
+class TestBadDestination:
+    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), None])
+    def test_counts_as_stay_in_the_stall_verdict(self, bad):
+        w = make_world([P(0, 0), P(9, 0)])
+        algo = lambda snap: Action("move", bad, tag="bad")  # noqa: E731
+        trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_STALL
+        assert trace.diagnosis == "bad"
+
+    def test_infinite_destination_counts_as_a_move(self):
+        w = make_world([P(0, 0), P(9, 0)])
+        algo = lambda snap: Action("move", P(math.inf, 1.0))  # noqa: E731
+        trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_FAULT
+        assert trace.cycles_used == 0
+
+    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), None])
+    def test_faults_only_in_an_executed_round(self, bad):
+        # Robot 1 asks for a bad move; robot 0 keeps walking up, so the
+        # world never stalls. The fault comes in the first round that
+        # activates robot 1.
+        def algo(snap: Snapshot):
+            if snap.self_pos.x == 9:
+                return Action("move", bad)
+            return move_to(P(snap.self_pos.x, snap.self_pos.y + 1.0))
+
+        w = make_world([P(0, 0), P(9, 0)])
+        sched = Schedule("SSYNC", seed=1, fairness_bound=6)
+        first = next(c for c in range(50) if 1 in next_activation(sched, 2, c))
+        assert first > 0
+        trace = run(w, algo, sched, lambda w_: False, max_cycles=50)
+        assert trace.outcome == OUTCOME_FAULT
+        assert trace.cycles_used == first
+        assert "non-finite move destination" in trace.diagnosis
