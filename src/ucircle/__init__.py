@@ -2,7 +2,6 @@
 
 from .geometry import (
     Circle,
-    Corridor,
     MotionSegment,
     Point,
     is_free_path,
@@ -31,7 +30,6 @@ from .harness import (
 )
 from .local_form import (
     LocalParams,
-    classify_phi,
     classify_psi,
     compute_destination,
     compute_robot_position,

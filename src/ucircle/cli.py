@@ -5,8 +5,12 @@
     ucircle batch --configs dir --out dir [--jobs m]
     ucircle oracle sec --points points.json
 
-Exit codes: 0 converged, 1 invalid config, 2 cycle budget exhausted,
-3 collision or invariant fault, 4 diagnosed stall.
+Exit codes, one per outcome: 0 converged, 1 invalid config, 2 budget-exhausted,
+3 fault (collision or invalid move), 4 diagnosed-stall.
+
+`batch` runs every file even when some are invalid: it prints
+`<name>: invalid-config` with the reason on stderr for each of those, and
+exits with the worst code of all files, an invalid one counting as 1.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .geometry import Point, smallest_enclosing_circle_bruteforce
-from .global_form import GlobalParams, compute_target_points
 from .harness import (
     ConfigError,
     InfeasibleScenario,
@@ -57,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     try:
@@ -79,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             targets = ()
         else:
             circle = params.cir
-            targets = params.targets.points
+            targets = params.targets
         frames = render_frames(
             trace,
             args.every,
@@ -95,10 +98,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _batch_one(job: tuple[str, str]) -> tuple[str, str, int]:
+    """Run one file: (name, outcome or "invalid-config: <reason>", exit code)."""
     path, out_dir = job
     name = os.path.splitext(os.path.basename(path))[0]
-    config = load_config(path)
-    trace, summary = run_scenario(config)
+    try:
+        trace, summary = run_scenario(load_config(path))
+    except (ConfigError, InfeasibleScenario, OSError) as exc:
+        return name, f"invalid-config: {exc}", 1
     with open(os.path.join(out_dir, f"{name}.trace.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(trace.to_jsonl())
     with open(os.path.join(out_dir, f"{name}.summary.json"), "w", encoding="utf-8") as fh:
@@ -117,20 +123,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 1
     os.makedirs(args.out, exist_ok=True)
     jobs = [(path, args.out) for path in files]
-    worst = 0
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_batch_one, jobs))
-        else:
-            results = [_batch_one(job) for job in jobs]
-    except (ConfigError, InfeasibleScenario, json.JSONDecodeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 1
-    for name, outcome, code in results:
-        print(f"{name}: {outcome}")
-        worst = max(worst, code)
-    return worst
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_batch_one, jobs))
+    else:
+        results = [_batch_one(job) for job in jobs]
+    for name, outcome, _ in results:
+        invalid = outcome.startswith("invalid-config")
+        print(f"{name}: {outcome}", file=sys.stderr if invalid else sys.stdout)
+    return max(code for _, _, code in results)
 
 
 def _cmd_oracle_sec(args: argparse.Namespace) -> int:

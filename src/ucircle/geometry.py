@@ -16,13 +16,12 @@ from typing import Iterable, Sequence
 EPS = 1e-9
 
 UNIT_BODY_RADIUS = 1.0
+# Center distance that keeps the closed radius-2 region around a target
+# free of every unit robot disc.
+VACANCY_CLEARANCE = 2.0 + UNIT_BODY_RADIUS
 
 
 class GeometryError(ValueError):
-    pass
-
-
-class DegenerateProjection(GeometryError):
     pass
 
 
@@ -77,12 +76,6 @@ def angle_of(p: Point, center: Point = ORIGIN) -> float:
     return math.atan2(p.y - center.y, p.x - center.x)
 
 
-def rotate_about(center: Point, p: Point, dtheta: float) -> Point:
-    c, s = math.cos(dtheta), math.sin(dtheta)
-    dx, dy = p.x - center.x, p.y - center.y
-    return Point(center.x + c * dx - s * dy, center.y + s * dx + c * dy)
-
-
 @dataclass(frozen=True, slots=True)
 class Circle:
     center: Point
@@ -100,15 +93,6 @@ class Circle:
 
 
 @dataclass(frozen=True, slots=True)
-class Corridor:
-    """Closed rectangle of total width 2*half_width centered on src->dst."""
-
-    src: Point
-    dst: Point
-    half_width: float = 1.0
-
-
-@dataclass(frozen=True, slots=True)
 class MotionSegment:
     """Constant-velocity motion from start (at t0) to end (reached at t1)."""
 
@@ -120,11 +104,6 @@ class MotionSegment:
     def __post_init__(self) -> None:
         if self.t1 < self.t0:
             raise GeometryError("motion segment with t1 < t0")
-
-    @property
-    def speed(self) -> float:
-        dur = self.t1 - self.t0
-        return dist(self.start, self.end) / dur if dur > 0 else 0.0
 
     def velocity(self) -> Point:
         dur = self.t1 - self.t0
@@ -246,7 +225,7 @@ def smallest_enclosing_circle_bruteforce(points: Iterable[Point]) -> Circle:
 
 
 # ---------------------------------------------------------------------------
-# Corridor / vacancy predicates
+# Path / vacancy predicates
 # ---------------------------------------------------------------------------
 
 
@@ -260,101 +239,54 @@ def distance_point_to_segment(p: Point, a: Point, b: Point) -> float:
     return dist(p, proj)
 
 
-def is_free_path(
-    src: Point,
-    dst: Point,
-    obstacles: Iterable[Point],
-    half_width: float = 1.0,
-    body_radius: float = UNIT_BODY_RADIUS,
-) -> bool:
+def is_free_path(src: Point, dst: Point, obstacles: Iterable[Point]) -> bool:
     """True iff no obstacle disc meets the closed corridor rectangle src->dst.
 
-    The rectangle is closed, so a disc exactly grazing the corridor edge
-    blocks it (conservative).
+    The corridor is the strip a unit disc sweeps, so its half-width is the
+    body radius. The rectangle is closed, so a disc exactly grazing the
+    corridor edge blocks it (conservative).
     """
     length = dist(src, dst)
     if length <= 1e-15:
-        return all(dist(src, ob) > half_width + body_radius + EPS for ob in obstacles)
+        return all(dist(src, ob) > 2.0 * UNIT_BODY_RADIUS + EPS for ob in obstacles)
     u = unit_toward(src, dst)
     for ob in obstacles:
         w = ob - src
         s = dot(w, u)
         t = abs(cross(u, w))
         dx = max(0.0, -s, s - length)
-        dy = max(0.0, t - half_width)
-        if math.hypot(dx, dy) <= body_radius + EPS:
+        dy = max(0.0, t - UNIT_BODY_RADIUS)
+        if math.hypot(dx, dy) <= UNIT_BODY_RADIUS + EPS:
             return False
     return True
 
 
-def is_vacant_target(
-    p: Point,
-    robot_centers: Iterable[Point],
-    region_radius: float = 2.0,
-    body_radius: float = UNIT_BODY_RADIUS,
+def is_vacant_target(p: Point, robot_centers: Iterable[Point]) -> bool:
+    """True iff no part of any robot disc lies in the closed radius-2 disc around p."""
+    return all(dist(p, r) > VACANCY_CLEARANCE + EPS for r in robot_centers)
+
+
+def on_distinct_points(
+    positions: Iterable[Point], targets: Sequence[Point], tol: float
 ) -> bool:
-    """True iff no part of any robot disc lies in the closed disc around p."""
-    threshold = region_radius + body_radius
-    return all(dist(p, r) > threshold + EPS for r in robot_centers)
+    """True when each position sits within tol of its own target and every
+    target is taken. Each position takes the first free target in reach."""
+    taken = [False] * len(targets)
+    for p in positions:
+        hit = -1
+        for i, t in enumerate(targets):
+            if not taken[i] and dist(p, t) <= tol:
+                hit = i
+                break
+        if hit < 0:
+            return False
+        taken[hit] = True
+    return all(taken)
 
 
 # ---------------------------------------------------------------------------
-# Circle relations / projections / arcs
+# Motion
 # ---------------------------------------------------------------------------
-
-
-def project_radially(p: Point, target: Circle) -> Point:
-    d = dist(p, target.center)
-    if d <= 1e-12:
-        raise DegenerateProjection("cannot project the circle center radially")
-    k = target.radius / d
-    return Point(
-        target.center.x + (p.x - target.center.x) * k,
-        target.center.y + (p.y - target.center.y) * k,
-    )
-
-
-def circle_circle_relation(a: Circle, b: Circle) -> tuple[str, tuple[Point, ...]]:
-    """Classify two circles: disjoint, externally-tangent, two-intersections,
-    or contained (one inside the other, including internal tangency)."""
-    d = dist(a.center, b.center)
-    rsum = a.radius + b.radius
-    rdiff = abs(a.radius - b.radius)
-    if abs(d - rsum) <= EPS and d > EPS:
-        return "externally-tangent", (
-            Point(
-                a.center.x + (b.center.x - a.center.x) * a.radius / d,
-                a.center.y + (b.center.y - a.center.y) * a.radius / d,
-            ),
-        )
-    if d > rsum:
-        return "disjoint", ()
-    if d <= rdiff + EPS:
-        return "contained", ()
-    # Proper two-point intersection.
-    along = (a.radius * a.radius - b.radius * b.radius + d * d) / (2.0 * d)
-    h = math.sqrt(max(0.0, a.radius * a.radius - along * along))
-    u = unit_toward(a.center, b.center)
-    base = Point(a.center.x + u.x * along, a.center.y + u.y * along)
-    perp = Point(-u.y, u.x)
-    return "two-intersections", (
-        Point(base.x + perp.x * h, base.y + perp.y * h),
-        Point(base.x - perp.x * h, base.y - perp.y * h),
-    )
-
-
-def point_on_circle_at_arc(c: Circle, frm: Point, arc_len: float, direction: str) -> Point:
-    """Point at arc distance arc_len from frm along the circumference."""
-    if c.radius <= 0.0:
-        raise GeometryError("arc stepping needs positive radius")
-    if abs(dist(frm, c.center) - c.radius) > EPS * (1.0 + c.radius):
-        raise GeometryError("arc stepping from a point not on the circle")
-    if direction not in ("cw", "ccw"):
-        raise GeometryError(f"unknown direction {direction!r}")
-    dtheta = arc_len / c.radius
-    if direction == "cw":
-        dtheta = -dtheta
-    return c.point_at_angle(angle_of(frm, c.center) + dtheta)
 
 
 def min_separation_during_motion(m1: MotionSegment, m2: MotionSegment) -> float:
@@ -381,12 +313,3 @@ def min_separation_during_motion(m1: MotionSegment, m2: MotionSegment) -> float:
                 best = min(best, mid.norm())
     return best
 
-
-def min_separation_piecewise(
-    pieces1: Sequence[MotionSegment], pieces2: Sequence[MotionSegment]
-) -> float:
-    best = math.inf
-    for s1 in pieces1:
-        for s2 in pieces2:
-            best = min(best, min_separation_during_motion(s1, s2))
-    return best

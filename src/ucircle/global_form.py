@@ -26,12 +26,14 @@ from .geometry import (
     Point,
     angle_of,
     dist,
+    distance_point_to_segment,
     is_free_path,
     is_vacant_target,
+    on_distinct_points,
     smallest_enclosing_circle,
     unit_toward,
 )
-from .simcore import STAY, Action, Snapshot, move_to
+from .simcore import Action, Snapshot, move_to
 
 ON_SEC_EPS = 1e-9
 # Targets recomputed in different local frames agree only to ~1e-9 (SEC
@@ -67,12 +69,6 @@ class SymmetryCase:
     leaders: tuple[Point, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TargetSet:
-    points: tuple[Point, ...]
-    anchor: Point
-
-
 def compute_radius(a: float, n: int) -> float:
     """Smallest circle radius placing n points at adjacent chord distance a.
 
@@ -85,12 +81,11 @@ def compute_radius(a: float, n: int) -> float:
     return a / (2.0 * math.sin(math.pi / n))
 
 
-def compute_target_points(n: int, sec: Circle) -> TargetSet:
+def compute_target_points(n: int, sec: Circle) -> tuple[Point, ...]:
     """n equally spaced points on sec, the first at the top (max Y)."""
-    pts = tuple(
+    return tuple(
         sec.point_at_angle(math.pi / 2.0 - 2.0 * math.pi * i / n) for i in range(n)
     )
-    return TargetSet(points=pts, anchor=sec.center)
 
 
 def _mirror_x(p: Point, axis_x: float) -> Point:
@@ -160,8 +155,8 @@ def _all_points(snapshot: Snapshot) -> list[Point]:
     return [snapshot.self_pos, *snapshot.others]
 
 
-def _on_sec_points(points: Sequence[Point], sec: Circle) -> list[Point]:
-    return [p for p in points if abs(dist(p, sec.center) - sec.radius) <= ON_SEC_EPS * max(1.0, sec.radius)]
+def _on_sec(p: Point, sec: Circle) -> bool:
+    return abs(dist(p, sec.center) - sec.radius) <= ON_SEC_EPS * max(1.0, sec.radius)
 
 
 def _path_ok(src: Point, dst: Point, obstacles: Sequence[Point]) -> bool:
@@ -212,8 +207,7 @@ def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle
     if sec is None:
         sec = smallest_enclosing_circle(points)
     me = snapshot.self_pos
-    on_sec = _on_sec_points(points, sec)
-    sym = detect_symmetry(on_sec, sec)
+    sym = detect_symmetry([p for p in points if _on_sec(p, sec)], sec)
     if sym.kind == "no-leader":
         return Action("stay", tag=TAG_NO_LEADER)
     tol = max(1e-9, 1e-9 * sec.radius)
@@ -230,7 +224,7 @@ def _settled(p: Point, targets: Sequence[Point]) -> bool:
 
 def _approach_metric(r: Point, t: Point, sec: Circle) -> float:
     """Arc distance for robots on the SEC boundary, chord distance otherwise."""
-    if abs(dist(r, sec.center) - sec.radius) <= ON_SEC_EPS * max(1.0, sec.radius):
+    if _on_sec(r, sec):
         da = abs(angle_of(r - sec.center) - angle_of(t - sec.center))
         da = min(da, 2.0 * math.pi - da)
         return da * sec.radius
@@ -274,7 +268,7 @@ def _arc_step(me: Point, target: Point, sec: Circle, others: Sequence[Point]) ->
 def _straight_step(me: Point, target: Point, others: Sequence[Point]) -> Point:
     if _path_ok(me, target, others):
         return target
-    blockers = [o for o in others if _seg_point_dist(me, target, o) <= 2.0 + EPS]
+    blockers = [o for o in others if distance_point_to_segment(o, me, target) <= 2.0 + EPS]
     if len(blockers) != 1:
         return me
     b = blockers[0]
@@ -287,12 +281,6 @@ def _straight_step(me: Point, target: Point, others: Sequence[Point]) -> Point:
     return me
 
 
-def _seg_point_dist(a: Point, b: Point, p: Point) -> float:
-    from .geometry import distance_point_to_segment
-
-    return distance_point_to_segment(p, a, b)
-
-
 def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle] = None) -> Action:
     """Move robots onto the n target points, top vacant target first.
 
@@ -302,7 +290,7 @@ def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle]
     me = snapshot.self_pos
     if sec is None:
         sec = smallest_enclosing_circle(points)
-    targets = compute_target_points(params.n, sec).points
+    targets = compute_target_points(params.n, sec)
     if _settled(me, targets):
         return Action("stay", tag=TAG_FORM)
     movers = [p for p in points if not _settled(p, targets)]
@@ -361,10 +349,7 @@ def _move_step(mover: Point, target: Point, points: Sequence[Point], sec: Circle
     """
     others = [p for p in points if p is not mover]
     dest = _straight_step(mover, target, others)
-    on_boundary = (
-        abs(dist(mover, sec.center) - sec.radius) <= ON_SEC_EPS * max(1.0, sec.radius)
-    )
-    if dist(dest, mover) <= EPS and on_boundary:
+    if dist(dest, mover) <= EPS and _on_sec(mover, sec):
         dest = _arc_step(mover, target, sec, others)
     return dest
 
@@ -390,15 +375,4 @@ def is_formed(positions: Sequence[Point], params: GlobalParams, tol: float = 1e-
     sec = smallest_enclosing_circle(list(positions))
     if sec.radius < params.rad_req - tol:
         return False
-    targets = compute_target_points(params.n, sec).points
-    taken = [False] * len(targets)
-    for p in positions:
-        hit = -1
-        for i, t in enumerate(targets):
-            if not taken[i] and dist(p, t) <= tol:
-                hit = i
-                break
-        if hit < 0:
-            return False
-        taken[hit] = True
-    return all(taken)
+    return on_distinct_points(positions, compute_target_points(params.n, sec), tol)

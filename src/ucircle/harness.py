@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .geometry import Point, dist, smallest_enclosing_circle
-from .global_form import GlobalParams, compute_target_points, is_formed, make_global_algorithm
+from .global_form import GlobalParams, is_formed, make_global_algorithm
 from .local_form import LocalParams, is_formed_local, make_local_algorithm
 from .simcore import (
     FRAME_FULL_AXES,
@@ -145,6 +145,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
             raise ConfigError("'a' applies to the global algorithm only")
         if not _is_number(rad) or rad <= 0:
             raise ConfigError(f"local algorithms require a finite positive 'rad', got {rad!r}")
+        try:
+            LocalParams.make(n, rad)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if vis is None:
             raise ConfigError("local algorithms require 'vis'")
         if _is_number(vis):
@@ -199,7 +203,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ConfigError(str(exc)) from None
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must hold a single JSON object")
     return parse_config(raw)
@@ -299,14 +306,6 @@ class RunSummary:
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-SUMMARY_OUTCOMES = {
-    OUTCOME_CONVERGED: "converged",
-    OUTCOME_BUDGET: "budget-exhausted",
-    OUTCOME_FAULT: "fault",
-    OUTCOME_STALL: "diagnosed-stall",
-}
-
-
 def _ring_metrics(positions: Sequence[Point], center: Point, n: int) -> tuple[float, float]:
     angles = sorted(math.atan2(p.y - center.y, p.x - center.x) for p in positions)
     want = 2.0 * math.pi / n
@@ -343,7 +342,7 @@ def compute_metrics(trace: Trace, config: ScenarioConfig, params) -> RunSummary:
     )
     min_pd = min(trace.min_separation, static_min, init_min)
     return RunSummary(
-        outcome=SUMMARY_OUTCOMES[trace.outcome],
+        outcome=trace.outcome,
         cycles_used=trace.cycles_used,
         min_pairwise_dist=min_pd,
         uniformity_error=uerr,

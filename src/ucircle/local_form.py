@@ -25,20 +25,23 @@ from typing import Optional, Sequence
 
 from .geometry import (
     EPS,
+    ORIGIN,
     Circle,
     Point,
+    angle_of,
     cross,
     dist,
     is_free_path,
+    is_vacant_target,
     midpoint,
+    on_distinct_points,
     unit_toward,
 )
-from .global_form import compute_target_points, TargetSet
+from .global_form import compute_target_points
 from .simcore import Action, Snapshot, move_to
 
 POS_EPS = 1e-9
 ALIGN_TOL = 1e-7  # radians; "on the same ray" test
-VACANCY_CLEARANCE = 3.0  # center distance keeping a radius-2 region robot-free
 CLAIM_CAP = 2.5
 SLOT_CHORD = 2.5
 LANDING_CLEARANCE = 2.5
@@ -53,24 +56,22 @@ AT_CENTER = "at-center"
 class LocalParams:
     cir: Circle
     n: int
-    targets: TargetSet
+    targets: tuple[Point, ...]
 
     @staticmethod
-    def make(n: int, rad: float, center: Point = Point(0.0, 0.0)) -> "LocalParams":
+    def make(n: int, rad: float) -> "LocalParams":
+        """CIR of radius rad around the origin with its n target points.
+
+        Raises ValueError when rad cannot space n unit discs two units apart.
+        """
         if n <= 1:
             raise ValueError(f"need at least two robots, got n={n}")
         if 2.0 * math.pi * rad / n < 2.0:
             raise ValueError(
                 f"radius {rad} cannot space {n} unit-disc robots two units apart"
             )
-        cir = Circle(center, rad)
+        cir = Circle(ORIGIN, rad)
         return LocalParams(cir=cir, n=n, targets=compute_target_points(n, cir))
-
-
-@dataclass(frozen=True, slots=True)
-class PhiConfig:
-    value: str  # "phi1".."phi4"
-    touch_point: Optional[Point] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,23 +121,6 @@ def eligible_to_move(self_pos: Point, others: Sequence[Point], cir: Circle) -> b
     return True
 
 
-def classify_phi(vc_i: Circle, vc_j: Circle) -> PhiConfig:
-    d = dist(vc_i.center, vc_j.center)
-    s = vc_i.radius + vc_j.radius
-    if d > s + EPS:
-        return PhiConfig("phi1")
-    if abs(d - s) <= EPS:
-        t = vc_i.center + unit_toward(vc_i.center, vc_j.center).scaled(vc_i.radius)
-        return PhiConfig("phi2", touch_point=t)
-    if d <= min(vc_i.radius, vc_j.radius) + EPS:
-        return PhiConfig("phi4")
-    return PhiConfig("phi3")
-
-
-def _angle(p: Point, c: Point) -> float:
-    return math.atan2(p.y - c.y, p.x - c.x)
-
-
 def _ang_diff(a: float, b: float) -> float:
     return abs(math.remainder(a - b, 2.0 * math.pi))
 
@@ -146,18 +130,9 @@ def _cw_offset(frm: float, to: float) -> float:
     return (frm - to) % (2.0 * math.pi)
 
 
-def _vacant(p: Point, others: Sequence[Point], exclude: Optional[Point] = None) -> bool:
-    for o in others:
-        if exclude is not None and o is exclude:
-            continue
-        if dist(o, p) <= VACANCY_CLEARANCE + EPS:
-            return False
-    return True
-
-
 def _aligned_target(theta: float, params: LocalParams) -> Optional[Point]:
-    for t in params.targets.points:
-        if _ang_diff(theta, _angle(t, params.cir.center)) <= ALIGN_TOL:
+    for t in params.targets:
+        if _ang_diff(theta, angle_of(t, params.cir.center)) <= ALIGN_TOL:
             return t
     return None
 
@@ -175,7 +150,7 @@ def _detect_psi9(
     if d <= POS_EPS or abs(d - rad) <= POS_EPS:
         return None
     inside = d < rad
-    theta = _angle(self_pos, c)
+    theta = angle_of(self_pos, c)
     target = _aligned_target(theta, params)
     if target is None:
         return None
@@ -184,7 +159,7 @@ def _detect_psi9(
         across = do > rad + POS_EPS if inside else POS_EPS < do < rad - POS_EPS
         if not across:
             continue
-        if _ang_diff(theta, _angle(o, c)) > ALIGN_TOL:
+        if _ang_diff(theta, angle_of(o, c)) > ALIGN_TOL:
             continue
         return PsiConfig("psi9", anchor=target, rival=o)
     return None
@@ -200,7 +175,7 @@ def classify_psi(
     cir = params.cir
     pos = compute_robot_position(self_pos, cir)
     if pos == ON_CIRCLE:
-        for t in params.targets.points:
+        for t in params.targets:
             if dist(self_pos, t) <= 1e-7:
                 return PsiConfig("psi1", anchor=t)
         return PsiConfig("psi0")
@@ -260,7 +235,7 @@ def _rotate_cw(
     if d <= POS_EPS:
         return self_pos
     slot = 2.0 * math.asin(min(1.0, SLOT_CHORD / (2.0 * d)))
-    theta = _angle(self_pos, c)
+    theta = angle_of(self_pos, c)
     for frac in (1.0, 0.5, 1.5, 0.25, 2.0):
         ang = slot * frac
         if stop_offset is not None:
@@ -304,21 +279,21 @@ def _scan_or_rotate(
     c = params.cir.center
     rad = params.cir.radius
     d = dist(self_pos, c)
-    theta = _angle(self_pos, c)
+    theta = angle_of(self_pos, c)
     aligned = _aligned_target(theta, params)
     if aligned is not None and (skip is None or aligned is not skip):
-        if _vacant(aligned, others):
+        if is_vacant_target(aligned, others):
             return _claim_step(self_pos, aligned, vis_radius, params)
     half = _visible_arc_halfwidth(d, vis_radius, rad)
     if half is not None:
         best: Optional[tuple[float, Point]] = None
-        for t in params.targets.points:
+        for t in params.targets:
             if skip is not None and t is skip:
                 continue
-            off = _cw_offset(theta, _angle(t, c))
+            off = _cw_offset(theta, angle_of(t, c))
             if off <= ALIGN_TOL or off > half:
                 continue
-            if not _vacant(t, others):
+            if not is_vacant_target(t, others):
                 continue
             if best is None or off < best[0]:
                 best = (off, t)
@@ -345,38 +320,38 @@ def compute_destination(
         return self_pos
     if kind == "psi0":
         out = c + unit_toward(c, self_pos).scaled(rad + 2.0)
-        return out if _vacant(out, others) else self_pos
+        return out if is_vacant_target(out, others) else self_pos
     if kind == "psi4":
         m = Point(c.x + vis_radius, c.y)
-        return m if _vacant(m, others) else midpoint(self_pos, m)
+        return m if is_vacant_target(m, others) else midpoint(self_pos, m)
     if kind == "psi9":
         d = dist(self_pos, c)
         target = psi.anchor
         if d < rad:
-            if _vacant(target, others, exclude=psi.rival):
+            if is_vacant_target(target, [o for o in others if o is not psi.rival]):
                 return _claim_step(self_pos, target, vis_radius, params)
             return _rotate_cw(self_pos, params, others)
         return _scan_or_rotate(self_pos, vis_radius, params, others, skip=target)
     if kind == "psi2":
         h = psi.anchor
-        t = _aligned_target(_angle(self_pos, c), params)
-        if t is not None and _vacant(t, others):
+        t = _aligned_target(angle_of(self_pos, c), params)
+        if t is not None and is_vacant_target(t, others):
             return _claim_step(self_pos, t, vis_radius, params)
         return midpoint(self_pos, h)
     if kind == "psi6":
         h = psi.anchor
-        t = _aligned_target(_angle(self_pos, c), params)
-        if t is not None and _vacant(t, others):
+        t = _aligned_target(angle_of(self_pos, c), params)
+        if t is not None and is_vacant_target(t, others):
             return _claim_step(self_pos, t, vis_radius, params)
-        if _vacant(h, others):
+        if is_vacant_target(h, others):
             return _claim_step(self_pos, h, vis_radius, params)
         return midpoint(self_pos, h)
     if kind == "psi3":
         t = self_pos + unit_toward(c, self_pos).scaled(vis_radius)
-        return t if _vacant(t, others) else midpoint(self_pos, t)
+        return t if is_vacant_target(t, others) else midpoint(self_pos, t)
     if kind == "psi7":
         t = self_pos - unit_toward(c, self_pos).scaled(vis_radius)
-        return t if _vacant(t, others) else midpoint(self_pos, t)
+        return t if is_vacant_target(t, others) else midpoint(self_pos, t)
     if kind in ("psi5", "psi8"):
         return _scan_or_rotate(self_pos, vis_radius, params, others)
     raise AssertionError(f"unhandled positional case {kind}")
@@ -428,15 +403,4 @@ def satisfies_direction_constraint(
 
 def is_formed_local(positions: Sequence[Point], params: LocalParams, tol: float = 1e-6) -> bool:
     """True when every robot sits on a distinct target point of CIR."""
-    targets = params.targets.points
-    taken = [False] * len(targets)
-    for p in positions:
-        hit = -1
-        for i, t in enumerate(targets):
-            if not taken[i] and dist(p, t) <= tol:
-                hit = i
-                break
-        if hit < 0:
-            return False
-        taken[hit] = True
-    return all(taken)
+    return on_distinct_points(positions, params.targets, tol)

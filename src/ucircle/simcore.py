@@ -15,7 +15,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import EPS, MotionSegment, Point, dist, min_separation_during_motion
 
@@ -23,8 +23,6 @@ SAFE_SEPARATION = 2.0 - 1e-9
 
 FRAME_Y_ONLY = "y-only"
 FRAME_FULL_AXES = "full-axes"
-
-PHASES = ("wait", "look", "compute", "move")
 
 
 class SimulationFault(RuntimeError):
@@ -48,7 +46,6 @@ class RobotState:
     vis_radius: float = math.inf
     chirality: int = 1  # +1 keeps world X, -1 mirrors it in the local frame
     frame: str = FRAME_FULL_AXES
-    body_radius: float = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +77,6 @@ class Action:
     kind: str  # "stay" | "move"
     dest: Optional[Point] = None  # local frame
     tag: str = ""
-
-
-STAY = Action("stay")
 
 
 def move_to(dest: Point, tag: str = "") -> Action:
@@ -130,7 +124,7 @@ class TraceEvent:
 
 
 OUTCOME_CONVERGED = "converged"
-OUTCOME_BUDGET = "cycle-budget-exhausted"
+OUTCOME_BUDGET = "budget-exhausted"
 OUTCOME_FAULT = "fault"
 OUTCOME_STALL = "diagnosed-stall"
 
@@ -340,11 +334,24 @@ def _all_would_stay(
     return True
 
 
-def _stall_tags(world: WorldState, algorithm: Callable[[Snapshot], Action]) -> str:
-    tags = sorted(
-        {algorithm(take_snapshot(world, r.rid)).tag for r in world.robots} - {""}
-    )
-    return ",".join(tags)
+def _verdict(
+    world: WorldState,
+    algorithm: Callable[[Snapshot], Action],
+    termination: Callable[[WorldState], bool],
+    first: Sequence[int] = (),
+) -> Optional[tuple[str, str]]:
+    """How a run ends in this static world: (outcome, diagnosis), or None.
+
+    A formed world has converged. A world in which no robot would move has
+    stalled; the diagnosis names the tags the robots decide with. Robots in
+    `first` are asked first whether they would move.
+    """
+    if termination(world):
+        return OUTCOME_CONVERGED, ""
+    if not _all_would_stay(world, algorithm, first):
+        return None
+    tags = sorted({algorithm(take_snapshot(world, r.rid)).tag for r in world.robots} - {""})
+    return OUTCOME_STALL, ",".join(tags) or "fixed-point"
 
 
 def run(
@@ -367,24 +374,15 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
     events: list[TraceEvent] = []
     min_sep = math.inf
     n = len(world.robots)
-    cycle = 0
-    while cycle < max_cycles:
-        if termination(world):
-            return Trace(events, OUTCOME_CONVERGED, initial, world, cycle, min_sep)
+    for cycle in range(max_cycles):
         # One decision per robot per round: the stall check, its diagnosis
         # and the round itself share them.
         decide = _memoized(algorithm)
         active = next_activation(schedule, n, cycle)
-        if _all_would_stay(world, decide, active):
-            return Trace(
-                events,
-                OUTCOME_STALL,
-                initial,
-                world,
-                cycle,
-                min_sep,
-                diagnosis=_stall_tags(world, decide) or "fixed-point",
-            )
+        verdict = _verdict(world, decide, termination, active)
+        if verdict is not None:
+            outcome, diagnosis = verdict
+            return Trace(events, outcome, initial, world, cycle, min_sep, diagnosis)
         try:
             world, evs, sep = execute_cycle(world, active, decide, cycle)
         except SimulationFault as exc:
@@ -395,10 +393,8 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
             )
         events.extend(evs)
         min_sep = min(min_sep, sep)
-        cycle += 1
-    if termination(world):
-        return Trace(events, OUTCOME_CONVERGED, initial, world, cycle, min_sep)
-    return Trace(events, OUTCOME_BUDGET, initial, world, cycle, min_sep)
+    outcome = OUTCOME_CONVERGED if termination(world) else OUTCOME_BUDGET
+    return Trace(events, outcome, initial, world, max_cycles, min_sep)
 
 
 # --- ASYNC (CORDA-style) event loop ----------------------------------------
@@ -544,16 +540,8 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
         if moving == 0 and arrivals != checked_at:
             checked_at = arrivals
             w = static_world(t)
-            if termination(w):
-                return Trace(events, OUTCOME_CONVERGED, initial, w, (looks + n - 1) // n, min_sep)
-            if _all_would_stay(w, algorithm):
-                return Trace(
-                    events,
-                    OUTCOME_STALL,
-                    initial,
-                    w,
-                    (looks + n - 1) // n,
-                    min_sep,
-                    diagnosis=_stall_tags(w, algorithm) or "fixed-point",
-                )
+            verdict = _verdict(w, algorithm, termination)
+            if verdict is not None:
+                outcome, diagnosis = verdict
+                return Trace(events, outcome, initial, w, (looks + n - 1) // n, min_sep, diagnosis)
     raise AssertionError("event queue drained unexpectedly")

@@ -8,7 +8,7 @@ renders of the same trace are byte-identical.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import Circle, Point
 from .simcore import Trace

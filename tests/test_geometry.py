@@ -8,21 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucircle.geometry import (
-    Circle,
-    DegenerateProjection,
     GeometryError,
     MotionSegment,
     Point,
-    circle_circle_relation,
     circumcircle,
     dist,
     is_free_path,
     is_vacant_target,
     min_separation_during_motion,
-    min_separation_piecewise,
-    point_on_circle_at_arc,
-    project_radially,
-    rotate_about,
     smallest_enclosing_circle,
     smallest_enclosing_circle_bruteforce,
 )
@@ -118,7 +111,7 @@ def test_circumcircle_collinear_is_none():
 
 
 # ---------------------------------------------------------------------------
-# Corridor / vacancy predicates
+# Path / vacancy predicates
 # ---------------------------------------------------------------------------
 
 
@@ -169,100 +162,6 @@ class TestVacantTarget:
     def test_empty_is_vacant(self):
         assert is_vacant_target(P(2, 2), [])
 
-
-# ---------------------------------------------------------------------------
-# Projections, circle relations, arcs
-# ---------------------------------------------------------------------------
-
-
-class TestProjectRadially:
-    def test_on_axis(self):
-        assert points_close(project_radially(P(0, 2), Circle(P(0, 0), 5)), P(0, 5))
-
-    def test_scaling(self):
-        assert points_close(project_radially(P(3, 4), Circle(P(0, 0), 10)), P(6, 8))
-
-    def test_inward(self):
-        q = project_radially(P(1, 1), Circle(P(0, 0), 1))
-        assert points_close(q, P(math.sqrt(2) / 2, math.sqrt(2) / 2))
-
-    def test_center_raises(self):
-        with pytest.raises(DegenerateProjection):
-            project_radially(P(0, 0), Circle(P(0, 0), 5))
-
-    def test_result_on_circle(self):
-        rng = random.Random(11)
-        c = Circle(P(2, -3), 7.0)
-        for _ in range(50):
-            p = P(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            if dist(p, c.center) < 1e-6:
-                continue
-            q = project_radially(p, c)
-            assert close(dist(q, c.center), c.radius, 1e-9)
-
-
-class TestCircleCircleRelation:
-    def test_disjoint(self):
-        kind, pts = circle_circle_relation(Circle(P(0, 0), 3), Circle(P(10, 0), 3))
-        assert kind == "disjoint"
-        assert pts == ()
-
-    def test_externally_tangent(self):
-        kind, pts = circle_circle_relation(Circle(P(0, 0), 3), Circle(P(6, 0), 3))
-        assert kind == "externally-tangent"
-        assert len(pts) == 1
-        assert points_close(pts[0], P(3, 0))
-
-    def test_two_intersections(self):
-        # [DERIVED] centers 4 apart, radii 3: x = 2, y = +/- sqrt(5).
-        kind, pts = circle_circle_relation(Circle(P(0, 0), 3), Circle(P(4, 0), 3))
-        assert kind == "two-intersections"
-        ys = sorted(p.y for p in pts)
-        assert close(pts[0].x, 2.0) and close(pts[1].x, 2.0)
-        assert close(ys[0], -math.sqrt(5)) and close(ys[1], math.sqrt(5))
-
-    def test_contained(self):
-        kind, pts = circle_circle_relation(Circle(P(0, 0), 5), Circle(P(1, 0), 1))
-        assert kind == "contained"
-        assert pts == ()
-
-    def test_intersections_lie_on_both(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            a = Circle(P(rng.uniform(-5, 5), rng.uniform(-5, 5)), rng.uniform(0.5, 5))
-            b = Circle(P(rng.uniform(-5, 5), rng.uniform(-5, 5)), rng.uniform(0.5, 5))
-            kind, pts = circle_circle_relation(a, b)
-            for p in pts:
-                assert close(dist(p, a.center), a.radius, 1e-7)
-                assert close(dist(p, b.center), b.radius, 1e-7)
-
-
-class TestArcStepping:
-    def test_quarter_turn_clockwise(self):
-        c = Circle(P(0, 0), 1.0)
-        q = point_on_circle_at_arc(c, P(0, 1), math.pi / 2, "cw")
-        assert points_close(q, P(1, 0))
-
-    def test_counterclockwise(self):
-        c = Circle(P(0, 0), 1.0)
-        q = point_on_circle_at_arc(c, P(0, 1), 2 * math.pi / 3, "ccw")
-        assert points_close(q, P(-math.sqrt(3) / 2, -0.5))
-
-    def test_composition(self):
-        c = Circle(P(3, -2), 4.0)
-        start = c.point_at_angle(0.7)
-        one = point_on_circle_at_arc(c, start, 1.3, "cw")
-        two = point_on_circle_at_arc(c, one, 0.9, "cw")
-        direct = point_on_circle_at_arc(c, start, 2.2, "cw")
-        assert points_close(two, direct, 1e-9)
-
-    def test_off_circle_raises(self):
-        with pytest.raises(GeometryError):
-            point_on_circle_at_arc(Circle(P(0, 0), 1.0), P(0, 2), 1.0, "cw")
-
-    def test_bad_direction_raises(self):
-        with pytest.raises(GeometryError):
-            point_on_circle_at_arc(Circle(P(0, 0), 1.0), P(0, 1), 1.0, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +232,14 @@ class TestMinSeparation:
         )
 
     def test_piecewise(self):
+        # The engine checks piecewise trajectories as the minimum over every
+        # pair of pieces; a parked robot is one stationary piece.
         a = [
             MotionSegment(P(0, 0), P(5, 0), 0.0, 5.0),
             MotionSegment(P(5, 0), P(5, 5), 5.0, 10.0),
         ]
         b = [MotionSegment(P(5, 7), P(5, 7), 0.0, 10.0)]
-        assert close(min_separation_piecewise(a, b), 2.0)
+        assert close(min(min_separation_during_motion(s1, s2) for s1 in a for s2 in b), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +261,3 @@ def test_sec_encloses_and_matches_oracle(raw):
     slow = smallest_enclosing_circle_bruteforce(pts)
     assert abs(c.radius - slow.radius) <= 1e-6 * (1.0 + c.radius)
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.tuples(coord, coord), st.floats(min_value=-10, max_value=10))
-def test_rotation_preserves_distance(raw, theta):
-    center = P(1.0, -2.0)
-    p = P(*raw)
-    q = rotate_about(center, p, theta)
-    assert close(dist(q, center), dist(p, center), 1e-7 * (1.0 + dist(p, center)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.tuples(coord, coord),
-    st.floats(min_value=0.1, max_value=50),
-)
-def test_projection_idempotent(raw, radius):
-    p = P(*raw)
-    c = Circle(P(0, 0), radius)
-    if dist(p, c.center) < 1e-6:
-        return
-    q = project_radially(p, c)
-    assert points_close(project_radially(q, c), q, 1e-9 * (1.0 + radius))

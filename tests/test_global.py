@@ -86,29 +86,32 @@ class TestTargetPoints:
     def test_square_on_unit_circle(self):
         ts = compute_target_points(4, Circle(P(0, 0), 1.0))
         expected = [P(0, 1), P(1, 0), P(0, -1), P(-1, 0)]
-        for got, want in zip(ts.points, expected):
+        for got, want in zip(ts, expected):
             assert dist(got, want) <= 1e-12
 
     def test_two_points(self):
         ts = compute_target_points(2, Circle(P(0, 0), 3.0))
-        assert dist(ts.points[0], P(0, 3)) <= 1e-12
-        assert dist(ts.points[1], P(0, -3)) <= 1e-12
+        assert dist(ts[0], P(0, 3)) <= 1e-12
+        assert dist(ts[1], P(0, -3)) <= 1e-12
 
     def test_hexagon_chord(self):
         ts = compute_target_points(6, Circle(P(1, -2), 2.0))
         for i in range(6):
-            assert close(dist(ts.points[i], ts.points[(i + 1) % 6]), 2.0, 1e-12)
+            assert close(dist(ts[i], ts[(i + 1) % 6]), 2.0, 1e-12)
 
     def test_all_on_circle_and_anchor(self):
         c = Circle(P(5, 7), 4.0)
         ts = compute_target_points(9, c)
-        assert ts.anchor == c.center
-        for p in ts.points:
+        # Evenly spaced, so the targets are anchored at the center: their
+        # mean is the center.
+        assert close(sum(p.x for p in ts) / 9, c.center.x, 1e-12)
+        assert close(sum(p.y for p in ts) / 9, c.center.y, 1e-12)
+        for p in ts:
             assert close(dist(p, c.center), 4.0, 1e-12)
 
     def test_first_point_is_topmost(self):
         ts = compute_target_points(5, Circle(P(0, 0), 2.0))
-        assert ts.points[0].y == max(p.y for p in ts.points)
+        assert ts[0].y == max(p.y for p in ts)
 
 
 # ---------------------------------------------------------------------------

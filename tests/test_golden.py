@@ -72,6 +72,12 @@ CORPUS = {
         _global(3, 10.0, "ASYNC", 1, placement=_VERTICAL_LINE),
         "4f06f84f43b9a8ee0f05f708eb5f6183294759845b9d8c0a7f18e8c17e8b6d76",
     ),
+    # Two robots meet at separation 0.1148: the algorithm is specified for
+    # SSYNC, and ASYNC breaks it.
+    "global-async-fault": (
+        _global(9, 4.0, "ASYNC", 3),
+        "3d51f096eed0165ed0f05911da16c37bfb80a53cef656b7c63680a5c40d6e4ce",
+    ),
     "local-ssync-inside": (
         dict(_CURATED[0], scheduler="SSYNC", fairness_bound=4),
         "ff1833a8e361048752e9bf8ee4f63504021d8141797ade34b365d84687c406ca",
@@ -83,6 +89,10 @@ CORPUS = {
     "local-async-mixed": (
         _CURATED[2],
         "d215470bd99e0c90f54ffbab16b4d749c1c9eecb53586d77bae707645813d7b8",
+    ),
+    "local-async-budget": (
+        dict(_CURATED[2], max_cycles=3),
+        "50d8c943b15663b501a3947c16a63fdbd3b0499e565a0e0b8e511ac438909684",
     ),
     "local-async-n6-outside": (
         _CURATED[6],
@@ -114,8 +124,15 @@ def test_golden_digest(name):
 
 
 def test_corpus_covers_every_outcome():
-    outcomes = {scenario_digest(name)[1] for name in CORPUS}
-    assert outcomes == {"converged", "budget-exhausted", "diagnosed-stall", "fault"}
+    """The sync rounds and the ASYNC event loop each reach every ending."""
+    every = {"converged", "budget-exhausted", "diagnosed-stall", "fault"}
+    for asynchronous in (False, True):
+        outcomes = {
+            scenario_digest(name)[1]
+            for name, (raw, _) in CORPUS.items()
+            if (raw["scheduler"] == "ASYNC") == asynchronous
+        }
+        assert outcomes == every, f"asynchronous={asynchronous}"
 
 
 if __name__ == "__main__":

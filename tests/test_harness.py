@@ -106,6 +106,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("placement", ["random-disc", [[0, 0], [3, 0], [0, 3]]])
+    def test_local_rad_too_small_for_n(self, placement):
+        # 2*pi*0.3/3 < 2: three unit discs cannot sit two units apart on CIR.
+        with pytest.raises(ConfigError, match="cannot space 3"):
+            parse_config(base_local(n=3, rad=0.3, vis=1.0, placement=placement))
+
     def test_local_rejects_global_field(self):
         with pytest.raises(ConfigError):
             parse_config(base_local(a=4.0))
@@ -367,6 +373,18 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "invalid config" in capsys.readouterr().err
 
+    def test_run_rad_too_small_for_n(self, tmp_path, capsys):
+        raw = base_local(n=3, rad=0.3, vis=1.0, placement=[[0, 0], [3, 0], [0, 3]])
+        assert main(["run", "--config", self.write_config(tmp_path, raw)]) == 1
+        assert capsys.readouterr().err.startswith("invalid config:")
+
+    @pytest.mark.parametrize("body", [b"{not json", b'{"algorithm": "gl\xffobal"}'])
+    def test_run_unreadable_config(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid config:")
+
     def test_run_missing_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -397,6 +415,35 @@ class TestCli:
             "b.summary.json",
             "b.trace.jsonl",
         ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_isolates_invalid_files(self, tmp_path, capsys, jobs):
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text(json.dumps(base_local(n=3, rad=0.3, vis=1.0)))
+        (confs / "b.json").write_text(json.dumps(base_global(seed=5)))
+        (confs / "c.json").write_bytes(b'{"algorithm": "gl\xffobal"}')
+        out = tmp_path / "out"
+        code = main(["batch", "--configs", str(confs), "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert sorted(p.name for p in out.iterdir()) == ["b.summary.json", "b.trace.jsonl"]
+        printed = capsys.readouterr()
+        assert printed.out == "b: converged\n"
+        err = printed.err.splitlines()
+        assert [line.split(":")[:2] for line in err] == [
+            ["a", " invalid-config"],
+            ["c", " invalid-config"],
+        ]
+        assert "cannot space 3" in err[0]
+
+    def test_batch_worst_code_wins_over_invalid(self, tmp_path, capsys):
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text("[]")
+        (confs / "b.json").write_text(json.dumps(base_global(seed=49, n=6, a=5.0, max_cycles=5)))
+        code = main(["batch", "--configs", str(confs), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().out == "b: budget-exhausted\n"
 
     def test_batch_empty_dir(self, tmp_path, capsys):
         confs = tmp_path / "confs"

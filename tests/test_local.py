@@ -7,7 +7,6 @@ import pytest
 from ucircle.geometry import Circle, Point, dist
 from ucircle.local_form import (
     LocalParams,
-    classify_phi,
     classify_psi,
     compute_destination,
     compute_robot_position,
@@ -81,27 +80,6 @@ class TestEligibility:
 
     def test_on_circle_robot_ignores_insiders(self):
         assert eligible_to_move(P(0, 10), [P(0, 9)], self.cir)
-
-
-# ---------------------------------------------------------------------------
-# Visibility-circle relations
-# ---------------------------------------------------------------------------
-
-
-class TestClassifyPhi:
-    def test_disjoint(self):
-        assert classify_phi(Circle(P(0, 0), 3), Circle(P(10, 0), 3)).value == "phi1"
-
-    def test_tangent_touch_point(self):
-        cfg = classify_phi(Circle(P(0, 0), 3), Circle(P(6, 0), 3))
-        assert cfg.value == "phi2"
-        assert dist(cfg.touch_point, P(3, 0)) <= 1e-12
-
-    def test_overlapping(self):
-        assert classify_phi(Circle(P(0, 0), 4), Circle(P(5, 0), 4)).value == "phi3"
-
-    def test_deep_overlap(self):
-        assert classify_phi(Circle(P(0, 0), 4), Circle(P(3, 0), 4)).value == "phi4"
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +240,22 @@ class TestLocalStep:
 class TestIsFormedLocal:
     def test_exact_formation(self):
         p = params10()
-        assert is_formed_local(list(p.targets.points), p)
+        assert is_formed_local(list(p.targets), p)
 
     def test_permuted_formation(self):
         p = params10()
-        pts = list(p.targets.points)
+        pts = list(p.targets)
         assert is_formed_local(pts[::-1], p)
 
     def test_doubled_target_rejected(self):
         p = params10()
-        pts = list(p.targets.points)
+        pts = list(p.targets)
         pts[1] = pts[0]
         assert not is_formed_local(pts, p)
 
     def test_near_miss_rejected(self):
         p = params10()
-        pts = list(p.targets.points)
+        pts = list(p.targets)
         pts[0] = P(pts[0].x, pts[0].y + 1e-3)
         assert not is_formed_local(pts, p)
 
@@ -285,9 +263,9 @@ class TestIsFormedLocal:
 def test_formation_is_fixed_point():
     p = params10()
     for vis in (5.0, 10.0):
-        for i, me in enumerate(p.targets.points):
+        for i, me in enumerate(p.targets):
             others = [
-                q for j, q in enumerate(p.targets.points) if j != i and dist(q, me) <= vis
+                q for j, q in enumerate(p.targets) if j != i and dist(q, me) <= vis
             ]
             action = local_step(snap(me, others, vis), p)
             assert action.kind == "stay"

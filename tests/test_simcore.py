@@ -13,7 +13,6 @@ from ucircle.simcore import (
     OUTCOME_CONVERGED,
     OUTCOME_FAULT,
     OUTCOME_STALL,
-    STAY,
     Action,
     CollisionFault,
     RobotState,
@@ -139,7 +138,7 @@ class TestNextActivation:
 class TestExecuteCycle:
     def test_stationary_world_unchanged(self):
         w = make_world([P(0, 0), P(5, 0)])
-        new, events, sep = execute_cycle(w, [0, 1], lambda s: STAY)
+        new, events, sep = execute_cycle(w, [0, 1], lambda s: Action("stay"))
         assert new.positions() == w.positions()
         assert sep == 5.0
         phases = [e.phase for e in events]
@@ -157,7 +156,7 @@ class TestExecuteCycle:
 
     def test_inactive_robots_do_not_look(self):
         w = make_world([P(0, 0), P(9, 0)])
-        _, events, _ = execute_cycle(w, [1], lambda s: STAY)
+        _, events, _ = execute_cycle(w, [1], lambda s: Action("stay"))
         assert {e.robot for e in events} == {1}
 
     def test_head_on_collision_faults(self):
@@ -174,7 +173,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0), P(5, 1.2)])
 
         def algo(snap: Snapshot):
-            return move_to(P(10, 0)) if snap.self_pos == P(0, 0) else STAY
+            return move_to(P(10, 0)) if snap.self_pos == P(0, 0) else Action("stay")
 
         with pytest.raises(CollisionFault):
             execute_cycle(w, [0, 1], algo)
@@ -192,7 +191,7 @@ class TestExecuteCycle:
     def test_unknown_robot_rejected(self):
         w = make_world([P(0, 0)])
         with pytest.raises(KeyError):
-            execute_cycle(w, [7], lambda s: STAY)
+            execute_cycle(w, [7], lambda s: Action("stay"))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def gather_at_x(target_x):
 
     def algo(snap: Snapshot):
         if abs(snap.self_pos.x - target_x) <= 1e-12:
-            return STAY
+            return Action("stay")
         return move_to(P(target_x, snap.self_pos.y), tag="walk")
 
     return algo
@@ -288,7 +287,7 @@ class TestRun:
         w = make_world([P(0, 0), P(6, 0)])
 
         def charge(snap: Snapshot):
-            return move_to(snap.others[0]) if snap.others else STAY
+            return move_to(snap.others[0]) if snap.others else Action("stay")
 
         trace = run(w, charge, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_FAULT
@@ -328,7 +327,7 @@ class TestRun:
     def test_bad_budget_rejected(self):
         w = make_world([P(0, 0)])
         with pytest.raises(ValueError):
-            run(w, lambda s: STAY, Schedule("FSYNC"), lambda w_: True, max_cycles=0)
+            run(w, lambda s: Action("stay"), Schedule("FSYNC"), lambda w_: True, max_cycles=0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def step_to_x(target_x, step=2.0):
     def algo(snap: Snapshot):
         dx = target_x - snap.self_pos.x
         if abs(dx) <= 1e-12:
-            return STAY
+            return Action("stay")
         return move_to(P(snap.self_pos.x + max(-step, min(step, dx)), snap.self_pos.y))
 
     return algo
