@@ -5,6 +5,10 @@
     ucircle batch --configs dir --out dir [--jobs m]
     ucircle oracle sec --points points.json
 
+`run --every k` writes an SVG frame after every k-th cycle, besides the
+initial and the final frame. `k` and `batch --jobs m` must be positive
+integers; anything else is an argument error (exit 2) before anything runs.
+
 Exit codes, one per outcome: 0 converged, 1 invalid config, 2 budget-exhausted,
 3 fault (collision or invalid move), 4 diagnosed-stall.
 
@@ -21,16 +25,24 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .geometry import Point, smallest_enclosing_circle_bruteforce
+from .geometry import smallest_enclosing_circle_bruteforce
 from .harness import (
     ConfigError,
     InfeasibleScenario,
     build_algorithm,
     exit_code_for,
     load_config,
+    parse_point,
     run_scenario,
 )
 from .svgrender import render_frames
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,13 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario JSON file")
     p_run.add_argument("--trace", help="write the JSONL trace here")
     p_run.add_argument("--frames", help="directory for SVG frames")
-    p_run.add_argument("--every", type=int, default=10, help="frame every k cycles")
+    p_run.add_argument("--every", type=_positive_int, default=10, help="frame every k cycles")
     p_run.add_argument("--summary", help="write the one-line JSON summary here")
 
     p_batch = sub.add_parser("batch", help="run every scenario in a directory")
     p_batch.add_argument("--configs", required=True, help="directory of scenario JSON files")
     p_batch.add_argument("--out", required=True, help="output directory")
-    p_batch.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_batch.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
 
     p_oracle = sub.add_parser("oracle", help="geometry cross-check oracles")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
@@ -138,8 +150,8 @@ def _cmd_oracle_sec(args: argparse.Namespace) -> int:
     try:
         with open(args.points, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        pts = [Point(float(x), float(y)) for x, y in raw]
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        pts = [parse_point(item) for item in raw]
+    except (OSError, ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(f"invalid points file: {exc}", file=sys.stderr)
         return 1
     if not pts:

@@ -100,6 +100,13 @@ def _is_number(value) -> bool:
         return False
 
 
+def parse_point(item) -> Point:
+    """An [x, y] pair of finite JSON numbers, as a Point."""
+    if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_number, item))):
+        raise ConfigError(f"points must be [x, y] pairs of finite numbers, got {item!r}")
+    return Point(float(item[0]), float(item[1]))
+
+
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
@@ -168,15 +175,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     elif isinstance(placement, (list, tuple)):
         if len(placement) != n:
             raise ConfigError(f"explicit placement needs {n} points, got {len(placement)}")
-        pts = []
-        for item in placement:
-            if not (
-                isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_number, item))
-            ):
-                raise ConfigError(
-                    f"placement entries must be [x, y] pairs of finite numbers, got {item!r}"
-                )
-            pts.append(Point(float(item[0]), float(item[1])))
+        pts = [parse_point(item) for item in placement]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if dist(pts[i], pts[j]) < 2.0:
@@ -257,9 +256,7 @@ def generate_scenario(config: ScenarioConfig) -> WorldState:
         else:
             chirality = 1
             frame = FRAME_FULL_AXES
-        robots.append(
-            RobotState(rid=i, pos=p, vis_radius=vis[i], chirality=chirality, frame=frame)
-        )
+        robots.append(RobotState(pos=p, vis_radius=vis[i], chirality=chirality, frame=frame))
     return WorldState(tuple(robots))
 
 
@@ -355,7 +352,7 @@ def _one_sided_psi9(world: WorldState, rad: float, center: Point) -> bool:
     robots = world.robots
     for a in robots:
         for b in robots:
-            if a.rid == b.rid:
+            if a is b:
                 continue
             da = dist(a.pos, center)
             db = dist(b.pos, center)

@@ -5,8 +5,9 @@ FSYNC/SSYNC round schedulers or an event-driven ASYNC scheduler, with
 rigid unit-speed motion, continuous collision monitoring, and an
 append-only trace.
 
-Algorithms never see robot handles: a Snapshot carries only points in the
-observer's local frame, so anonymity holds by construction.
+A robot's handle is its index in `WorldState.robots`; only the trace
+records it. Algorithms never see handles: a Snapshot carries only points in
+the observer's local frame, so anonymity holds by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .geometry import EPS, MotionSegment, Point, dist, min_separation_during_motion
@@ -41,7 +42,6 @@ class InvalidActionFault(SimulationFault):
 
 @dataclass(frozen=True, slots=True)
 class RobotState:
-    rid: int
     pos: Point
     vis_radius: float = math.inf
     chirality: int = 1  # +1 keeps world X, -1 mirrors it in the local frame
@@ -55,12 +55,6 @@ class WorldState:
 
     def positions(self) -> list[Point]:
         return [r.pos for r in self.robots]
-
-    def robot(self, rid: int) -> RobotState:
-        for r in self.robots:
-            if r.rid == rid:
-                return r
-        raise KeyError(f"unknown robot handle {rid}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,12 +154,12 @@ def _to_world(observer: RobotState, local: Point) -> Point:
     return Point(observer.pos.x + local.x * observer.chirality, observer.pos.y + local.y)
 
 
-def take_snapshot(world: WorldState, rid: int) -> Snapshot:
-    obs = world.robot(rid)
+def take_snapshot(world: WorldState, i: int) -> Snapshot:
+    obs = world.robots[i]
     others = tuple(
         _to_local(obs, r.pos)
-        for r in world.robots
-        if r.rid != rid and dist(r.pos, obs.pos) <= obs.vis_radius + EPS
+        for j, r in enumerate(world.robots)
+        if j != i and dist(r.pos, obs.pos) <= obs.vis_radius + EPS
     )
     return Snapshot(self_pos=_to_local(obs, obs.pos), others=others, vis_radius=obs.vis_radius)
 
@@ -176,25 +170,24 @@ def take_snapshot(world: WorldState, rid: int) -> Snapshot:
 
 
 def next_activation(schedule: Schedule, n_robots: int, round_index: int) -> tuple[int, ...]:
-    """Deterministic activation set for one scheduler round."""
+    """Deterministic activation set for one FSYNC/SSYNC round.
+
+    ASYNC has no rounds: `run` gives it to the event loop.
+    """
+    if schedule.kind == "ASYNC":
+        raise ValueError("ASYNC has no activation rounds")
     if n_robots <= 0:
         return ()
     if schedule.kind == "FSYNC":
         return tuple(range(n_robots))
     rng = random.Random(f"{schedule.seed}:{round_index}:{n_robots}")
-    if schedule.kind == "SSYNC":
-        fb = schedule.fairness_bound
-        active = {i for i in range(n_robots) if rng.random() < 0.5}
-        # Fairness backstop: robot i is forced in every round == i mod fb.
-        active.update(i for i in range(n_robots) if round_index % fb == i % fb)
-        if not active:
-            active.add(rng.randrange(n_robots))
-        return tuple(sorted(active))
-    # ASYNC round view: seeded round-robin singleton (fair with bound n).
-    block, pos = divmod(round_index, n_robots)
-    perm = list(range(n_robots))
-    random.Random(f"{schedule.seed}:blk:{block}:{n_robots}").shuffle(perm)
-    return (perm[pos],)
+    fb = schedule.fairness_bound
+    active = {i for i in range(n_robots) if rng.random() < 0.5}
+    # Fairness backstop: robot i is forced in every round == i mod fb.
+    active.update(i for i in range(n_robots) if round_index % fb == i % fb)
+    if not active:
+        active.add(rng.randrange(n_robots))
+    return tuple(sorted(active))
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +212,17 @@ def execute_cycle(
     Returns (new world, trace events, min pairwise separation of the round).
     Raises CollisionFault when concurrent motions come closer than two units.
     """
-    known = {r.rid for r in world.robots}
+    robots = world.robots
+    n = len(robots)
     for rid in active:
-        if rid not in known:
+        if not 0 <= rid < n:
             raise KeyError(f"activation of unknown robot handle {rid}")
 
     t0 = world.clock
     events: list[TraceEvent] = []
     decisions: dict[int, Action] = {}
     for rid in sorted(active):
-        obs = world.robot(rid)
+        obs = robots[rid]
         snap = take_snapshot(world, rid)
         action = algorithm(snap)
         _check_action(action)
@@ -241,34 +235,33 @@ def execute_cycle(
     for rid, action in decisions.items():
         if action.kind != "move":
             continue
-        obs = world.robot(rid)
+        obs = robots[rid]
         dest_world = _to_world(obs, action.dest)
         if dist(dest_world, obs.pos) <= EPS:
             continue
         moves[rid] = dest_world
         events.append(TraceEvent(t0, cycle, rid, "move", obs.pos, dest=dest_world, tag=action.tag))
 
-    durations = [dist(world.robot(rid).pos, d) for rid, d in moves.items()]
+    durations = [dist(robots[rid].pos, d) for rid, d in moves.items()]
     round_span = max(durations) if durations else 1.0
     t1 = t0 + round_span
 
-    pieces: dict[int, list[MotionSegment]] = {}
-    for r in world.robots:
-        if r.rid in moves:
-            arrive = t0 + dist(r.pos, moves[r.rid])
-            segs = [MotionSegment(r.pos, moves[r.rid], t0, arrive)]
+    pieces: list[list[MotionSegment]] = []
+    for i, r in enumerate(robots):
+        if i in moves:
+            arrive = t0 + dist(r.pos, moves[i])
+            segs = [MotionSegment(r.pos, moves[i], t0, arrive)]
             if arrive < t1:
-                segs.append(MotionSegment(moves[r.rid], moves[r.rid], arrive, t1))
+                segs.append(MotionSegment(moves[i], moves[i], arrive, t1))
         else:
             segs = [MotionSegment(r.pos, r.pos, t0, t1)]
-        pieces[r.rid] = segs
+        pieces.append(segs)
 
     min_sep = math.inf
-    rids = [r.rid for r in world.robots]
-    for i, a in enumerate(rids):
-        for b in rids[i + 1 :]:
+    for a in range(n):
+        for b in range(a + 1, n):
             if a not in moves and b not in moves:
-                sep = dist(world.robot(a).pos, world.robot(b).pos)
+                sep = dist(robots[a].pos, robots[b].pos)
             else:
                 sep = min(
                     min_separation_during_motion(s1, s2)
@@ -283,9 +276,7 @@ def execute_cycle(
                     sep,
                 )
 
-    new_robots = tuple(
-        replace(r, pos=moves.get(r.rid, r.pos)) for r in world.robots
-    )
+    new_robots = tuple(replace(r, pos=moves.get(i, r.pos)) for i, r in enumerate(robots))
     return WorldState(new_robots, t1), events, min_sep
 
 
@@ -325,8 +316,9 @@ def _all_would_stay(
     activated robot that asks for it faults in `execute_cycle`.
     """
     ahead = set(first)
-    for r in sorted(world.robots, key=lambda r: r.rid not in ahead):
-        action = algorithm(take_snapshot(world, r.rid))
+    for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
+        r = world.robots[i]
+        action = algorithm(take_snapshot(world, i))
         if action.kind == "move" and action.dest is not None:
             obs_dest = _to_world(r, action.dest)
             if dist(obs_dest, r.pos) > EPS:
@@ -350,7 +342,8 @@ def _verdict(
         return OUTCOME_CONVERGED, ""
     if not _all_would_stay(world, algorithm, first):
         return None
-    tags = sorted({algorithm(take_snapshot(world, r.rid)).tag for r in world.robots} - {""})
+    decided = {algorithm(take_snapshot(world, i)).tag for i in range(len(world.robots))}
+    tags = sorted(decided - {""})
     return OUTCOME_STALL, ",".join(tags) or "fixed-point"
 
 
@@ -400,36 +393,17 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
 # --- ASYNC (CORDA-style) event loop ----------------------------------------
 
 
-@dataclass
-class _AsyncRobot:
-    state: RobotState
-    motion: Optional[MotionSegment] = None  # in-flight move, if any
-    history: list[MotionSegment] = field(default_factory=list)
-    hold_since: float = 0.0
+def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionSegment]:
+    """The segments of a robot's track that overlap [a, b], in time order.
 
-    def position_at(self, t: float) -> Point:
-        if self.motion is not None and t >= self.motion.t0:
-            return self.motion.position_at(t)
-        return self.state.pos
-
-    def pieces_over(self, a: float, b: float) -> list[MotionSegment]:
-        """Piecewise-linear trajectory covering [a, b] (past is fully known)."""
-        out: list[MotionSegment] = []
-        segs = list(self.history)
-        if self.motion is not None:
-            segs.append(self.motion)
-        prev_end_t = None
-        prev_end_p = None
-        for seg in segs:
-            if prev_end_t is not None and seg.t0 > prev_end_t:
-                out.append(MotionSegment(prev_end_p, prev_end_p, prev_end_t, seg.t0))
-            out.append(seg)
-            prev_end_t, prev_end_p = seg.t1, seg.end
-        if prev_end_t is None:
-            out.append(MotionSegment(self.state.pos, self.state.pos, a, b))
-        elif prev_end_t < b:
-            out.append(MotionSegment(prev_end_p, prev_end_p, prev_end_t, b))
-        return [s for s in out if s.t1 >= a and s.t0 <= b]
+    A track is contiguous from the start clock, so past its last segment the
+    robot holds where that segment ends; that hold is added up to b.
+    """
+    out = [s for s in track if s.t1 >= a and s.t0 <= b]
+    last = track[-1]
+    if last.t1 < b:
+        out.append(MotionSegment(last.end, last.end, last.t1, b))
+    return out
 
 
 def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
@@ -438,7 +412,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     n = len(world.robots)
     rng = random.Random(f"async:{schedule.seed}:{n}")
     window = float(schedule.fairness_bound)
-    robots = {r.rid: _AsyncRobot(state=r, hold_since=world.clock) for r in world.robots}
+    # Each robot's past and planned motion: contiguous segments from a
+    # zero-length hold at the start clock. A move is appended at its look,
+    # after the hold that ends where the move starts.
+    tracks = [[MotionSegment(r.pos, r.pos, world.clock, world.clock)] for r in world.robots]
     min_sep = math.inf
     for i, a in enumerate(world.robots):
         for b in world.robots[i + 1 :]:
@@ -447,10 +424,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     def delay() -> float:
         return 0.05 + rng.random() * window
 
-    # Event queue: (time, robot id, seq, kind). kind in {"look", "arrive"}.
+    # Event queue: (time, robot, seq, kind). kind in {"look", "arrive"}.
     heap: list[tuple[float, int, int, str]] = []
     seq = 0
-    for rid in sorted(robots):
+    for rid in range(n):
         heapq.heappush(heap, (world.clock + delay(), rid, seq, "look"))
         seq += 1
 
@@ -462,27 +439,26 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     arrivals = 0
     checked_at = -1
 
-    def instantaneous(t: float) -> WorldState:
+    def world_at(t: float) -> WorldState:
         return WorldState(
-            tuple(replace(rb.state, pos=rb.position_at(t)) for _, rb in sorted(robots.items())),
+            tuple(
+                replace(r, pos=track[-1].position_at(t))
+                for r, track in zip(initial.robots, tracks)
+            ),
             t,
         )
 
-    def static_world(t: float) -> WorldState:
-        return WorldState(tuple(rb.state for _, rb in sorted(robots.items())), t)
-
     while heap:
         t, rid, _, kind = heapq.heappop(heap)
-        rb = robots[rid]
+        track = tracks[rid]
         if kind == "arrive":
-            seg = rb.motion
-            assert seg is not None
+            seg = track[-1]
             # The past is fully determined: check the finished segment against
             # every other robot's trajectory over its interval.
-            for other_id, other in robots.items():
-                if other_id == rid:
+            for other in range(n):
+                if other == rid:
                     continue
-                for piece in other.pieces_over(seg.t0, seg.t1):
+                for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
                     sep = min_separation_during_motion(seg, piece)
                     min_sep = min(min_sep, sep)
                     if sep < SAFE_SEPARATION:
@@ -490,47 +466,37 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
                             events,
                             OUTCOME_FAULT,
                             initial,
-                            instantaneous(t),
+                            world_at(t),
                             looks // n,
                             min_sep,
-                            diagnosis=(
-                                f"robots {rid} and {other_id} reach separation {sep:.6g}"
-                            ),
+                            diagnosis=f"robots {rid} and {other} reach separation {sep:.6g}",
                         )
-            rb.history.append(seg)
-            rb.motion = None
-            rb.state = replace(rb.state, pos=seg.end)
-            rb.hold_since = t
             moving -= 1
             arrivals += 1
             heapq.heappush(heap, (t + delay(), rid, seq, "look"))
             seq += 1
         else:  # look
             if looks >= budget_looks:
-                return Trace(events, OUTCOME_BUDGET, initial, instantaneous(t), max_cycles, min_sep)
+                return Trace(events, OUTCOME_BUDGET, initial, world_at(t), max_cycles, min_sep)
             looks += 1
             cycle = (looks - 1) // n
-            view = instantaneous(t)
+            view = world_at(t)
             snap = take_snapshot(view, rid)
             action = algorithm(snap)
             _check_action(action)
-            cur = rb.position_at(t)
+            cur = view.robots[rid].pos
             events.append(TraceEvent(t, cycle, rid, "wait", cur))
             events.append(TraceEvent(t, cycle, rid, "look", cur))
             events.append(TraceEvent(t, cycle, rid, "compute", cur, tag=action.tag))
             start = t + delay()
             if action.kind == "move":
-                dest = _to_world(view.robot(rid), action.dest)
-                if dist(dest, rb.state.pos) > EPS:
-                    seg = MotionSegment(rb.state.pos, dest, start, start + dist(rb.state.pos, dest))
-                    if rb.hold_since < start:
-                        rb.history.append(
-                            MotionSegment(rb.state.pos, rb.state.pos, rb.hold_since, start)
-                        )
-                    rb.motion = seg
+                dest = _to_world(view.robots[rid], action.dest)
+                if dist(dest, cur) > EPS:
+                    track.append(MotionSegment(cur, cur, track[-1].t1, start))
+                    track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))
                     moving += 1
-                    events.append(TraceEvent(start, cycle, rid, "move", rb.state.pos, dest=dest, tag=action.tag))
-                    heapq.heappush(heap, (seg.t1, rid, seq, "arrive"))
+                    events.append(TraceEvent(start, cycle, rid, "move", cur, dest=dest, tag=action.tag))
+                    heapq.heappush(heap, (track[-1].t1, rid, seq, "arrive"))
                     seq += 1
                     continue
             heapq.heappush(heap, (start + delay(), rid, seq, "look"))
@@ -539,8 +505,9 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
         # Quiescent checkpoints: only meaningful when nothing is in flight.
         if moving == 0 and arrivals != checked_at:
             checked_at = arrivals
-            w = static_world(t)
-            verdict = _verdict(w, algorithm, termination)
+            w = world_at(t)
+            # One decision per robot: the stall check and its tags share it.
+            verdict = _verdict(w, _memoized(algorithm), termination)
             if verdict is not None:
                 outcome, diagnosis = verdict
                 return Trace(events, outcome, initial, w, (looks + n - 1) // n, min_sep, diagnosis)

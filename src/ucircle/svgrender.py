@@ -78,14 +78,11 @@ def render_frames(
     vis = (
         [r.vis_radius for r in trace.initial.robots] if with_visibility else []
     )
-    order = [r.rid for r in trace.initial.robots]
-    positions = {r.rid: r.pos for r in trace.initial.robots}
+    positions = trace.initial.positions()
     frames: dict[str, str] = {}
 
     def snap(name: str, caption: str) -> None:
-        frames[name] = _svg_document(
-            [positions[rid] for rid in order], circle, targets, vis, caption
-        )
+        frames[name] = _svg_document(positions, circle, targets, vis, caption)
 
     snap("frame-initial.svg", "initial configuration")
     last_cycle = 0
@@ -97,7 +94,6 @@ def render_frames(
             last_cycle = ev.cycle
         if ev.phase == "move" and ev.dest is not None:
             positions[ev.robot] = ev.dest
-    for r in trace.final.robots:
-        positions[r.rid] = r.pos
+    positions = trace.final.positions()
     snap("frame-final.svg", f"final state ({trace.outcome})")
     return frames

@@ -311,14 +311,8 @@ def random_world(n, seed, spread=6.0):
             pts.append(p)
     return WorldState(
         tuple(
-            RobotState(
-                i,
-                p,
-                vis_radius=INF,
-                chirality=rng.choice((1, -1)),
-                frame=FRAME_Y_ONLY,
-            )
-            for i, p in enumerate(pts)
+            RobotState(p, vis_radius=INF, chirality=rng.choice((1, -1)), frame=FRAME_Y_ONLY)
+            for p in pts
         )
     )
 

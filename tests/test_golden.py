@@ -98,6 +98,20 @@ CORPUS = {
         _CURATED[6],
         "cb3a31287eeefaab8ada2adb80a6b0acd9cc72241cc8537c6a02ac50c65de713",
     ),
+    # Robots 8 and 0 meet at separation 1.31629 from a random placement,
+    # after many robots have moved several times each.
+    "local-async-random-fault": (
+        dict(
+            algorithm="local",
+            n=16,
+            rad=96.0,
+            vis=48.0,
+            scheduler="ASYNC",
+            seed=1,
+            placement="random-disc",
+        ),
+        "25106c06404bd739ab3e68c751cc79d9abb2832af76dddee5b74fdd74dc8861c",
+    ),
     "local-nonuniform-async": (
         nonuniform_variant(_CURATED[1]),
         "ed51ae6f0b33cff690feda5bba49aaf4cb46d540b3ed1ecaf643164a38bb4815",

@@ -400,6 +400,17 @@ class TestCli:
             body = (frames / name).read_text()
             assert "<svg" in body and body.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_run_every_must_be_positive(self, tmp_path, capsys, every):
+        cfg = self.write_config(tmp_path, base_local(seed=5))
+        summary = tmp_path / "summary.json"
+        argv = ["run", "--config", cfg, "--summary", str(summary)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--frames", str(tmp_path / "frames"), "--every", every])
+        assert exc.value.code == 2
+        assert "--every: must be a positive integer" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_batch(self, tmp_path, capsys):
         confs = tmp_path / "confs"
         confs.mkdir()
@@ -445,6 +456,18 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().out == "b: budget-exhausted\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_batch_jobs_must_be_positive(self, tmp_path, capsys, jobs):
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text(json.dumps(base_global(seed=5)))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--configs", str(confs), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_empty_dir(self, tmp_path, capsys):
         confs = tmp_path / "confs"
         confs.mkdir()
@@ -463,3 +486,24 @@ class TestCli:
         pts = tmp_path / "pts.json"
         pts.write_text("[]")
         assert main(["oracle", "sec", "--points", str(pts)]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[NaN, 0], [1, 1]]",
+            "[[0, Infinity], [1, 1]]",
+            "[[1e999, 0]]",
+            "[[1" + "0" * 400 + ", 0]]",
+            '["12", "34"]',
+            "[[true, false], [3, 3]]",
+            "[[1, 2, 3]]",
+            "7",
+        ],
+        ids=["nan", "infinity", "float-overflow", "int-overflow", "strings", "booleans",
+             "triple", "not-a-list"],
+    )
+    def test_oracle_sec_rejects_bad_points(self, tmp_path, capsys, text):
+        pts = tmp_path / "pts.json"
+        pts.write_text(text)
+        assert main(["oracle", "sec", "--points", str(pts)]) == 1
+        assert capsys.readouterr().err.startswith("invalid points file")

@@ -280,8 +280,7 @@ def test_end_to_end_async_convergence():
     ]
     world = WorldState(
         tuple(
-            RobotState(i, q, vis_radius=rad, frame=FRAME_FULL_AXES)
-            for i, q in enumerate(positions)
+            RobotState(q, vis_radius=rad, frame=FRAME_FULL_AXES) for q in positions
         )
     )
     trace = run(

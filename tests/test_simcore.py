@@ -31,7 +31,7 @@ P = Point
 
 
 def make_world(positions, **kw):
-    return WorldState(tuple(RobotState(i, p, **kw) for i, p in enumerate(positions)))
+    return WorldState(tuple(RobotState(p, **kw) for p in positions))
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +55,8 @@ class TestSnapshots:
     def test_y_only_mirrors_x_with_chirality(self):
         w = WorldState(
             (
-                RobotState(0, P(1, 2), frame=FRAME_Y_ONLY, chirality=-1),
-                RobotState(1, P(4, 6)),
+                RobotState(P(1, 2), frame=FRAME_Y_ONLY, chirality=-1),
+                RobotState(P(4, 6)),
             )
         )
         snap = take_snapshot(w, 0)
@@ -74,9 +74,9 @@ class TestSnapshots:
     def test_move_dest_interpreted_in_local_frame(self):
         # A mirrored y-only robot asking to move to local (1, 0) must move
         # to world x - 1.
-        w = WorldState((RobotState(0, P(10, 0), frame=FRAME_Y_ONLY, chirality=-1),))
+        w = WorldState((RobotState(P(10, 0), frame=FRAME_Y_ONLY, chirality=-1),))
         new, _, _ = execute_cycle(w, [0], lambda s: move_to(P(1, 0)))
-        assert dist(new.robot(0).pos, P(9, 0)) < 1e-12
+        assert dist(new.robots[0].pos, P(9, 0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +104,10 @@ class TestNextActivation:
             for i, seen in last_seen.items():
                 assert rnd - seen < fb, f"robot {i} starved"
 
-    def test_async_singleton_covers_all_each_block(self):
-        sched = Schedule("ASYNC", seed=5)
-        n = 7
-        for block in range(4):
-            seen = set()
-            for pos in range(n):
-                active = next_activation(sched, n, block * n + pos)
-                assert len(active) == 1
-                seen.add(active[0])
-            assert seen == set(range(n))
+    def test_async_has_no_rounds(self):
+        # ASYNC has no rounds: `run` hands it to the event loop.
+        with pytest.raises(ValueError):
+            next_activation(Schedule("ASYNC", seed=5), 7, 0)
 
     def test_determinism(self):
         sched = Schedule("SSYNC", seed=3, fairness_bound=2)
@@ -148,7 +142,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0)])
 
         new, events, _ = execute_cycle(w, [0], lambda s: move_to(P(3, 4), tag="hop"))
-        assert dist(new.robot(0).pos, P(3, 4)) < 1e-12
+        assert dist(new.robots[0].pos, P(3, 4)) < 1e-12
         move_events = [e for e in events if e.phase == "move"]
         assert len(move_events) == 1
         assert move_events[0].dest == P(3, 4)
@@ -186,7 +180,7 @@ class TestExecuteCycle:
 
         new, _, sep = execute_cycle(w, [0, 1], algo)
         assert abs(sep - 2.5) < 1e-12
-        assert dist(new.robot(0).pos, P(8, 0)) < 1e-12
+        assert dist(new.robots[0].pos, P(8, 0)) < 1e-12
 
     def test_unknown_robot_rejected(self):
         w = make_world([P(0, 0)])
@@ -414,13 +408,21 @@ class TestComputeOnce:
         assert term.calls <= arrivals + 1
         assert stall_check.calls <= arrivals + 1
 
+    def test_async_stall_verdict_asks_each_robot_once(self):
+        w = make_world([P(0, 0), P(9, 0), P(0, 9)])
+        algo = Counted(lambda snap: Action("stay", tag="blocked"))
+        trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_STALL
+        looks = sum(1 for e in trace.events if e.phase == "look")
+        assert algo.calls == looks + len(w.robots)
+
     def test_mirror_twins_decide_apart(self):
         # Mirrored y-only twins see equal snapshots whose zeros differ in
         # sign; each still gets its own decision.
         w = WorldState(
             (
-                RobotState(0, P(-1.0, 0.0), frame=FRAME_Y_ONLY, chirality=-1),
-                RobotState(1, P(1.0, 0.0), frame=FRAME_Y_ONLY, chirality=1),
+                RobotState(P(-1.0, 0.0), frame=FRAME_Y_ONLY, chirality=-1),
+                RobotState(P(1.0, 0.0), frame=FRAME_Y_ONLY, chirality=1),
             )
         )
         assert take_snapshot(w, 0) == take_snapshot(w, 1)
@@ -466,3 +468,37 @@ class TestBadDestination:
         assert trace.outcome == OUTCOME_FAULT
         assert trace.cycles_used == first
         assert "non-finite move destination" in trace.diagnosis
+
+
+class TestAsyncCollisions:
+    """The ASYNC monitor checks a finished move against the whole past of
+    every other robot, including robots that never moved and holds after
+    an arrival."""
+
+    def test_move_through_a_robot_that_never_moved(self):
+        def algo(snap: Snapshot):
+            if snap.self_pos == P(0, 0):
+                return move_to(P(10, 0), tag="cross")
+            return Action("stay")
+
+        w = make_world([P(0, 0), P(5, 0.5)])
+        trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=10)
+        assert trace.outcome == OUTCOME_FAULT
+        assert trace.diagnosis == "robots 0 and 1 reach separation 0.5"
+        assert trace.min_separation == pytest.approx(0.5)
+
+    def test_move_through_a_hold_after_an_arrival(self):
+        # Robot 0 steps up to (0, 6) and holds there. Robot 1 waits until it
+        # sees robot 0 arrived, then crosses half a unit above its hold.
+        def algo(snap: Snapshot):
+            if snap.self_pos == P(0, 0):
+                return move_to(P(0, 6), tag="up")
+            if snap.self_pos == P(10, 6.5) and P(0, 6) in snap.others:
+                return move_to(P(-10, 6.5), tag="cross")
+            return Action("stay")
+
+        w = make_world([P(0, 0), P(10, 6.5)])
+        trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=20)
+        assert [e.robot for e in trace.events if e.phase == "move"] == [0, 1]
+        assert trace.outcome == OUTCOME_FAULT
+        assert trace.diagnosis == "robots 1 and 0 reach separation 0.5"
