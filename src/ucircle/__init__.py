@@ -38,7 +38,7 @@ from .local_form import (
 )
 from .simcore import (
     Action,
-    RobotState,
+    Robot,
     Schedule,
     Snapshot,
     Trace,

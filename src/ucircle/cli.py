@@ -7,10 +7,12 @@
 
 `run --every k` writes an SVG frame after every k-th cycle, besides the
 initial and the final frame. `k` and `batch --jobs m` must be positive
-integers; anything else is an argument error (exit 2) before anything runs.
+integers; anything else is an argument error before anything runs.
 
-Exit codes, one per outcome: 0 converged, 1 invalid config, 2 budget-exhausted,
-3 fault (collision or invalid move), 4 diagnosed-stall.
+Exit codes, one per outcome: 0 converged, 1 invalid input (an argument
+error, a bad config, or a path that cannot be read or written),
+2 budget-exhausted, 3 fault (collision or invalid move), 4 diagnosed-stall.
+A path that cannot be read or written prints one line on stderr.
 
 `batch` runs every file even when some are invalid: it prints
 `<name>: invalid-config` with the reason on stderr for each of those, and
@@ -38,6 +40,15 @@ from .harness import (
 from .svgrender import render_frames
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1, the invalid-input code. argparse's own 2 is
+    the code of budget-exhausted. Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -46,7 +57,7 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ucircle", description=__doc__)
+    parser = _Parser(prog="ucircle", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario")
@@ -69,17 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        trace, summary = run_scenario(config)
-    except InfeasibleScenario as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 1
+def _write_outputs(args: argparse.Namespace, config, trace, summary) -> None:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_jsonl())
@@ -95,16 +96,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             circle = params.cir
             targets = params.targets
-        frames = render_frames(
-            trace,
-            args.every,
-            circle=circle,
-            targets=targets,
-            with_visibility=config.algorithm != "global",
-        )
+        frames = render_frames(trace, args.every, circle=circle, targets=targets)
         for name, doc in sorted(frames.items()):
             with open(os.path.join(args.frames, name), "w", encoding="utf-8") as fh:
                 fh.write(doc)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        config = load_config(args.config)
+    except (ConfigError, OSError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 1
+    try:
+        trace, summary = run_scenario(config)
+    except InfeasibleScenario as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 1
+    try:
+        _write_outputs(args, config, trace, summary)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     print(summary.to_json_line())
     return exit_code_for(trace)
 
@@ -125,15 +138,20 @@ def _batch_one(job: tuple[str, str]) -> tuple[str, str, int]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    files = sorted(
-        os.path.join(args.configs, f)
-        for f in os.listdir(args.configs)
-        if f.endswith(".json")
-    )
+    try:
+        names = os.listdir(args.configs)
+    except OSError as exc:
+        print(f"cannot read configs: {exc}", file=sys.stderr)
+        return 1
+    files = sorted(os.path.join(args.configs, f) for f in names if f.endswith(".json"))
     if not files:
         print(f"no scenario files in {args.configs}", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     jobs = [(path, args.out) for path in files]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

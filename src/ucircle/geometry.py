@@ -289,6 +289,11 @@ def on_distinct_points(
 # ---------------------------------------------------------------------------
 
 
+def min_pairwise_distance(points: Sequence[Point]) -> float:
+    """Smallest center-center distance over all pairs; +inf below two points."""
+    return min((dist(p, q) for p, q in combinations(points, 2)), default=math.inf)
+
+
 def min_separation_during_motion(m1: MotionSegment, m2: MotionSegment) -> float:
     """Exact minimum center-center distance over the overlap of the intervals.
 

@@ -13,17 +13,16 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .geometry import Point, dist, smallest_enclosing_circle
+from .geometry import Point, dist, min_pairwise_distance, smallest_enclosing_circle
 from .global_form import GlobalParams, is_formed, make_global_algorithm
 from .local_form import LocalParams, is_formed_local, make_local_algorithm
 from .simcore import (
-    FRAME_FULL_AXES,
     FRAME_Y_ONLY,
     OUTCOME_BUDGET,
     OUTCOME_CONVERGED,
     OUTCOME_FAULT,
     OUTCOME_STALL,
-    RobotState,
+    Robot,
     Schedule,
     Trace,
     WorldState,
@@ -236,28 +235,16 @@ def _sample_points(config: ScenarioConfig, rng: random.Random) -> list[Point]:
     return pts
 
 
-def _vis_list(config: ScenarioConfig) -> list[float]:
-    if config.algorithm == "global":
-        return [math.inf] * config.n
-    if isinstance(config.vis, tuple):
-        return list(config.vis)
-    return [config.vis] * config.n
-
-
 def generate_scenario(config: ScenarioConfig) -> WorldState:
     rng = random.Random(f"scenario:{config.seed}")
-    pts = _sample_points(config, rng)
-    vis = _vis_list(config)
-    robots = []
-    for i, p in enumerate(pts):
-        if config.algorithm == "global":
-            chirality = rng.choice((1, -1))
-            frame = FRAME_Y_ONLY
-        else:
-            chirality = 1
-            frame = FRAME_FULL_AXES
-        robots.append(RobotState(pos=p, vis_radius=vis[i], chirality=chirality, frame=frame))
-    return WorldState(tuple(robots))
+    pts = tuple(_sample_points(config, rng))
+    if config.algorithm == "global":
+        # Global robots see everything and share only the Y axis.
+        robots = tuple(Robot(chirality=rng.choice((1, -1)), frame=FRAME_Y_ONLY) for _ in pts)
+    else:
+        vis = config.vis if isinstance(config.vis, tuple) else (config.vis,) * config.n
+        robots = tuple(Robot(vis_radius=v) for v in vis)
+    return WorldState(robots, pts)
 
 
 def build_algorithm(config: ScenarioConfig):
@@ -272,12 +259,12 @@ def build_termination(config: ScenarioConfig, params):
     if config.algorithm == "global":
 
         def done(world: WorldState) -> bool:
-            return is_formed(world.positions(), params, tol=TERMINATION_TOL)
+            return is_formed(world.positions, params, tol=TERMINATION_TOL)
 
     else:
 
         def done(world: WorldState) -> bool:
-            return is_formed_local(world.positions(), params, tol=TERMINATION_TOL)
+            return is_formed_local(world.positions, params, tol=TERMINATION_TOL)
 
     return done
 
@@ -318,26 +305,14 @@ def _ring_metrics(positions: Sequence[Point], center: Point, n: int) -> tuple[fl
 
 
 def compute_metrics(trace: Trace, config: ScenarioConfig, params) -> RunSummary:
-    positions = trace.final.positions()
+    positions = trace.final.positions
     if config.algorithm == "global":
         center = smallest_enclosing_circle(positions).center
     else:
         center = params.cir.center
     uerr, smin = _ring_metrics(positions, center, config.n)
-    static_min = min(
-        (
-            dist(positions[i], positions[j])
-            for i in range(len(positions))
-            for j in range(i + 1, len(positions))
-        ),
-        default=math.inf,
-    )
-    init = trace.initial.positions()
-    init_min = min(
-        (dist(init[i], init[j]) for i in range(len(init)) for j in range(i + 1, len(init))),
-        default=math.inf,
-    )
-    min_pd = min(trace.min_separation, static_min, init_min)
+    # The trace's minimum already covers the initial world.
+    min_pd = min(trace.min_separation, min_pairwise_distance(positions))
     return RunSummary(
         outcome=trace.outcome,
         cycles_used=trace.cycles_used,
@@ -349,22 +324,22 @@ def compute_metrics(trace: Trace, config: ScenarioConfig, params) -> RunSummary:
 
 
 def _one_sided_psi9(world: WorldState, rad: float, center: Point) -> bool:
-    robots = world.robots
-    for a in robots:
-        for b in robots:
-            if a is b:
+    pts = world.positions
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            if i == j:
                 continue
-            da = dist(a.pos, center)
-            db = dist(b.pos, center)
+            da = dist(a, center)
+            db = dist(b, center)
             if not (da < rad - 1e-9 and db > rad + 1e-9):
                 continue
-            gap = dist(a.pos, b.pos)
-            sees_ab = gap <= a.vis_radius + 1e-9
-            sees_ba = gap <= b.vis_radius + 1e-9
+            gap = dist(a, b)
+            sees_ab = gap <= world.robots[i].vis_radius + 1e-9
+            sees_ba = gap <= world.robots[j].vis_radius + 1e-9
             if sees_ab == sees_ba:
                 continue
-            ta = math.atan2(a.pos.y - center.y, a.pos.x - center.x)
-            tb = math.atan2(b.pos.y - center.y, b.pos.x - center.x)
+            ta = math.atan2(a.y - center.y, a.x - center.x)
+            tb = math.atan2(b.y - center.y, b.x - center.x)
             if abs(math.remainder(ta - tb, 2.0 * math.pi)) <= 1e-3:
                 return True
     return False

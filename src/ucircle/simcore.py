@@ -5,9 +5,11 @@ FSYNC/SSYNC round schedulers or an event-driven ASYNC scheduler, with
 rigid unit-speed motion, continuous collision monitoring, and an
 append-only trace.
 
-A robot's handle is its index in `WorldState.robots`; only the trace
-records it. Algorithms never see handles: a Snapshot carries only points in
-the observer's local frame, so anonymity holds by construction.
+A robot's handle is its index into `WorldState.robots` (what it is:
+visibility and frame, fixed for the run) and `WorldState.positions` (where
+it is, the only thing a cycle changes); only the trace records it.
+Algorithms never see handles: a Snapshot carries only points in the
+observer's local frame, so anonymity holds by construction.
 """
 
 from __future__ import annotations
@@ -15,10 +17,17 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .geometry import EPS, MotionSegment, Point, dist, min_separation_during_motion
+from .geometry import (
+    EPS,
+    MotionSegment,
+    Point,
+    dist,
+    min_pairwise_distance,
+    min_separation_during_motion,
+)
 
 SAFE_SEPARATION = 2.0 - 1e-9
 
@@ -41,8 +50,9 @@ class InvalidActionFault(SimulationFault):
 
 
 @dataclass(frozen=True, slots=True)
-class RobotState:
-    pos: Point
+class Robot:
+    """What a robot is for the whole run: its sensing and its frame."""
+
     vis_radius: float = math.inf
     chirality: int = 1  # +1 keeps world X, -1 mirrors it in the local frame
     frame: str = FRAME_FULL_AXES
@@ -50,11 +60,11 @@ class RobotState:
 
 @dataclass(frozen=True, slots=True)
 class WorldState:
-    robots: tuple[RobotState, ...]
-    clock: float = 0.0
+    """The robots, and where each one is at `clock`."""
 
-    def positions(self) -> list[Point]:
-        return [r.pos for r in self.robots]
+    robots: tuple[Robot, ...]
+    positions: tuple[Point, ...]
+    clock: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,26 +152,29 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
-def _to_local(observer: RobotState, p: Point) -> Point:
+def _to_local(observer: Robot, at: Point, p: Point) -> Point:
+    """World point `p` in the frame of `observer` standing at `at`."""
     if observer.frame == FRAME_FULL_AXES:
         return p
-    return Point((p.x - observer.pos.x) * observer.chirality, p.y - observer.pos.y)
+    return Point((p.x - at.x) * observer.chirality, p.y - at.y)
 
 
-def _to_world(observer: RobotState, local: Point) -> Point:
+def _to_world(observer: Robot, at: Point, local: Point) -> Point:
+    """Local point of `observer` standing at `at`, in world coordinates."""
     if observer.frame == FRAME_FULL_AXES:
         return local
-    return Point(observer.pos.x + local.x * observer.chirality, observer.pos.y + local.y)
+    return Point(at.x + local.x * observer.chirality, at.y + local.y)
 
 
 def take_snapshot(world: WorldState, i: int) -> Snapshot:
     obs = world.robots[i]
+    at = world.positions[i]
     others = tuple(
-        _to_local(obs, r.pos)
-        for j, r in enumerate(world.robots)
-        if j != i and dist(r.pos, obs.pos) <= obs.vis_radius + EPS
+        _to_local(obs, at, p)
+        for j, p in enumerate(world.positions)
+        if j != i and dist(p, at) <= obs.vis_radius + EPS
     )
-    return Snapshot(self_pos=_to_local(obs, obs.pos), others=others, vis_radius=obs.vis_radius)
+    return Snapshot(self_pos=_to_local(obs, at, at), others=others, vis_radius=obs.vis_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +225,7 @@ def execute_cycle(
     Returns (new world, trace events, min pairwise separation of the round).
     Raises CollisionFault when concurrent motions come closer than two units.
     """
-    robots = world.robots
+    robots, positions = world.robots, world.positions
     n = len(robots)
     for rid in active:
         if not 0 <= rid < n:
@@ -222,46 +235,46 @@ def execute_cycle(
     events: list[TraceEvent] = []
     decisions: dict[int, Action] = {}
     for rid in sorted(active):
-        obs = robots[rid]
+        pos = positions[rid]
         snap = take_snapshot(world, rid)
         action = algorithm(snap)
         _check_action(action)
         decisions[rid] = action
-        events.append(TraceEvent(t0, cycle, rid, "wait", obs.pos))
-        events.append(TraceEvent(t0, cycle, rid, "look", obs.pos))
-        events.append(TraceEvent(t0, cycle, rid, "compute", obs.pos, tag=action.tag))
+        events.append(TraceEvent(t0, cycle, rid, "wait", pos))
+        events.append(TraceEvent(t0, cycle, rid, "look", pos))
+        events.append(TraceEvent(t0, cycle, rid, "compute", pos, tag=action.tag))
 
     moves: dict[int, Point] = {}
     for rid, action in decisions.items():
         if action.kind != "move":
             continue
-        obs = robots[rid]
-        dest_world = _to_world(obs, action.dest)
-        if dist(dest_world, obs.pos) <= EPS:
+        pos = positions[rid]
+        dest_world = _to_world(robots[rid], pos, action.dest)
+        if dist(dest_world, pos) <= EPS:
             continue
         moves[rid] = dest_world
-        events.append(TraceEvent(t0, cycle, rid, "move", obs.pos, dest=dest_world, tag=action.tag))
+        events.append(TraceEvent(t0, cycle, rid, "move", pos, dest=dest_world, tag=action.tag))
 
-    durations = [dist(robots[rid].pos, d) for rid, d in moves.items()]
+    durations = [dist(positions[rid], d) for rid, d in moves.items()]
     round_span = max(durations) if durations else 1.0
     t1 = t0 + round_span
 
     pieces: list[list[MotionSegment]] = []
-    for i, r in enumerate(robots):
+    for i, pos in enumerate(positions):
         if i in moves:
-            arrive = t0 + dist(r.pos, moves[i])
-            segs = [MotionSegment(r.pos, moves[i], t0, arrive)]
+            arrive = t0 + dist(pos, moves[i])
+            segs = [MotionSegment(pos, moves[i], t0, arrive)]
             if arrive < t1:
                 segs.append(MotionSegment(moves[i], moves[i], arrive, t1))
         else:
-            segs = [MotionSegment(r.pos, r.pos, t0, t1)]
+            segs = [MotionSegment(pos, pos, t0, t1)]
         pieces.append(segs)
 
     min_sep = math.inf
     for a in range(n):
         for b in range(a + 1, n):
             if a not in moves and b not in moves:
-                sep = dist(robots[a].pos, robots[b].pos)
+                sep = dist(positions[a], positions[b])
             else:
                 sep = min(
                     min_separation_during_motion(s1, s2)
@@ -276,8 +289,8 @@ def execute_cycle(
                     sep,
                 )
 
-    new_robots = tuple(replace(r, pos=moves.get(i, r.pos)) for i, r in enumerate(robots))
-    return WorldState(new_robots, t1), events, min_sep
+    new_positions = tuple(moves.get(i, pos) for i, pos in enumerate(positions))
+    return WorldState(robots, new_positions, t1), events, min_sep
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +330,10 @@ def _all_would_stay(
     """
     ahead = set(first)
     for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
-        r = world.robots[i]
         action = algorithm(take_snapshot(world, i))
         if action.kind == "move" and action.dest is not None:
-            obs_dest = _to_world(r, action.dest)
-            if dist(obs_dest, r.pos) > EPS:
+            pos = world.positions[i]
+            if dist(_to_world(world.robots[i], pos, action.dest), pos) > EPS:
                 return False
     return True
 
@@ -365,7 +377,7 @@ def run(
 def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
     initial = world
     events: list[TraceEvent] = []
-    min_sep = math.inf
+    min_sep = min_pairwise_distance(world.positions)
     n = len(world.robots)
     for cycle in range(max_cycles):
         # One decision per robot per round: the stall check, its diagnosis
@@ -415,11 +427,8 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     # Each robot's past and planned motion: contiguous segments from a
     # zero-length hold at the start clock. A move is appended at its look,
     # after the hold that ends where the move starts.
-    tracks = [[MotionSegment(r.pos, r.pos, world.clock, world.clock)] for r in world.robots]
-    min_sep = math.inf
-    for i, a in enumerate(world.robots):
-        for b in world.robots[i + 1 :]:
-            min_sep = min(min_sep, dist(a.pos, b.pos))
+    tracks = [[MotionSegment(p, p, world.clock, world.clock)] for p in world.positions]
+    min_sep = min_pairwise_distance(world.positions)
 
     def delay() -> float:
         return 0.05 + rng.random() * window
@@ -440,13 +449,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     checked_at = -1
 
     def world_at(t: float) -> WorldState:
-        return WorldState(
-            tuple(
-                replace(r, pos=track[-1].position_at(t))
-                for r, track in zip(initial.robots, tracks)
-            ),
-            t,
-        )
+        return WorldState(initial.robots, tuple(track[-1].position_at(t) for track in tracks), t)
 
     while heap:
         t, rid, _, kind = heapq.heappop(heap)
@@ -484,13 +487,13 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
             snap = take_snapshot(view, rid)
             action = algorithm(snap)
             _check_action(action)
-            cur = view.robots[rid].pos
+            cur = view.positions[rid]
             events.append(TraceEvent(t, cycle, rid, "wait", cur))
             events.append(TraceEvent(t, cycle, rid, "look", cur))
             events.append(TraceEvent(t, cycle, rid, "compute", cur, tag=action.tag))
             start = t + delay()
             if action.kind == "move":
-                dest = _to_world(view.robots[rid], action.dest)
+                dest = _to_world(view.robots[rid], cur, action.dest)
                 if dist(dest, cur) > EPS:
                     track.append(MotionSegment(cur, cur, track[-1].t1, start))
                     track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))

@@ -1,8 +1,8 @@
 """Deterministic SVG frames for simulation traces.
 
-Frames show robot discs, the reference circle, target points, and
-(optionally) visibility circles. Output is plain string assembly so two
-renders of the same trace are byte-identical.
+Frames show robot discs, the reference circle, target points, and each
+robot's visibility circle when its radius is finite. Output is plain string
+assembly so two renders of the same trace are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ def _svg_document(
             f'<circle cx="{_fmt(t.x)}" cy="{_fmt(-t.y)}" r="0.4" '
             'fill="none" stroke="#2a7d2a"/>'
         )
-    for i, p in enumerate(positions):
+    for p, vis in zip(positions, vis_radii):
         lines.append(
             f'<circle cx="{_fmt(p.x)}" cy="{_fmt(-p.y)}" r="1.0" '
             'fill="#4a7ab5" fill-opacity="0.8" stroke="#1d3c5e"/>'
         )
-        if i < len(vis_radii) and math.isfinite(vis_radii[i]):
+        if math.isfinite(vis):
             lines.append(
-                f'<circle cx="{_fmt(p.x)}" cy="{_fmt(-p.y)}" r="{_fmt(vis_radii[i])}" '
+                f'<circle cx="{_fmt(p.x)}" cy="{_fmt(-p.y)}" r="{_fmt(vis)}" '
                 'fill="none" stroke="#b5764a" stroke-dasharray="0.6 0.6" stroke-width="0.08"/>'
             )
     lines.append("</g>")
@@ -70,15 +70,12 @@ def render_frames(
     every_k: int,
     circle: Optional[Circle] = None,
     targets: Sequence[Point] = (),
-    with_visibility: bool = False,
 ) -> dict[str, str]:
     """Initial frame, every k-th cycle boundary, and the final state."""
     if every_k < 1:
         raise ValueError("every_k must be >= 1")
-    vis = (
-        [r.vis_radius for r in trace.initial.robots] if with_visibility else []
-    )
-    positions = trace.initial.positions()
+    vis = [r.vis_radius for r in trace.initial.robots]
+    positions = list(trace.initial.positions)
     frames: dict[str, str] = {}
 
     def snap(name: str, caption: str) -> None:
@@ -94,6 +91,6 @@ def render_frames(
             last_cycle = ev.cycle
         if ev.phase == "move" and ev.dest is not None:
             positions[ev.robot] = ev.dest
-    positions = trace.final.positions()
+    positions = trace.final.positions
     snap("frame-final.svg", f"final state ({trace.outcome})")
     return frames

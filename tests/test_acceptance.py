@@ -339,7 +339,7 @@ def test_criterion_9_progress():
                 world = generate_scenario(config)
                 algo = make_global_algorithm(params)
                 for cycle in range(200 * n):
-                    if is_formed(world.positions(), params, tol=1e-6):
+                    if is_formed(world.positions, params, tol=1e-6):
                         break
                     active = next_activation(sched, n, cycle)
                     world, events, _ = execute_cycle(world, active, algo, cycle)

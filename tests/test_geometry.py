@@ -15,6 +15,7 @@ from ucircle.geometry import (
     dist,
     is_free_path,
     is_vacant_target,
+    min_pairwise_distance,
     min_separation_during_motion,
     smallest_enclosing_circle,
     smallest_enclosing_circle_bruteforce,
@@ -170,6 +171,11 @@ class TestVacantTarget:
 
 
 class TestMinSeparation:
+    def test_min_pairwise_distance(self):
+        assert min_pairwise_distance([]) == math.inf
+        assert min_pairwise_distance([P(1, 1)]) == math.inf
+        assert min_pairwise_distance([P(0, 0), P(9, 0), P(0, 3), P(4, 3)]) == 3.0
+
     def test_parallel_constant_gap(self):
         m1 = MotionSegment(P(0, 0), P(10, 0), 0.0, 10.0)
         m2 = MotionSegment(P(0, 3), P(10, 3), 0.0, 10.0)

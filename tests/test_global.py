@@ -21,7 +21,7 @@ from ucircle.global_form import (
 from ucircle.simcore import (
     FRAME_Y_ONLY,
     OUTCOME_CONVERGED,
-    RobotState,
+    Robot,
     Schedule,
     Snapshot,
     WorldState,
@@ -310,10 +310,8 @@ def random_world(n, seed, spread=6.0):
         if all(dist(p, q) >= 2.1 for q in pts):
             pts.append(p)
     return WorldState(
-        tuple(
-            RobotState(p, vis_radius=INF, chirality=rng.choice((1, -1)), frame=FRAME_Y_ONLY)
-            for p in pts
-        )
+        tuple(Robot(vis_radius=INF, chirality=rng.choice((1, -1)), frame=FRAME_Y_ONLY) for _ in pts),
+        tuple(pts),
     )
 
 
@@ -327,12 +325,12 @@ class TestEndToEnd:
             world,
             algo,
             Schedule("SSYNC", seed=seed, fairness_bound=n),
-            lambda w: is_formed(w.positions(), params),
+            lambda w: is_formed(w.positions, params),
             max_cycles=200 * n,
         )
         assert trace.outcome == OUTCOME_CONVERGED, trace.diagnosis
         assert trace.min_separation >= 2.0 - 1e-9
-        assert is_formed(trace.final.positions(), params)
+        assert is_formed(trace.final.positions, params)
 
     def test_sec_radius_monotone_under_fsync(self):
         n, seed = 5, 11
@@ -344,10 +342,10 @@ class TestEndToEnd:
 
         sched = Schedule("FSYNC")
         for cycle in range(200 * n):
-            r = smallest_enclosing_circle(world.positions()).radius
+            r = smallest_enclosing_circle(world.positions).radius
             if r < params.rad_req - 1e-7:
                 expansion_radii.append(r)
-            if is_formed(world.positions(), params):
+            if is_formed(world.positions, params):
                 break
             active = next_activation(sched, n, cycle)
             world, _, _ = execute_cycle(world, active, algo, cycle)

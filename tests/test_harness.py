@@ -198,26 +198,26 @@ class TestGenerateScenario:
     def test_seed_changes_layout(self):
         w1 = generate_scenario(parse_config(base_global(seed=1)))
         w2 = generate_scenario(parse_config(base_global(seed=2)))
-        assert w1.positions() != w2.positions()
+        assert w1.positions != w2.positions
 
     def test_initial_clearance(self):
         for seed in range(10):
             w = generate_scenario(parse_config(base_local(seed=seed)))
-            pts = w.positions()
+            pts = w.positions
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert dist(pts[i], pts[j]) >= 2.1
 
     def test_annulus_placement_bounds(self):
         cfg = parse_config(base_local(placement="random-annulus", seed=3))
-        for r in generate_scenario(cfg).robots:
-            d = dist(r.pos, P(0, 0))
+        for pos in generate_scenario(cfg).positions:
+            d = dist(pos, P(0, 0))
             assert 0.5 * 24.0 - 1e-9 <= d <= 1.5 * 24.0 + 1e-9
 
     def test_explicit_placement_used_verbatim(self):
         pts = [[0, 0], [5, 0], [0, 5], [5, 5]]
         w = generate_scenario(parse_config(base_local(placement=pts)))
-        assert w.positions() == [P(0, 0), P(5, 0), P(0, 5), P(5, 5)]
+        assert w.positions == (P(0, 0), P(5, 0), P(0, 5), P(5, 5))
 
     def test_visibility_assignment(self):
         cfg = parse_config(base_local(vis=[8.0, 9.0, 10.0, 11.0]))
@@ -400,6 +400,37 @@ class TestCli:
             body = (frames / name).read_text()
             assert "<svg" in body and body.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("algorithm", ["global", "local", "local-nonuniform"])
+    def test_run_frames_draw_each_robots_visibility(self, tmp_path, capsys, algorithm):
+        # Global robots see everything: no visibility circle. Local robots
+        # get one dashed circle each, with the robot's own radius.
+        if algorithm == "global":
+            raw = base_global(seed=5)
+        else:
+            raw = curated_local_configs(seeds=(1,))[0]
+            if algorithm == "local-nonuniform":
+                raw = nonuniform_variant(raw)
+        frames = tmp_path / "frames"
+        argv = ["run", "--config", self.write_config(tmp_path, raw), "--frames", str(frames)]
+        assert main(argv + ["--every", "3"]) == 0
+        if algorithm == "global":
+            want = []
+        elif algorithm == "local":
+            want = [raw["vis"]] * raw["n"]
+        else:
+            want = raw["vis"]
+        names = sorted(p.name for p in frames.iterdir())
+        assert len(names) > 2
+        for name in names:
+            dashed = [
+                line
+                for line in (frames / name).read_text().splitlines()
+                if "stroke-dasharray" in line
+            ]
+            assert [line.split('r="')[1].split('"')[0] for line in dashed] == [
+                f"{v:.6f}" for v in want
+            ]
+
     @pytest.mark.parametrize("every", ["0", "-3"])
     def test_run_every_must_be_positive(self, tmp_path, capsys, every):
         cfg = self.write_config(tmp_path, base_local(seed=5))
@@ -407,9 +438,49 @@ class TestCli:
         argv = ["run", "--config", cfg, "--summary", str(summary)]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--frames", str(tmp_path / "frames"), "--every", every])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--every: must be a positive integer" in capsys.readouterr().err
         assert not summary.exists()
+
+    def test_missing_argument_is_invalid_input(self, capsys):
+        # Exit 2 is budget-exhausted; a bad command line is invalid input.
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--trace", "--summary", "--frames"])
+    def test_run_unwritable_output(self, tmp_path, capsys, flag):
+        cfg = self.write_config(tmp_path, base_global(seed=5))
+        # A path under a missing directory; for --frames, an existing file.
+        target = tmp_path / "missing" / "out" if flag != "--frames" else tmp_path / "taken"
+        if flag == "--frames":
+            target.write_text("")
+        assert main(["run", "--config", cfg, flag, str(target)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("cannot write output:")
+        assert len(printed.err.splitlines()) == 1
+
+    def test_batch_unreadable_configs_or_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["batch", "--configs", str(tmp_path / "nope"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read configs:") and len(err.splitlines()) == 1
+        assert not out.exists()
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text(json.dumps(base_global(seed=5)))
+        out.write_text("")
+        assert main(["batch", "--configs", str(confs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and len(err.splitlines()) == 1
 
     def test_batch(self, tmp_path, capsys):
         confs = tmp_path / "confs"
@@ -464,7 +535,7 @@ class TestCli:
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["batch", "--configs", str(confs), "--out", str(out), "--jobs", jobs])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--jobs: must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 

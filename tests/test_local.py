@@ -19,7 +19,7 @@ from ucircle.local_form import (
 from ucircle.simcore import (
     FRAME_FULL_AXES,
     OUTCOME_CONVERGED,
-    RobotState,
+    Robot,
     Schedule,
     Snapshot,
     WorldState,
@@ -279,15 +279,14 @@ def test_end_to_end_async_convergence():
         for i in range(n)
     ]
     world = WorldState(
-        tuple(
-            RobotState(q, vis_radius=rad, frame=FRAME_FULL_AXES) for q in positions
-        )
+        tuple(Robot(vis_radius=rad, frame=FRAME_FULL_AXES) for _ in positions),
+        tuple(positions),
     )
     trace = run(
         world,
         make_local_algorithm(p),
         Schedule("ASYNC", seed=3, fairness_bound=3 * n),
-        lambda w: is_formed_local(w.positions(), p),
+        lambda w: is_formed_local(w.positions, p),
         max_cycles=200 * n,
     )
     assert trace.outcome == OUTCOME_CONVERGED, trace.diagnosis

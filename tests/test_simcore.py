@@ -15,7 +15,7 @@ from ucircle.simcore import (
     OUTCOME_STALL,
     Action,
     CollisionFault,
-    RobotState,
+    Robot,
     Schedule,
     Snapshot,
     TraceEvent,
@@ -31,7 +31,7 @@ P = Point
 
 
 def make_world(positions, **kw):
-    return WorldState(tuple(RobotState(p, **kw) for p in positions))
+    return WorldState(tuple(Robot(**kw) for _ in positions), tuple(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +53,7 @@ class TestSnapshots:
         assert snap.others == (P(3, 4),)
 
     def test_y_only_mirrors_x_with_chirality(self):
-        w = WorldState(
-            (
-                RobotState(P(1, 2), frame=FRAME_Y_ONLY, chirality=-1),
-                RobotState(P(4, 6)),
-            )
-        )
+        w = WorldState((Robot(frame=FRAME_Y_ONLY, chirality=-1), Robot()), (P(1, 2), P(4, 6)))
         snap = take_snapshot(w, 0)
         assert snap.others == (P(-3, 4),)
 
@@ -74,9 +69,9 @@ class TestSnapshots:
     def test_move_dest_interpreted_in_local_frame(self):
         # A mirrored y-only robot asking to move to local (1, 0) must move
         # to world x - 1.
-        w = WorldState((RobotState(P(10, 0), frame=FRAME_Y_ONLY, chirality=-1),))
+        w = WorldState((Robot(frame=FRAME_Y_ONLY, chirality=-1),), (P(10, 0),))
         new, _, _ = execute_cycle(w, [0], lambda s: move_to(P(1, 0)))
-        assert dist(new.robots[0].pos, P(9, 0)) < 1e-12
+        assert dist(new.positions[0], P(9, 0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +128,7 @@ class TestExecuteCycle:
     def test_stationary_world_unchanged(self):
         w = make_world([P(0, 0), P(5, 0)])
         new, events, sep = execute_cycle(w, [0, 1], lambda s: Action("stay"))
-        assert new.positions() == w.positions()
+        assert new.positions == w.positions
         assert sep == 5.0
         phases = [e.phase for e in events]
         assert phases == ["wait", "look", "compute"] * 2
@@ -142,7 +137,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0)])
 
         new, events, _ = execute_cycle(w, [0], lambda s: move_to(P(3, 4), tag="hop"))
-        assert dist(new.robots[0].pos, P(3, 4)) < 1e-12
+        assert dist(new.positions[0], P(3, 4)) < 1e-12
         move_events = [e for e in events if e.phase == "move"]
         assert len(move_events) == 1
         assert move_events[0].dest == P(3, 4)
@@ -180,7 +175,7 @@ class TestExecuteCycle:
 
         new, _, sep = execute_cycle(w, [0, 1], algo)
         assert abs(sep - 2.5) < 1e-12
-        assert dist(new.robots[0].pos, P(8, 0)) < 1e-12
+        assert dist(new.positions[0], P(8, 0)) < 1e-12
 
     def test_unknown_robot_rejected(self):
         w = make_world([P(0, 0)])
@@ -238,7 +233,7 @@ def gather_at_x(target_x):
 
 def all_at_x(target_x):
     def term(world: WorldState) -> bool:
-        return all(abs(r.pos.x - target_x) <= 1e-9 for r in world.robots)
+        return all(abs(p.x - target_x) <= 1e-9 for p in world.positions)
 
     return term
 
@@ -250,7 +245,7 @@ class TestRun:
         sched = Schedule(kind, seed=2, fairness_bound=3)
         trace = run(w, gather_at_x(1.0), sched, all_at_x(1.0), max_cycles=200)
         assert trace.outcome == OUTCOME_CONVERGED
-        assert all(abs(r.pos.x - 1.0) <= 1e-9 for r in trace.final.robots)
+        assert all(abs(p.x - 1.0) <= 1e-9 for p in trace.final.positions)
         assert trace.min_separation >= 2.0
 
     def test_budget_exhaustion(self):
@@ -276,6 +271,15 @@ class TestRun:
         trace = run(w, tagged_stay, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
         assert trace.diagnosis == "blocked"
+
+    @pytest.mark.parametrize("kind", ["FSYNC", "SSYNC", "ASYNC"])
+    def test_stall_before_any_move_reports_the_initial_separation(self, kind):
+        w = make_world([P(0, 0), P(9, 0), P(0, 4)])
+        stay = lambda snap: Action("stay", tag="blocked")  # noqa: E731
+        trace = run(w, stay, Schedule(kind, seed=1), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_STALL
+        assert not any(e.phase == "move" for e in trace.events)
+        assert trace.min_separation == 4.0
 
     def test_fault_outcome(self):
         w = make_world([P(0, 0), P(6, 0)])
@@ -420,10 +424,8 @@ class TestComputeOnce:
         # Mirrored y-only twins see equal snapshots whose zeros differ in
         # sign; each still gets its own decision.
         w = WorldState(
-            (
-                RobotState(P(-1.0, 0.0), frame=FRAME_Y_ONLY, chirality=-1),
-                RobotState(P(1.0, 0.0), frame=FRAME_Y_ONLY, chirality=1),
-            )
+            (Robot(frame=FRAME_Y_ONLY, chirality=-1), Robot(frame=FRAME_Y_ONLY, chirality=1)),
+            (P(-1.0, 0.0), P(1.0, 0.0)),
         )
         assert take_snapshot(w, 0) == take_snapshot(w, 1)
 
@@ -468,6 +470,38 @@ class TestBadDestination:
         assert trace.outcome == OUTCOME_FAULT
         assert trace.cycles_used == first
         assert "non-finite move destination" in trace.diagnosis
+
+
+class TestAsyncLooks:
+    def test_look_sees_a_moving_robot_where_its_move_has_got_to(self):
+        # Robot 0 makes one long move; robot 1 keeps looking while it is in
+        # flight and must see it on the segment, at the fraction of the
+        # move's duration that has passed at the look.
+        seen = []
+
+        def algo(snap: Snapshot):
+            if snap.self_pos == P(0, 0):
+                return move_to(P(40, 0), tag="long")
+            if snap.self_pos == P(20, 10):
+                seen.append(snap.others[0])
+            return Action("stay")
+
+        w = make_world([P(0, 0), P(20, 10)])
+        trace = run(w, algo, Schedule("ASYNC", seed=3), lambda w_: False, max_cycles=200)
+        (move,) = [e for e in trace.events if e.phase == "move"]
+        duration = dist(move.pos, move.dest)
+        looks = [
+            e.clock
+            for e in trace.events
+            if e.robot == 1 and e.phase == "look" and move.clock < e.clock < move.clock + duration
+        ]
+        in_flight = [p for p in seen if 0 < p.x < 40]
+        assert len(looks) > 10
+        assert len(in_flight) == len(looks)
+        for t, p in zip(looks, in_flight):
+            frac = (t - move.clock) / duration
+            assert p.x == pytest.approx(move.pos.x + frac * (move.dest.x - move.pos.x), abs=1e-9)
+            assert p.y == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAsyncCollisions:
