@@ -12,11 +12,13 @@ integers; anything else is an argument error before anything runs.
 Exit codes, one per outcome: 0 converged, 1 invalid input (an argument
 error, a bad config, or a path that cannot be read or written),
 2 budget-exhausted, 3 fault (collision or invalid move), 4 diagnosed-stall.
-A path that cannot be read or written prints one line on stderr.
+A path that cannot be read or written prints one line on stderr, and
+the files the command already wrote are removed again.
 
-`batch` runs every file even when some are invalid: it prints
-`<name>: invalid-config` with the reason on stderr for each of those, and
-exits with the worst code of all files, an invalid one counting as 1.
+`batch` runs every file even when some are invalid or their output cannot
+be written: it prints `<name>: invalid-config: <reason>` or
+`<name>: cannot write output: <reason>` on stderr for each of those, and
+exits with the worst code of all files, such a file counting as 1.
 """
 
 from __future__ import annotations
@@ -80,26 +82,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outputs(args: argparse.Namespace, config, trace, summary) -> None:
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_jsonl())
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(summary.to_json_line() + "\n")
-    if args.frames:
-        os.makedirs(args.frames, exist_ok=True)
-        _, params = build_algorithm(config)
-        if config.algorithm == "global":
-            circle = None
-            targets = ()
-        else:
-            circle = params.cir
-            targets = params.targets
-        frames = render_frames(trace, args.every, circle=circle, targets=targets)
-        for name, doc in sorted(frames.items()):
-            with open(os.path.join(args.frames, name), "w", encoding="utf-8") as fh:
-                fh.write(doc)
+def _write_outputs(
+    config, trace, summary, trace_path=None, summary_path=None, frames=None, every=1
+) -> None:
+    """Write the trace, the summary and the SVG frames asked for.
+
+    When one cannot be written, the files and the frames directory this
+    call already made are removed again before the OSError propagates.
+    """
+    made: list[str] = []
+
+    def write(path: str, text: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            made.append(path)
+            fh.write(text)
+
+    try:
+        if trace_path:
+            write(trace_path, trace.to_jsonl())
+        if summary_path:
+            write(summary_path, summary.to_json_line() + "\n")
+        if frames:
+            if not os.path.isdir(frames):
+                os.makedirs(frames)
+                made.append(frames)
+            _, params = build_algorithm(config)
+            if config.algorithm == "global":
+                docs = render_frames(trace, every)
+            else:
+                docs = render_frames(trace, every, circle=params.cir, targets=params.targets)
+            for name, doc in sorted(docs.items()):
+                write(os.path.join(frames, name), doc)
+    except OSError:
+        for path in reversed(made):
+            (os.rmdir if os.path.isdir(path) else os.remove)(path)
+        raise
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -114,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     try:
-        _write_outputs(args, config, trace, summary)
+        _write_outputs(config, trace, summary, args.trace, args.summary, args.frames, args.every)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -123,17 +140,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _batch_one(job: tuple[str, str]) -> tuple[str, str, int]:
-    """Run one file: (name, outcome or "invalid-config: <reason>", exit code)."""
+    """Run one file: (name, outcome or "<error>: <reason>", exit code)."""
     path, out_dir = job
     name = os.path.splitext(os.path.basename(path))[0]
     try:
-        trace, summary = run_scenario(load_config(path))
+        config = load_config(path)
+        trace, summary = run_scenario(config)
     except (ConfigError, InfeasibleScenario, OSError) as exc:
         return name, f"invalid-config: {exc}", 1
-    with open(os.path.join(out_dir, f"{name}.trace.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(trace.to_jsonl())
-    with open(os.path.join(out_dir, f"{name}.summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(summary.to_json_line() + "\n")
+    out = os.path.join(out_dir, name)
+    try:
+        _write_outputs(config, trace, summary, f"{out}.trace.jsonl", f"{out}.summary.json")
+    except OSError as exc:
+        return name, f"cannot write output: {exc}", 1
     return name, summary.outcome, exit_code_for(trace)
 
 
@@ -158,9 +177,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             results = list(pool.map(_batch_one, jobs))
     else:
         results = [_batch_one(job) for job in jobs]
-    for name, outcome, _ in results:
-        invalid = outcome.startswith("invalid-config")
-        print(f"{name}: {outcome}", file=sys.stderr if invalid else sys.stdout)
+    for name, outcome, code in results:
+        # Exit code 1 is invalid input, and no outcome has it.
+        print(f"{name}: {outcome}", file=sys.stderr if code == 1 else sys.stdout)
     return max(code for _, _, code in results)
 
 

@@ -198,14 +198,9 @@ def _expansion_move(points: Sequence[Point], leader: Point, sec: Circle, params:
     return best, q
 
 
-def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle] = None) -> Action:
-    """Grow the SEC toward the required radius (one robot moves per cycle).
-
-    `sec` is the snapshot's SEC when the caller already has it.
-    """
+def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Action:
+    """Grow the snapshot's SEC `sec` toward the required radius, one robot per cycle."""
     points = _all_points(snapshot)
-    if sec is None:
-        sec = smallest_enclosing_circle(points)
     me = snapshot.self_pos
     sym = detect_symmetry([p for p in points if _on_sec(p, sec)], sec)
     if sym.kind == "no-leader":
@@ -281,15 +276,10 @@ def _straight_step(me: Point, target: Point, others: Sequence[Point]) -> Point:
     return me
 
 
-def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Optional[Circle] = None) -> Action:
-    """Move robots onto the n target points, top vacant target first.
-
-    `sec` is the snapshot's SEC when the caller already has it.
-    """
+def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Action:
+    """Move robots onto the n targets of the snapshot's SEC `sec`, top vacant first."""
     points = _all_points(snapshot)
     me = snapshot.self_pos
-    if sec is None:
-        sec = smallest_enclosing_circle(points)
     targets = compute_target_points(params.n, sec)
     if _settled(me, targets):
         return Action("stay", tag=TAG_FORM)

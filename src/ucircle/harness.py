@@ -287,7 +287,7 @@ class RunSummary:
             "spacing_min": float(f"{self.spacing_min:.17g}"),
             "diagnosis": self.diagnosis,
         }
-        return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+        return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def _ring_metrics(positions: Sequence[Point], center: Point, n: int) -> tuple[float, float]:

@@ -107,13 +107,8 @@ def eligible_to_move(self_pos: Point, others: Sequence[Point], cir: Circle) -> b
             if POS_EPS < do < rad - POS_EPS and do > d + POS_EPS:
                 return False
         return True
-    if d > rad + POS_EPS:
-        for o in others:
-            do = dist(o, cir.center)
-            if do > rad + POS_EPS and do < d - POS_EPS:
-                return False
-        return True
-    # Exactly on CIR: may step outward only ahead of any closer outside robot.
+    # Outside, or exactly on CIR, which it may leave outward only ahead of
+    # any closer outside robot.
     for o in others:
         do = dist(o, cir.center)
         if do > rad + POS_EPS and do < d - POS_EPS:
@@ -138,10 +133,7 @@ def _aligned_target(theta: float, params: LocalParams) -> Optional[Point]:
 
 
 def _detect_psi9(
-    self_pos: Point,
-    vis_radius: float,
-    params: LocalParams,
-    others: Sequence[Point],
+    self_pos: Point, params: LocalParams, others: Sequence[Point]
 ) -> Optional[PsiConfig]:
     """Contention: a visible robot across CIR on the same target ray."""
     c = params.cir.center
@@ -181,7 +173,7 @@ def classify_psi(
         return PsiConfig("psi0")
     if pos == AT_CENTER:
         return PsiConfig("psi4")
-    contention = _detect_psi9(self_pos, vis_radius, params, others)
+    contention = _detect_psi9(self_pos, params, others)
     if contention is not None:
         return contention
     d = dist(self_pos, cir.center)
@@ -307,11 +299,9 @@ def compute_destination(
     vis_radius: float,
     params: LocalParams,
     others: Sequence[Point],
-    psi: Optional[PsiConfig] = None,
+    psi: PsiConfig,
 ) -> Point:
-    """Destination for an eligible robot; returns self_pos to wait."""
-    if psi is None:
-        psi = classify_psi(self_pos, vis_radius, params, others)
+    """Destination for an eligible robot in case `psi`; returns self_pos to wait."""
     c = params.cir.center
     rad = params.cir.radius
     kind = psi.value

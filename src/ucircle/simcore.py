@@ -3,7 +3,9 @@
 The engine runs oblivious compute functions (Snapshot -> Action) under
 FSYNC/SSYNC round schedulers or an event-driven ASYNC scheduler, with
 rigid unit-speed motion, continuous collision monitoring, and an
-append-only trace.
+append-only trace. Both loops share one look path (`_look`), one move rule
+(`_destination`) and one ending path: each returns how the run ended and
+`run` builds the Trace. An invalid move is a fault under every scheduler.
 
 A robot's handle is its index into `WorldState.robots` (what it is:
 visibility and frame, fixed for the run) and `WorldState.positions` (where
@@ -204,14 +206,35 @@ def next_activation(schedule: Schedule, n_robots: int, round_index: int) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Synchronous rounds
+# One look-compute-move cycle, and the synchronous round
 # ---------------------------------------------------------------------------
 
 
 def _check_action(action: Action) -> None:
-    if action.kind == "move":
-        if action.dest is None or not action.dest.is_finite():
-            raise InvalidActionFault(f"non-finite move destination {action.dest}")
+    if action.kind == "move" and (action.dest is None or not action.dest.is_finite()):
+        raise InvalidActionFault(f"non-finite move destination {action.dest}")
+
+
+def _look(world: WorldState, i: int, algorithm, t: float, cycle: int, events: list) -> Action:
+    """Robot i looks and decides at clock t. Its wait, look and compute events
+    are appended only once the action is valid (else InvalidActionFault)."""
+    pos = world.positions[i]
+    action = algorithm(take_snapshot(world, i))
+    _check_action(action)
+    events.append(TraceEvent(t, cycle, i, "wait", pos))
+    events.append(TraceEvent(t, cycle, i, "look", pos))
+    events.append(TraceEvent(t, cycle, i, "compute", pos, tag=action.tag))
+    return action
+
+
+def _destination(world: WorldState, i: int, action: Action) -> Optional[Point]:
+    """Where `action` sends robot i in world coordinates, or None if it stays.
+    A missing destination, a NaN one, or one within EPS of the robot is none."""
+    if action.kind != "move" or action.dest is None:
+        return None
+    pos = world.positions[i]
+    dest = _to_world(world.robots[i], pos, action.dest)
+    return dest if dist(dest, pos) > EPS else None
 
 
 def execute_cycle(
@@ -233,31 +256,15 @@ def execute_cycle(
 
     t0 = world.clock
     events: list[TraceEvent] = []
-    decisions: dict[int, Action] = {}
-    for rid in sorted(active):
-        pos = positions[rid]
-        snap = take_snapshot(world, rid)
-        action = algorithm(snap)
-        _check_action(action)
-        decisions[rid] = action
-        events.append(TraceEvent(t0, cycle, rid, "wait", pos))
-        events.append(TraceEvent(t0, cycle, rid, "look", pos))
-        events.append(TraceEvent(t0, cycle, rid, "compute", pos, tag=action.tag))
-
+    decisions = {rid: _look(world, rid, algorithm, t0, cycle, events) for rid in sorted(active)}
     moves: dict[int, Point] = {}
     for rid, action in decisions.items():
-        if action.kind != "move":
-            continue
-        pos = positions[rid]
-        dest_world = _to_world(robots[rid], pos, action.dest)
-        if dist(dest_world, pos) <= EPS:
-            continue
-        moves[rid] = dest_world
-        events.append(TraceEvent(t0, cycle, rid, "move", pos, dest=dest_world, tag=action.tag))
+        dest = _destination(world, rid, action)
+        if dest is not None:
+            moves[rid] = dest
+            events.append(TraceEvent(t0, cycle, rid, "move", positions[rid], dest, action.tag))
 
-    durations = [dist(positions[rid], d) for rid, d in moves.items()]
-    round_span = max(durations) if durations else 1.0
-    t1 = t0 + round_span
+    t1 = t0 + max((dist(positions[rid], d) for rid, d in moves.items()), default=1.0)
 
     pieces: list[list[MotionSegment]] = []
     for i, pos in enumerate(positions):
@@ -325,16 +332,13 @@ def _all_would_stay(
 ) -> bool:
     """True when no robot would move. Robots in `first` are asked first.
 
-    A move to a missing or NaN destination counts as staying here; an
-    activated robot that asks for it faults in `execute_cycle`.
+    A move to a missing or NaN destination counts as staying here; a robot
+    that asks for it faults when it looks in a round or an ASYNC cycle.
     """
     ahead = set(first)
     for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
-        action = algorithm(take_snapshot(world, i))
-        if action.kind == "move" and action.dest is not None:
-            pos = world.positions[i]
-            if dist(_to_world(world.robots[i], pos, action.dest), pos) > EPS:
-                return False
+        if _destination(world, i, algorithm(take_snapshot(world, i))) is not None:
+            return False
     return True
 
 
@@ -366,17 +370,20 @@ def run(
     termination: Callable[[WorldState], bool],
     max_cycles: int,
 ) -> Trace:
-    """Run the scheduler loop until convergence, stall, fault, or budget."""
+    """Run the scheduler loop until convergence, stall, fault, or budget.
+
+    Both loops append to `events` and return how the run ended: (outcome,
+    final world, cycles used, minimum separation, diagnosis).
+    """
     if max_cycles < 1:
         raise ValueError("max_cycles must be >= 1")
-    if schedule.kind == "ASYNC":
-        return _run_async(world, algorithm, schedule, termination, max_cycles)
-    return _run_sync(world, algorithm, schedule, termination, max_cycles)
-
-
-def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
-    initial = world
+    loop = _run_async if schedule.kind == "ASYNC" else _run_sync
     events: list[TraceEvent] = []
+    outcome, *ending = loop(world, algorithm, schedule, termination, max_cycles, events)
+    return Trace(events, outcome, world, *ending)
+
+
+def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
     min_sep = min_pairwise_distance(world.positions)
     n = len(world.robots)
     for cycle in range(max_cycles):
@@ -387,19 +394,17 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles) -> Trace:
         verdict = _verdict(world, decide, termination, active)
         if verdict is not None:
             outcome, diagnosis = verdict
-            return Trace(events, outcome, initial, world, cycle, min_sep, diagnosis)
+            return outcome, world, cycle, min_sep, diagnosis
         try:
             world, evs, sep = execute_cycle(world, active, decide, cycle)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
-            return Trace(
-                events, OUTCOME_FAULT, initial, world, cycle, min_sep, diagnosis=str(exc)
-            )
+            return OUTCOME_FAULT, world, cycle, min_sep, str(exc)
         events.extend(evs)
         min_sep = min(min_sep, sep)
     outcome = OUTCOME_CONVERGED if termination(world) else OUTCOME_BUDGET
-    return Trace(events, outcome, initial, world, max_cycles, min_sep)
+    return outcome, world, max_cycles, min_sep, ""
 
 
 # --- ASYNC (CORDA-style) event loop ----------------------------------------
@@ -418,9 +423,7 @@ def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionS
     return out
 
 
-def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
-    initial = world
-    events: list[TraceEvent] = []
+def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     n = len(world.robots)
     rng = random.Random(f"async:{schedule.seed}:{n}")
     window = float(schedule.fairness_bound)
@@ -433,85 +436,62 @@ def _run_async(world, algorithm, schedule, termination, max_cycles) -> Trace:
     def delay() -> float:
         return 0.05 + rng.random() * window
 
-    # Event queue: (time, robot, seq, kind). kind in {"look", "arrive"}.
-    heap: list[tuple[float, int, int, str]] = []
-    seq = 0
-    for rid in range(n):
-        heapq.heappush(heap, (world.clock + delay(), rid, seq, "look"))
-        seq += 1
-
-    looks = 0
-    budget_looks = max_cycles * n
-    moving = 0
-    # The static world changes only on arrivals. A quiescent checkpoint with
-    # no arrival since the last one would repeat its "not done, not stalled".
-    arrivals = 0
-    checked_at = -1
-
     def world_at(t: float) -> WorldState:
-        return WorldState(initial.robots, tuple(track[-1].position_at(t) for track in tracks), t)
+        return WorldState(world.robots, tuple(track[-1].position_at(t) for track in tracks), t)
 
-    while heap:
-        t, rid, _, kind = heapq.heappop(heap)
-        track = tracks[rid]
-        if kind == "arrive":
-            seg = track[-1]
-            # The past is fully determined: check the finished segment against
-            # every other robot's trajectory over its interval.
-            for other in range(n):
-                if other == rid:
-                    continue
-                for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
-                    sep = min_separation_during_motion(seg, piece)
-                    min_sep = min(min_sep, sep)
-                    if sep < SAFE_SEPARATION:
-                        return Trace(
-                            events,
-                            OUTCOME_FAULT,
-                            initial,
-                            world_at(t),
-                            looks // n,
-                            min_sep,
-                            diagnosis=f"robots {rid} and {other} reach separation {sep:.6g}",
-                        )
-            moving -= 1
-            arrivals += 1
-            heapq.heappush(heap, (t + delay(), rid, seq, "look"))
-            seq += 1
-        else:  # look
-            if looks >= budget_looks:
-                return Trace(events, OUTCOME_BUDGET, initial, world_at(t), max_cycles, min_sep)
-            looks += 1
-            cycle = (looks - 1) // n
-            view = world_at(t)
-            snap = take_snapshot(view, rid)
-            action = algorithm(snap)
-            _check_action(action)
-            cur = view.positions[rid]
-            events.append(TraceEvent(t, cycle, rid, "wait", cur))
-            events.append(TraceEvent(t, cycle, rid, "look", cur))
-            events.append(TraceEvent(t, cycle, rid, "compute", cur, tag=action.tag))
-            start = t + delay()
-            if action.kind == "move":
-                dest = _to_world(view.robots[rid], cur, action.dest)
-                if dist(dest, cur) > EPS:
+    # Event queue of (time, robot, kind), kind "look" or "arrive". Each robot
+    # has exactly one pending event, so (time, robot) orders it alone.
+    heap = [(world.clock + delay(), rid, "look") for rid in range(n)]
+    heapq.heapify(heap)
+    looks = 0
+    moving = 0
+    try:
+        while True:
+            t, rid, kind = heapq.heappop(heap)
+            track = tracks[rid]
+            if kind == "arrive":
+                seg = track[-1]
+                # The past is fully determined: check the finished segment
+                # against every other robot's trajectory over its interval.
+                for other in range(n):
+                    if other == rid:
+                        continue
+                    for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
+                        sep = min_separation_during_motion(seg, piece)
+                        min_sep = min(min_sep, sep)
+                        if sep < SAFE_SEPARATION:
+                            raise CollisionFault(
+                                f"robots {rid} and {other} reach separation {sep:.6g}", sep
+                            )
+                moving -= 1
+                heapq.heappush(heap, (t + delay(), rid, "look"))
+                quiescent = moving == 0  # only an arrival changes the static world
+            else:
+                if looks >= max_cycles * n:
+                    return OUTCOME_BUDGET, world_at(t), max_cycles, min_sep, ""
+                looks += 1
+                cycle = (looks - 1) // n
+                view = world_at(t)
+                action = _look(view, rid, algorithm, t, cycle, events)
+                dest = _destination(view, rid, action)
+                start = t + delay()
+                if dest is None:
+                    heapq.heappush(heap, (start + delay(), rid, "look"))
+                else:
+                    cur = view.positions[rid]
                     track.append(MotionSegment(cur, cur, track[-1].t1, start))
                     track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))
                     moving += 1
-                    events.append(TraceEvent(start, cycle, rid, "move", cur, dest=dest, tag=action.tag))
-                    heapq.heappush(heap, (track[-1].t1, rid, seq, "arrive"))
-                    seq += 1
-                    continue
-            heapq.heappush(heap, (start + delay(), rid, seq, "look"))
-            seq += 1
-
-        # Quiescent checkpoints: only meaningful when nothing is in flight.
-        if moving == 0 and arrivals != checked_at:
-            checked_at = arrivals
-            w = world_at(t)
-            # One decision per robot: the stall check and its tags share it.
-            verdict = _verdict(w, _memoized(algorithm), termination)
-            if verdict is not None:
-                outcome, diagnosis = verdict
-                return Trace(events, outcome, initial, w, (looks + n - 1) // n, min_sep, diagnosis)
-    raise AssertionError("event queue drained unexpectedly")
+                    events.append(TraceEvent(start, cycle, rid, "move", cur, dest, action.tag))
+                    heapq.heappush(heap, (track[-1].t1, rid, "arrive"))
+                # The initial world is checked once, if the first look stays.
+                quiescent = looks == 1 and dest is None
+            if quiescent:
+                w = world_at(t)
+                # One decision per robot: the stall check and its tags share it.
+                verdict = _verdict(w, _memoized(algorithm), termination)
+                if verdict is not None:
+                    outcome, diagnosis = verdict
+                    return outcome, w, (looks + n - 1) // n, min_sep, diagnosis
+    except SimulationFault as exc:
+        return OUTCOME_FAULT, world_at(t), looks // n, min_sep, str(exc)

@@ -36,6 +36,10 @@ def snap(me, others):
     return Snapshot(self_pos=me, others=tuple(others), vis_radius=INF)
 
 
+def with_sec(phase, s, params):
+    return phase(s, params, smallest_enclosing_circle([s.self_pos, *s.others]))
+
+
 def close(a, b, tol=1e-9):
     return abs(a - b) <= tol
 
@@ -175,20 +179,20 @@ class TestSecExpansion:
     boundary = [P(3, 4), P(-4, 3), P(0, -5)]
 
     def test_interior_robot_stays(self):
-        action = sec_expansion(snap(P(0, 0), self.boundary), self.params)
+        action = with_sec(sec_expansion, snap(P(0, 0), self.boundary), self.params)
         assert action.kind == "stay"
         assert action.tag == "expand"
 
     def test_leader_moves_outward(self):
         others = [P(-4, 3), P(0, -5), P(0, 0)]
-        action = sec_expansion(snap(P(3, 4), others), self.params)
+        action = with_sec(sec_expansion, snap(P(3, 4), others), self.params)
         assert action.kind == "move"
         # Destination lies outside the current SEC.
         assert dist(action.dest, P(0, 0)) > 5.0 + 1e-9
 
     def test_non_leader_boundary_robot_stays(self):
         others = [P(3, 4), P(0, -5), P(0, 0)]
-        action = sec_expansion(snap(P(-4, 3), others), self.params)
+        action = with_sec(sec_expansion, snap(P(-4, 3), others), self.params)
         assert action.kind == "stay"
 
     def test_occupied_antipode_radial_rule(self):
@@ -214,7 +218,7 @@ class TestSecExpansion:
         assert close(dist(dest, far), 2.0 * self.params.rad_req, 1e-9)
 
     def test_leaderless_configuration_stays_tagged(self):
-        action = sec_expansion(snap(P(0, 5), [P(0, -5)]), self.params)
+        action = with_sec(sec_expansion, snap(P(0, 5), [P(0, -5)]), self.params)
         assert action.kind == "stay"
         assert action.tag == "no-leader"
 
@@ -239,14 +243,14 @@ class TestFormUcircle:
         params = square_params()
         for i, me in enumerate(pts):
             others = [p for j, p in enumerate(pts) if j != i]
-            action = form_ucircle(snap(me, others), params)
+            action = with_sec(form_ucircle, snap(me, others), params)
             assert action.kind == "stay", f"robot at {me} moved"
 
     def test_single_vacant_target_filled_by_nearest(self):
         params = square_params()
         r = params.rad_req
         pts = [P(0, r), P(r, 0), P(0, -r), P(-1, 0)]
-        action = form_ucircle(snap(P(-1, 0), pts[:3]), params)
+        action = with_sec(form_ucircle, snap(P(-1, 0), pts[:3]), params)
         assert action.kind == "move"
         assert dist(action.dest, P(-r, 0)) <= 1e-7
 
@@ -255,7 +259,7 @@ class TestFormUcircle:
         r = params.rad_req
         me = P(0, r)
         others = [P(r, 0), P(0, -r), P(-1, 0)]
-        action = form_ucircle(snap(me, others), params)
+        action = with_sec(form_ucircle, snap(me, others), params)
         assert action.kind == "stay"
 
     def test_phase_dispatch(self):

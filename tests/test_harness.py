@@ -4,11 +4,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucircle.cli import main
 from ucircle.geometry import Point, dist
 from ucircle.harness import (
+    ALGORITHMS,
+    EXIT_CODES,
+    SCHEDULERS,
     ConfigError,
+    InfeasibleScenario,
     RunSummary,
     _ring_metrics,
     curated_local_configs,
@@ -183,6 +189,58 @@ class TestParseConfig:
                 parse_config(base_local(placement=[[0, 0], [5, 0], item, [5, 5]]))
 
 
+# Wrong types, booleans, non-finite numbers and short lists.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.floats(-30, 30), max_size=3),
+)
+
+
+@st.composite
+def raw_configs(draw):
+    """A valid config for n <= 6 and at most 10 cycles, with up to two
+    fields replaced by junk."""
+    n = draw(st.integers(2, 6))
+    coords = st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3)
+    modes = st.sampled_from(("random-disc", "random-annulus"))
+    raw = {
+        "algorithm": draw(st.sampled_from(ALGORITHMS)),
+        "n": n,
+        "scheduler": draw(st.sampled_from(SCHEDULERS)),
+        "seed": draw(st.integers(0, 50)),
+        "max_cycles": draw(st.integers(1, 10)),
+        "placement": draw(st.one_of(modes, st.lists(coords, min_size=n - 1, max_size=n))),
+    }
+    if raw["algorithm"] == "global":
+        raw["a"] = draw(st.floats(3.5, 8.0))
+    else:
+        raw["rad"] = draw(st.floats(0.0, 60.0))
+        radii = st.floats(0.0, 60.0)
+        raw["vis"] = draw(st.one_of(radii, st.lists(radii, min_size=n - 1, max_size=n)))
+    if draw(st.booleans()):
+        raw["fairness_bound"] = draw(st.integers(1, 6))
+    keys = sorted(set(raw) | {"a", "rad", "vis", "fairness_bound"})
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        raw[key] = draw(JUNK)
+    return raw
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(raw=raw_configs())
+def test_parse_config_rejects_or_runs_to_an_outcome(raw):
+    try:
+        trace, summary = run_scenario(parse_config(raw))
+    except (ConfigError, InfeasibleScenario):
+        return
+    assert summary.outcome in EXIT_CODES
+    line = summary.to_json_line()
+    assert json.loads(line, parse_constant=pytest.fail)["outcome"] == trace.outcome
+
+
 # ---------------------------------------------------------------------------
 # Scenario generation
 # ---------------------------------------------------------------------------
@@ -247,6 +305,11 @@ class TestMetrics:
         pts = [P(0, r), P(r, 0), P(0, -r), P(-r * math.cos(delta), r * math.sin(delta))]
         uerr, _ = _ring_metrics(pts, P(0, 0), n)
         assert abs(uerr - delta) <= 1e-6
+
+    def test_summary_line_refuses_non_finite_values(self):
+        s = RunSummary("fault", 3, math.inf, 0.0, 4.25, "")
+        with pytest.raises(ValueError):
+            s.to_json_line()
 
     def test_summary_line_round_trips(self):
         s = RunSummary("converged", 17, 2.0000001, 1e-8, 4.25, "")
@@ -467,6 +530,38 @@ class TestCli:
         assert printed.out == ""
         assert printed.err.startswith("cannot write output:")
         assert len(printed.err.splitlines()) == 1
+
+    def test_run_unwritable_output_leaves_nothing_behind(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_global(seed=5))
+        trace, summary, frames = tmp_path / "t.jsonl", tmp_path / "s.json", tmp_path / "fr"
+        frames.write_text("")
+        argv = ["--trace", str(trace), "--summary", str(summary), "--frames", str(frames)]
+        assert main(["run", "--config", cfg] + argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("cannot write output:")
+        assert len(printed.err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fr", "scenario.json"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_unwritable_file_output(self, tmp_path, capsys, jobs):
+        # a's summary path is a directory: its trace, already written, is
+        # removed again, and b still runs.
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text(json.dumps(base_global(seed=5)))
+        (confs / "b.json").write_text(json.dumps(base_global(seed=5)))
+        out = tmp_path / "out"
+        (out / "a.summary.json").mkdir(parents=True)
+        code = main(["batch", "--configs", str(confs), "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        printed = capsys.readouterr()
+        assert printed.out == "b: converged\n"
+        assert printed.err.startswith("a: cannot write output:")
+        assert len(printed.err.splitlines()) == 1
+        produced = sorted(p.name for p in out.iterdir())
+        assert produced == ["a.summary.json", "b.summary.json", "b.trace.jsonl"]
+        assert not any((out / "a.summary.json").iterdir())
 
     def test_batch_unreadable_configs_or_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "out"

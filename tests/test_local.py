@@ -30,6 +30,10 @@ P = Point
 CENTER = P(0.0, 0.0)
 
 
+def destination(me, vis, params, others):
+    return compute_destination(me, vis, params, others, classify_psi(me, vis, params, others))
+
+
 def params10(n=4):
     return LocalParams.make(n, 10.0)
 
@@ -140,41 +144,41 @@ class TestComputeDestination:
     p = params10()
 
     def test_far_inside_hops_outward_by_visibility(self):
-        dest = compute_destination(P(0, 2), 1.0, self.p, [])
+        dest = destination(P(0, 2), 1.0, self.p, [])
         assert dist(dest, P(0, 3)) <= 1e-12
 
     def test_far_inside_blocked_takes_midpoint(self):
-        dest = compute_destination(P(0, 2), 1.0, self.p, [P(0, 4.5)])
+        dest = destination(P(0, 2), 1.0, self.p, [P(0, 4.5)])
         assert dist(dest, P(0, 2.5)) <= 1e-12
 
     def test_center_robot_steps_to_visibility_radius(self):
-        dest = compute_destination(P(0, 0), 2.0, self.p, [])
+        dest = destination(P(0, 0), 2.0, self.p, [])
         assert dist(dest, P(2, 0)) <= 1e-12
 
     def test_reaching_robot_claims_aligned_target(self):
         # Claim distance = vis/4 = 1: pause one unit short of the circle.
-        dest = compute_destination(P(0, 6), 4.0, self.p, [])
+        dest = destination(P(0, 6), 4.0, self.p, [])
         assert dist(dest, P(0, 9)) <= 1e-9
 
     def test_claimed_robot_finishes_from_hold_point(self):
-        dest = compute_destination(P(0, 9), 4.0, self.p, [])
+        dest = destination(P(0, 9), 4.0, self.p, [])
         assert dist(dest, P(0, 10)) <= 1e-9
 
     def test_occupied_target_takes_midpoint(self):
         # The aligned target is crowded, so advance halfway to the touch point.
-        dest = compute_destination(P(0, 6), 4.0, self.p, [P(0.5, 9.7)])
+        dest = destination(P(0, 6), 4.0, self.p, [P(0.5, 9.7)])
         assert dist(dest, P(0, 8)) <= 1e-9
 
     def test_far_outside_hops_inward(self):
-        dest = compute_destination(P(0, 16), 4.0, self.p, [])
+        dest = destination(P(0, 16), 4.0, self.p, [])
         assert dist(dest, P(0, 12)) <= 1e-12
 
     def test_on_target_stays(self):
-        dest = compute_destination(P(0, 10), 4.0, self.p, [])
+        dest = destination(P(0, 10), 4.0, self.p, [])
         assert dist(dest, P(0, 10)) <= 1e-12
 
     def test_contention_inside_wins(self):
-        dest = compute_destination(P(0, 7), 8.0, self.p, [P(0, 13)])
+        dest = destination(P(0, 7), 8.0, self.p, [P(0, 13)])
         # The inside robot advances along the ray toward the target.
         assert abs(dest.x) <= 1e-9
         assert dest.y > 7.0
@@ -189,7 +193,7 @@ class TestComputeDestination:
             (P(-7, 2), 6.0, [P(-6, 8)]),
         ]
         for me, vis, others in cases:
-            dest = compute_destination(me, vis, self.p, others)
+            dest = destination(me, vis, self.p, others)
             assert satisfies_direction_constraint(me, dest, CENTER), (me, dest)
 
 

@@ -412,6 +412,24 @@ class TestComputeOnce:
         assert term.calls <= arrivals + 1
         assert stall_check.calls <= arrivals + 1
 
+    def test_async_first_checkpoint_waits_for_an_arrival(self):
+        # Every robot's first look starts a move, so nothing is quiescent
+        # before the first arrival: termination is first asked then.
+        clocks = []
+
+        def term(world):
+            clocks.append(world.clock)
+            return all_at_x(1.0)(world)
+
+        w = make_world([P(-20, 0), P(20, 5), P(30, 9)])
+        trace = run(w, step_to_x(1.0), Schedule("ASYNC", seed=2, fairness_bound=3), term, 200)
+        assert trace.outcome == OUTCOME_CONVERGED
+        for i in range(len(w.robots)):
+            phases = [e.phase for e in trace.events if e.robot == i]
+            assert phases[:4] == ["wait", "look", "compute", "move"]
+        moves = [e for e in trace.events if e.phase == "move"]
+        assert clocks[0] >= min(e.clock + dist(e.pos, e.dest) for e in moves)
+
     def test_async_stall_verdict_asks_each_robot_once(self):
         w = make_world([P(0, 0), P(9, 0), P(0, 9)])
         algo = Counted(lambda snap: Action("stay", tag="blocked"))
@@ -470,6 +488,18 @@ class TestBadDestination:
         assert trace.outcome == OUTCOME_FAULT
         assert trace.cycles_used == first
         assert "non-finite move destination" in trace.diagnosis
+
+    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), None, P(math.inf, 1.0)])
+    def test_async_invalid_move_ends_in_fault(self, bad):
+        # The first look asks for the bad move: the run ends there, with no
+        # events for that look, as a sync round drops its own.
+        w = make_world([P(0, 0), P(9, 0)])
+        algo = lambda snap: Action("move", bad, tag="bad")  # noqa: E731
+        trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_FAULT
+        assert "non-finite move destination" in trace.diagnosis
+        assert trace.cycles_used == 0
+        assert trace.events == []
 
 
 class TestAsyncLooks:
