@@ -431,20 +431,26 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     # zero-length hold at the start clock. A move is appended at its look,
     # after the hold that ends where the move starts.
     tracks = [[MotionSegment(p, p, world.clock, world.clock)] for p in world.positions]
+    # Where each robot stands, or stood before the move it has planned; the
+    # robots in `flying` have a planned move that has not arrived yet.
+    here = list(world.positions)
+    flying: set[int] = set()
     min_sep = min_pairwise_distance(world.positions)
 
     def delay() -> float:
         return 0.05 + rng.random() * window
 
     def world_at(t: float) -> WorldState:
-        return WorldState(world.robots, tuple(track[-1].position_at(t) for track in tracks), t)
+        positions = here.copy()
+        for i in flying:
+            positions[i] = tracks[i][-1].position_at(t)
+        return WorldState(world.robots, tuple(positions), t)
 
     # Event queue of (time, robot, kind), kind "look" or "arrive". Each robot
     # has exactly one pending event, so (time, robot) orders it alone.
     heap = [(world.clock + delay(), rid, "look") for rid in range(n)]
     heapq.heapify(heap)
     looks = 0
-    moving = 0
     try:
         while True:
             t, rid, kind = heapq.heappop(heap)
@@ -453,8 +459,16 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 seg = track[-1]
                 # The past is fully determined: check the finished segment
                 # against every other robot's trajectory over its interval.
+                # Both robots move at unit speed at most, so over the segment
+                # a pair is never closer than its distance now less `reach`.
+                # A pair whose bound clears both min_sep and the fault
+                # threshold, with a margin for the rounding of the exact
+                # test, can neither lower min_sep nor fault: it is skipped.
+                now = world_at(t).positions
+                reach = 2.0 * (seg.t1 - seg.t0)
+                clear = max(min_sep, SAFE_SEPARATION) + 1e-6
                 for other in range(n):
-                    if other == rid:
+                    if other == rid or dist(seg.end, now[other]) - reach >= clear:
                         continue
                     for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
                         sep = min_separation_during_motion(seg, piece)
@@ -463,9 +477,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                             raise CollisionFault(
                                 f"robots {rid} and {other} reach separation {sep:.6g}", sep
                             )
-                moving -= 1
+                here[rid] = seg.end
+                flying.remove(rid)
                 heapq.heappush(heap, (t + delay(), rid, "look"))
-                quiescent = moving == 0  # only an arrival changes the static world
+                quiescent = not flying  # only an arrival changes the static world
             else:
                 if looks >= max_cycles * n:
                     return OUTCOME_BUDGET, world_at(t), max_cycles, min_sep, ""
@@ -481,7 +496,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                     cur = view.positions[rid]
                     track.append(MotionSegment(cur, cur, track[-1].t1, start))
                     track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))
-                    moving += 1
+                    flying.add(rid)
                     events.append(TraceEvent(start, cycle, rid, "move", cur, dest, action.tag))
                     heapq.heappush(heap, (track[-1].t1, rid, "arrive"))
                 # The initial world is checked once, if the first look stays.

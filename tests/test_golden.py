@@ -112,6 +112,21 @@ CORPUS = {
         ),
         "25106c06404bd739ab3e68c751cc79d9abb2832af76dddee5b74fdd74dc8861c",
     ),
+    # Robots 20 and 12 meet at separation 1.04259 in cycle 10. Most pairs
+    # tested at the faulting arrival are far apart: the fault is found among
+    # pairs that the ASYNC monitor may skip.
+    "local-async-annulus-fault": (
+        dict(
+            algorithm="local",
+            n=24,
+            rad=144.0,
+            vis=72.0,
+            scheduler="ASYNC",
+            seed=10,
+            placement="random-annulus",
+        ),
+        "4c586e209d581d5472dcb8cfbb7ec777738107f2e956a067c64afe6b3bfb7f55",
+    ),
     "local-nonuniform-async": (
         nonuniform_variant(_CURATED[1]),
         "ed51ae6f0b33cff690feda5bba49aaf4cb46d540b3ed1ecaf643164a38bb4815",

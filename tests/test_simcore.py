@@ -6,6 +6,14 @@ import math
 import pytest
 
 from ucircle.geometry import Point, dist
+from ucircle.harness import (
+    curated_local_configs,
+    curated_placement,
+    curated_rad,
+    nonuniform_variant,
+    parse_config,
+    run_scenario,
+)
 from ucircle.simcore import (
     FRAME_FULL_AXES,
     FRAME_Y_ONLY,
@@ -566,3 +574,107 @@ class TestAsyncCollisions:
         assert [e.robot for e in trace.events if e.phase == "move"] == [0, 1]
         assert trace.outcome == OUTCOME_FAULT
         assert trace.diagnosis == "robots 1 and 0 reach separation 0.5"
+
+    def test_prunes_no_pair_below_the_fault_threshold(self):
+        # Robots 2 and 3 start 1.5 apart and never move, so the run's minimum
+        # separation is below two units from the start. Robot 0 steps 0.2
+        # away from robot 1, which starts 1.8 from it: the pair stays below
+        # the threshold and must be tested even though it stays above 1.5.
+        def algo(snap: Snapshot):
+            if snap.self_pos == P(0, 0):
+                return move_to(P(-0.2, 0), tag="away")
+            return Action("stay")
+
+        w = make_world([P(0, 0), P(1.8, 0), P(0, 50), P(1.5, 50)])
+        trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=10)
+        assert [e.robot for e in trace.events if e.phase == "move"] == [0]
+        assert trace.outcome == OUTCOME_FAULT
+        assert trace.diagnosis == "robots 0 and 1 reach separation 1.8"
+        assert trace.min_separation == pytest.approx(1.5)
+
+
+def brute_force_min_separation(trace) -> float:
+    """Smallest separation of any pair at any time, from the move events alone.
+
+    Between two consecutive start or end times of a pair's moves both robots
+    move at constant velocity, so the pair's closest approach on that interval
+    is the closest point of one line segment to the origin.
+    """
+    legs = [[] for _ in trace.initial.positions]
+    for e in trace.events:
+        if e.phase == "move":
+            legs[e.robot].append((e.clock, e.clock + dist(e.pos, e.dest), e.pos, e.dest))
+
+    def position(i, t):
+        p = trace.initial.positions[i]
+        for t0, t1, a, b in legs[i]:
+            if t <= t0:
+                break
+            if t >= t1:
+                p = b
+                continue
+            f = (t - t0) / (t1 - t0)
+            return P(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+        return p
+
+    best = math.inf
+    for i in range(len(legs)):
+        for j in range(i + 1, len(legs)):
+            times = sorted({trace.initial.clock}.union(*(leg[:2] for leg in legs[i] + legs[j])))
+            rel = [position(i, t) - position(j, t) for t in times]
+            best = min(best, rel[0].norm())
+            for p, q in zip(rel, rel[1:]):
+                d = q - p
+                # Closest point to the origin on the segment from p to q.
+                dd = d.x * d.x + d.y * d.y
+                s = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(p.x * d.x + p.y * d.y) / dd))
+                best = min(best, P(p.x + s * d.x, p.y + s * d.y).norm())
+    return best
+
+
+def _local_async(n, kind, seed):
+    rad = curated_rad(n)
+    vis = rad / 2.0
+    placement = curated_placement(kind, n, vis)
+    return dict(
+        algorithm="local", n=n, rad=rad, vis=vis, scheduler="ASYNC", seed=seed, placement=placement
+    )
+
+
+def _global_async(n, seed):
+    return dict(
+        algorithm="global", n=n, a=4.0, scheduler="ASYNC", seed=seed, placement="random-disc"
+    )
+
+
+class TestAsyncMinSeparation:
+    """`Trace.min_separation` of an ASYNC run that ends with every move
+    arrived is the exact minimum over all pairs and times, so no pair the
+    monitor skipped came closer than the pairs it tested."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            _local_async(16, "center", 1),
+            _local_async(16, "center", 3),
+            _local_async(24, "contention", 1),
+            nonuniform_variant(curated_local_configs(seeds=(4,))[13], 2),
+            _global_async(4, 1),
+            _global_async(5, 0),
+            _global_async(5, 3),
+        ],
+        ids=[
+            "local-16-center-1",
+            "local-16-center-3",
+            "local-24-contention-1",
+            "nonuniform-stall",
+            "global-4-seed-1",
+            "global-5-seed-0",
+            "global-5-seed-3",
+        ],
+    )
+    def test_matches_a_brute_force_over_the_moves(self, raw):
+        trace, _ = run_scenario(parse_config(raw))
+        assert trace.outcome in (OUTCOME_CONVERGED, OUTCOME_STALL)
+        assert any(e.phase == "move" for e in trace.events)
+        assert trace.min_separation == pytest.approx(brute_force_min_separation(trace), abs=1e-9)
