@@ -213,10 +213,6 @@ def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Acti
     return Action("stay", tag=TAG_EXPAND)
 
 
-def _settled(p: Point, targets: Sequence[Point]) -> bool:
-    return any(dist(p, t) <= SETTLE_TOL for t in targets)
-
-
 def _approach_metric(r: Point, t: Point, sec: Circle) -> float:
     """Arc distance for robots on the SEC boundary, chord distance otherwise."""
     if _on_sec(r, sec):
@@ -232,8 +228,6 @@ def _select_mover(
     sec: Circle,
     is_top_target: bool,
 ) -> Optional[Point]:
-    if not movers:
-        return None
     dists = [(_approach_metric(r, target, sec), r) for r in movers]
     best = min(d for d, _ in dists)
     tied = [r for d, r in dists if d <= best + 1e-9]
@@ -281,52 +275,54 @@ def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Actio
     points = _all_points(snapshot)
     me = snapshot.self_pos
     targets = compute_target_points(params.n, sec)
-    if _settled(me, targets):
-        return Action("stay", tag=TAG_FORM)
-    movers = [p for p in points if not _settled(p, targets)]
-    vacant = [t for t in targets if is_vacant_target(t, points)]
-    crowded = [
-        t
-        for t in targets
-        if t not in vacant and all(dist(p, t) > SETTLE_TOL for p in points)
-    ]
-    top = targets[0]
+    # A robot's seat is the target it stands on; targets lie more than 3
+    # apart, so it has at most one. `me` comes first: seated, it stays.
+    movers: list[Point] = []
+    seats: set[int] = set()
+    for p in points:
+        seat = next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None)
+        if seat is None:
+            movers.append(p)
+        elif p is me:
+            return Action("stay", tag=TAG_FORM)
+        else:
+            seats.add(seat)
+    vacant: list[Point] = []
+    crowded: list[Point] = []
+    for i, t in enumerate(targets):
+        if is_vacant_target(t, points):
+            vacant.append(t)
+        elif i not in seats:
+            crowded.append(t)
     # Highest vacant target first, crowded ones after, cascading downward so
     # that a contested or blocked candidate never stalls the whole formation.
     # Mirror-tied targets within a tier are considered together.
-    ordered = sorted(vacant, key=lambda t: (-t.y, abs(t.x - sec.center.x)))
-    ordered += sorted(crowded, key=lambda t: (-t.y, abs(t.x - sec.center.x)))
-    n_vacant = len(vacant)
-    idx = 0
-    while idx < len(ordered):
-        group = [ordered[idx]]
-        j = idx + 1
-        while (
-            j < len(ordered)
-            and (j < n_vacant) == (idx < n_vacant)
-            and abs(ordered[j].y - ordered[idx].y) <= 1e-9
-        ):
-            group.append(ordered[j])
-            j += 1
-        chosen: list[tuple[Point, Point]] = []
+    groups: list[list[Point]] = []
+    for tier in (vacant, crowded):
+        tier.sort(key=lambda t: (-t.y, abs(t.x - sec.center.x)))
+        for k, t in enumerate(tier):
+            if k and abs(t.y - groups[-1][0].y) <= 1e-9:
+                groups[-1].append(t)
+            else:
+                groups.append([t])
+    top = targets[0]
+    for group in groups:
+        chosen: list[tuple[Point, Point, Point]] = []
         for t in group:
             mover = _select_mover(t, movers, sec, dist(t, top) <= 1e-9)
             if mover is None:
                 continue
-            if dist(_move_step(mover, t, points, sec), mover) > EPS:
-                chosen.append((t, mover))
+            step = _move_step(mover, t, points, sec)
+            if dist(step, mover) > EPS:
+                chosen.append((t, mover, step))
         if chosen:
-            mine = [t for t, m in chosen if dist(m, me) <= 1e-9]
+            mine = [(t, step) for t, m, step in chosen if m is me]
             if not mine:
                 return Action("stay", tag=TAG_FORM)
             # Nearest to several tied targets: prefer the rightward one in the
             # robot's own frame (both mirror choices are safe).
-            t = max(mine, key=lambda p: (p.y, p.x))
-            dest = _move_step(me, t, points, sec)
-            if dist(dest, me) <= EPS:
-                return Action("stay", tag=TAG_FORM)
+            _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
             return move_to(dest, tag=TAG_FORM)
-        idx = j
     return Action("stay", tag=TAG_FORM)
 
 

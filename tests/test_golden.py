@@ -52,6 +52,12 @@ CORPUS = {
         _global(16, 5.0, "SSYNC", 1),
         "41445745d870196bd90804f0e72d1161950739be051f9c2ea11d68b355e7f7c1",
     ),
+    # Formation steps around a single blocker here (`_straight_step`'s
+    # detour); no other entry takes that detour.
+    "global-ssync-detour": (
+        _global(11, 3.5, "SSYNC", 2),
+        "ed59ce14d65b9f5b3e1c3a3e01c1fc916daa1ea98d41f0fa570e96a3ed7402e9",
+    ),
     "global-ssync-livelock-budget": (
         _global(6, 5.0, "SSYNC", 49, max_cycles=120),
         "bf31fa6b0c6d7f5ca7b557e90661ae17c27aa1c7acd932111bd5446d9b3875c0",

@@ -16,6 +16,7 @@ from ucircle.harness import (
     ConfigError,
     InfeasibleScenario,
     RunSummary,
+    _one_sided_psi9,
     _ring_metrics,
     curated_local_configs,
     curated_placement,
@@ -26,6 +27,7 @@ from ucircle.harness import (
     parse_config,
     run_scenario,
 )
+from ucircle.simcore import Robot, WorldState
 
 P = Point
 
@@ -345,6 +347,31 @@ class TestRunScenario:
         t2, s2 = run_scenario(cfg)
         assert t1.to_jsonl() == t2.to_jsonl()
         assert s1.to_json_line() == s2.to_json_line()
+
+
+class TestOneSidedPsi9:
+    """The stall diagnosis: an inside robot and an outside robot on one ray
+    from the center (within 1e-3 rad), only one of which sees the other."""
+
+    RAD = 8.0
+
+    def diagnosed(self, turn: float, vis_outside: float) -> bool:
+        # The inside robot stands 5 above the center and sees 10 units; the
+        # outside one stands 12 from the center, `turn` rad further round.
+        ang = math.pi / 2.0 + turn
+        outside = P(12.0 * math.cos(ang), 12.0 * math.sin(ang))
+        robots = (Robot(vis_radius=10.0), Robot(vis_radius=vis_outside))
+        world = WorldState(robots, (P(0.0, 5.0), outside))
+        return _one_sided_psi9(world, self.RAD, P(0.0, 0.0))
+
+    def test_inside_robot_unseen_by_aligned_outside_robot(self):
+        assert self.diagnosed(turn=5e-4, vis_outside=3.0)
+
+    def test_robots_that_see_each_other(self):
+        assert not self.diagnosed(turn=5e-4, vis_outside=10.0)
+
+    def test_robots_off_the_same_ray(self):
+        assert not self.diagnosed(turn=2e-3, vis_outside=3.0)
 
 
 # ---------------------------------------------------------------------------
