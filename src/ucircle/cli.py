@@ -19,6 +19,11 @@ the files the command already wrote are removed again.
 be written: it prints `<name>: invalid-config: <reason>` or
 `<name>: cannot write output: <reason>` on stderr for each of those, and
 exits with the worst code of all files, such a file counting as 1.
+
+The global algorithm is specified for the semi-synchronous model. A global
+config with the ASYNC scheduler still runs, as a stress test of the engine,
+but `run` and `batch` say so in one line on stderr (`batch` prefixes it
+with `<name>: `); the exit code and the outputs do not change.
 """
 
 from __future__ import annotations
@@ -82,6 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _model_warning(config) -> str:
+    """A warning when the config runs its algorithm outside the scheduler
+    model the algorithm is specified for, or ""."""
+    if config.algorithm == "global" and config.scheduler == "ASYNC":
+        return (
+            "warning: the global algorithm is specified for the SSYNC "
+            "(semi-synchronous) model, not ASYNC; this run may fault or stall"
+        )
+    return ""
+
+
 def _write_outputs(
     config, trace, summary, trace_path=None, summary_path=None, frames=None, every=1
 ) -> None:
@@ -125,6 +141,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    warning = _model_warning(config)
+    if warning:
+        print(warning, file=sys.stderr)
     try:
         trace, summary = run_scenario(config)
     except InfeasibleScenario as exc:
@@ -139,21 +158,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return exit_code_for(trace)
 
 
-def _batch_one(job: tuple[str, str]) -> tuple[str, str, int]:
-    """Run one file: (name, outcome or "<error>: <reason>", exit code)."""
+def _batch_one(job: tuple[str, str]) -> tuple[str, str, int, str]:
+    """Run one file: (name, outcome or "<error>: <reason>", exit code, model warning or "")."""
     path, out_dir = job
     name = os.path.splitext(os.path.basename(path))[0]
+    warning = ""
     try:
         config = load_config(path)
+        warning = _model_warning(config)
         trace, summary = run_scenario(config)
     except (ConfigError, InfeasibleScenario, OSError) as exc:
-        return name, f"invalid-config: {exc}", 1
+        return name, f"invalid-config: {exc}", 1, warning
     out = os.path.join(out_dir, name)
     try:
         _write_outputs(config, trace, summary, f"{out}.trace.jsonl", f"{out}.summary.json")
     except OSError as exc:
-        return name, f"cannot write output: {exc}", 1
-    return name, summary.outcome, exit_code_for(trace)
+        return name, f"cannot write output: {exc}", 1, warning
+    return name, summary.outcome, exit_code_for(trace), warning
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -177,10 +198,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             results = list(pool.map(_batch_one, jobs))
     else:
         results = [_batch_one(job) for job in jobs]
-    for name, outcome, code in results:
+    for name, outcome, code, warning in results:
+        if warning:
+            print(f"{name}: {warning}", file=sys.stderr)
         # Exit code 1 is invalid input, and no outcome has it.
         print(f"{name}: {outcome}", file=sys.stderr if code == 1 else sys.stdout)
-    return max(code for _, _, code in results)
+    return max(code for _, _, code, _ in results)
 
 
 def _cmd_oracle_sec(args: argparse.Namespace) -> int:

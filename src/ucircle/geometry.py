@@ -7,6 +7,7 @@ All predicates share the single tolerance EPS.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -128,10 +129,6 @@ class MotionSegment:
 # ---------------------------------------------------------------------------
 
 
-def _encloses(c: Circle, p: Point) -> bool:
-    return dist(c.center, p) <= c.radius + EPS
-
-
 def _circle_from_two(p: Point, q: Point) -> Circle:
     return Circle(midpoint(p, q), dist(p, q) / 2.0)
 
@@ -148,51 +145,83 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
     return Circle(center, max(dist(center, a), dist(center, b), dist(center, c)))
 
 
+@functools.cache
+def _sec_order(n: int) -> tuple[int, ...]:
+    """The order in which the incremental SEC visits n points.
+
+    Fixed-seed shuffle: the result is unique, shuffling only helps runtime.
+    A shuffle's swaps depend only on the list's length, so this one index
+    order serves every call with n points.
+    """
+    order = list(range(n))
+    random.Random(0x5EC0).shuffle(order)
+    return tuple(order)
+
+
 def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
-    """Minimum-radius circle enclosing all points (incremental construction)."""
-    pts = list(points)
+    """Minimum-radius circle enclosing all points (incremental construction).
+
+    Runs on plain floats: the enclose test `dist(center, p) <= r + EPS`, the
+    diameter circle of two points and the circumcircle of three are written
+    out with the same expressions as `dist`, `_circle_from_two` and
+    `circumcircle`, so the result is the same to the last bit.
+    """
+    pts = [(p.x, p.y) for p in points]
     if not pts:
         raise GeometryError("smallest_enclosing_circle: empty point set")
-    # Fixed-seed shuffle: the result is unique, shuffling only helps runtime.
-    random.Random(0x5EC0).shuffle(pts)
-    c: Circle | None = None
-    for i, p in enumerate(pts):
-        if c is None or not _encloses(c, p):
-            c = _sec_one_boundary(pts[: i + 1], p)
-    assert c is not None
-    return c
-
-
-def _sec_one_boundary(pts: Sequence[Point], p: Point) -> Circle:
-    c = Circle(p, 0.0)
-    for i, q in enumerate(pts):
-        if not _encloses(c, q):
-            c = _circle_from_two(p, q) if c.radius == 0.0 else _sec_two_boundary(pts[: i + 1], p, q)
-    return c
-
-
-def _sec_two_boundary(pts: Sequence[Point], p: Point, q: Point) -> Circle:
-    circ = _circle_from_two(p, q)
-    left: Circle | None = None
-    right: Circle | None = None
-    pq = q - p
-    for r in pts:
-        if _encloses(circ, r):
+    pts = [pts[k] for k in _sec_order(len(pts))]
+    hypot = math.hypot
+    cx, cy, r = pts[0][0], pts[0][1], 0.0
+    for i, (px, py) in enumerate(pts):
+        if hypot(cx - px, cy - py) <= r + EPS:
             continue
-        c3 = circumcircle(p, q, r)
-        if c3 is None:
+        # The smallest circle of pts[: i + 1] with p on its boundary.
+        cx, cy, r = px, py, 0.0
+        for j in range(i + 1):
+            qx, qy = pts[j]
+            if hypot(cx - qx, cy - qy) <= r + EPS:
+                continue
+            if r == 0.0:
+                cx, cy, r = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
+            else:
+                cx, cy, r = _sec_two_boundary(pts, j + 1, px, py, qx, qy)
+    return Circle(Point(cx, cy), r)
+
+
+def _sec_two_boundary(
+    pts: Sequence[tuple[float, float]], m: int, px: float, py: float, qx: float, qy: float
+) -> tuple[float, float, float]:
+    """(cx, cy, r) of the smallest circle of pts[:m] with p and q on its boundary."""
+    hypot = math.hypot
+    mx, my, mr = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
+    pqx, pqy = qx - px, qy - py
+    an, bn = px * px + py * py, qx * qx + qy * qy
+    # The circumcircles through p, q and a point left (right) of pq whose
+    # centre lies furthest left (right) of pq: (cx, cy, r, offset).
+    left: tuple[float, float, float, float] | None = None
+    right: tuple[float, float, float, float] | None = None
+    for k in range(m):
+        rx, ry = pts[k]
+        if hypot(mx - rx, my - ry) <= mr + EPS:
             continue
-        side = cross(pq, r - p)
-        off = cross(pq, c3.center - p)
-        if side > 0.0 and (left is None or off > cross(pq, left.center - p)):
-            left = c3
-        elif side < 0.0 and (right is None or off < cross(pq, right.center - p)):
-            right = c3
+        d = 2.0 * (px * (qy - ry) + qx * (ry - py) + rx * (py - qy))
+        if abs(d) < 1e-14:
+            continue
+        cn = rx * rx + ry * ry
+        ux = (an * (qy - ry) + bn * (ry - py) + cn * (py - qy)) / d
+        uy = (an * (rx - qx) + bn * (px - rx) + cn * (qx - px)) / d
+        ur = max(hypot(ux - px, uy - py), hypot(ux - qx, uy - qy), hypot(ux - rx, uy - ry))
+        side = pqx * (ry - py) - pqy * (rx - px)
+        off = pqx * (uy - py) - pqy * (ux - px)
+        if side > 0.0 and (left is None or off > left[3]):
+            left = (ux, uy, ur, off)
+        elif side < 0.0 and (right is None or off < right[3]):
+            right = (ux, uy, ur, off)
     if left is None:
-        return circ if right is None else right
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
+        return (mx, my, mr) if right is None else right[:3]
+    if right is None or left[2] <= right[2]:
+        return left[:3]
+    return right[:3]
 
 
 def smallest_enclosing_circle_bruteforce(points: Iterable[Point]) -> Circle:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .geometry import (
     EPS,
+    VACANCY_CLEARANCE,
     Circle,
     Point,
     angle_of,
@@ -270,29 +271,61 @@ def _straight_step(me: Point, target: Point, others: Sequence[Point]) -> Point:
     return me
 
 
+def _seats_and_vacancy(
+    points: Sequence[Point], targets: Sequence[Point], sec: Circle
+) -> Optional[tuple[list[Optional[int]], list[bool]]]:
+    """Each robot's seat and whether each target is vacant, or None as soon
+    as points[0] turns out to be seated (that robot stays, nothing else counts).
+
+    Target i sits at angle pi/2 - 2*pi*i/n on the SEC of radius R; `u` is a
+    robot's angle in those target steps. A robot's seat is the target within
+    SETTLE_TOL of it: targets lie more than 3 apart, so only the one nearest
+    in angle can be. A robot within the vacancy reach d of a target lies
+    within asin(d/R) of its angle (anywhere when d >= R), so
+    `is_vacant_target` sees only the robots whose window of that half-width
+    holds the target. floor and ceil round the window outward, and one more
+    target on each side is a margin for the rounding of atan2 and asin.
+    Every test is the exact one of a scan of all targets.
+    """
+    n = len(targets)
+    step = 2.0 * math.pi / n
+    reach = VACANCY_CLEARANCE + EPS
+    half = math.asin(reach / sec.radius) / step if reach < sec.radius else float(n)
+    cx, cy = sec.center.x, sec.center.y
+    near: list[list[Point]] = [[] for _ in targets]
+    seats: list[Optional[int]] = []
+    for k, p in enumerate(points):
+        u = (math.pi / 2.0 - math.atan2(p.y - cy, p.x - cx)) / step
+        seat: Optional[int] = round(u) % n
+        if dist(p, targets[seat]) > SETTLE_TOL:
+            seat = None
+        elif k == 0:
+            return None
+        seats.append(seat)
+        lo, hi = math.floor(u - half) - 1, math.ceil(u + half) + 1
+        for i in range(n) if hi - lo + 1 >= n else [j % n for j in range(lo, hi + 1)]:
+            near[i].append(p)
+    return seats, [is_vacant_target(t, near[i]) for i, t in enumerate(targets)]
+
+
 def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Action:
     """Move robots onto the n targets of the snapshot's SEC `sec`, top vacant first."""
     points = _all_points(snapshot)
     me = snapshot.self_pos
     targets = compute_target_points(params.n, sec)
-    # A robot's seat is the target it stands on; targets lie more than 3
-    # apart, so it has at most one. `me` comes first: seated, it stays.
-    movers: list[Point] = []
-    seats: set[int] = set()
-    for p in points:
-        seat = next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None)
-        if seat is None:
-            movers.append(p)
-        elif p is me:
-            return Action("stay", tag=TAG_FORM)
-        else:
-            seats.add(seat)
+    # `me` comes first in `points`: seated, it stays.
+    found = _seats_and_vacancy(points, targets, sec)
+    if found is None:
+        return Action("stay", tag=TAG_FORM)
+    seats, is_vacant = found
+    movers = [p for p, seat in zip(points, seats) if seat is None]
+    taken = set(seats)
     vacant: list[Point] = []
     crowded: list[Point] = []
     for i, t in enumerate(targets):
-        if is_vacant_target(t, points):
+        if is_vacant[i]:
             vacant.append(t)
-        elif i not in seats:
+        elif i not in taken:
             crowded.append(t)
     # Highest vacant target first, crowded ones after, cascading downward so
     # that a contested or blocked candidate never stalls the whole formation.

@@ -215,11 +215,27 @@ def _check_action(action: Action) -> None:
         raise InvalidActionFault(f"non-finite move destination {action.dest}")
 
 
-def _look(world: WorldState, i: int, algorithm, t: float, cycle: int, events: list) -> Action:
+def _decisions(world: WorldState, algorithm: Callable[[Snapshot], Action]) -> Callable[[int], Action]:
+    """`decide(i)`: robot i's decision in the static `world`, made the first
+    time it is asked. Algorithms are pure functions of the snapshot, so a
+    robot asked twice in the same world decides the same; each robot is
+    snapshotted once, and mirror twins with equal snapshots decide apart."""
+    made: list[Optional[Action]] = [None] * len(world.robots)
+
+    def decide(i: int) -> Action:
+        action = made[i]
+        if action is None:
+            action = made[i] = algorithm(take_snapshot(world, i))
+        return action
+
+    return decide
+
+
+def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
     """Robot i looks and decides at clock t. Its wait, look and compute events
     are appended only once the action is valid (else InvalidActionFault)."""
     pos = world.positions[i]
-    action = algorithm(take_snapshot(world, i))
+    action = decide(i)
     _check_action(action)
     events.append(TraceEvent(t, cycle, i, "wait", pos))
     events.append(TraceEvent(t, cycle, i, "look", pos))
@@ -242,11 +258,15 @@ def execute_cycle(
     active: Sequence[int],
     algorithm: Callable[[Snapshot], Action],
     cycle: int = 0,
+    decide: Optional[Callable[[int], Action]] = None,
 ) -> tuple[WorldState, list[TraceEvent], float]:
     """One FSYNC/SSYNC round: active robots look together, then move together.
 
-    Returns (new world, trace events, min pairwise separation of the round).
-    Raises CollisionFault when concurrent motions come closer than two units.
+    `decide` is the round's table of decisions of `world` (see `_decisions`),
+    when the caller has already asked some robots; by default it is a fresh
+    one over `algorithm`. Returns (new world, trace events, min pairwise
+    separation of the round). Raises CollisionFault when concurrent motions
+    come closer than two units.
     """
     robots, positions = world.robots, world.positions
     n = len(robots)
@@ -254,9 +274,11 @@ def execute_cycle(
         if not 0 <= rid < n:
             raise KeyError(f"activation of unknown robot handle {rid}")
 
+    if decide is None:
+        decide = _decisions(world, algorithm)
     t0 = world.clock
     events: list[TraceEvent] = []
-    decisions = {rid: _look(world, rid, algorithm, t0, cycle, events) for rid in sorted(active)}
+    decisions = {rid: _look(world, rid, decide, t0, cycle, events) for rid in sorted(active)}
     moves: dict[int, Point] = {}
     for rid, action in decisions.items():
         dest = _destination(world, rid, action)
@@ -305,29 +327,9 @@ def execute_cycle(
 # ---------------------------------------------------------------------------
 
 
-def _memoized(algorithm: Callable[[Snapshot], Action]) -> Callable[[Snapshot], Action]:
-    """The algorithm with its decisions remembered, for one static world.
-
-    Algorithms are pure functions of the snapshot, so a robot looked at
-    twice in the same world decides the same. The key carries the sign of
-    the observer's own x: mirror twins in y-only frames can see equal
-    snapshots that differ only in the sign of their zeros.
-    """
-    memo: dict[tuple[Snapshot, float], Action] = {}
-
-    def decide(snap: Snapshot) -> Action:
-        key = (snap, math.copysign(1.0, snap.self_pos.x))
-        action = memo.get(key)
-        if action is None:
-            action = memo[key] = algorithm(snap)
-        return action
-
-    return decide
-
-
 def _all_would_stay(
     world: WorldState,
-    algorithm: Callable[[Snapshot], Action],
+    decide: Callable[[int], Action],
     first: Sequence[int] = (),
 ) -> bool:
     """True when no robot would move. Robots in `first` are asked first.
@@ -337,14 +339,14 @@ def _all_would_stay(
     """
     ahead = set(first)
     for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
-        if _destination(world, i, algorithm(take_snapshot(world, i))) is not None:
+        if _destination(world, i, decide(i)) is not None:
             return False
     return True
 
 
 def _verdict(
     world: WorldState,
-    algorithm: Callable[[Snapshot], Action],
+    decide: Callable[[int], Action],
     termination: Callable[[WorldState], bool],
     first: Sequence[int] = (),
 ) -> Optional[tuple[str, str]]:
@@ -356,9 +358,9 @@ def _verdict(
     """
     if termination(world):
         return OUTCOME_CONVERGED, ""
-    if not _all_would_stay(world, algorithm, first):
+    if not _all_would_stay(world, decide, first):
         return None
-    decided = {algorithm(take_snapshot(world, i)).tag for i in range(len(world.robots))}
+    decided = {decide(i).tag for i in range(len(world.robots))}
     tags = sorted(decided - {""})
     return OUTCOME_STALL, ",".join(tags) or "fixed-point"
 
@@ -387,16 +389,16 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
     min_sep = min_pairwise_distance(world.positions)
     n = len(world.robots)
     for cycle in range(max_cycles):
-        # One decision per robot per round: the stall check, its diagnosis
-        # and the round itself share them.
-        decide = _memoized(algorithm)
+        # One snapshot and one decision per robot per round: the stall
+        # check, its diagnosis and the round itself share them.
+        decide = _decisions(world, algorithm)
         active = next_activation(schedule, n, cycle)
         verdict = _verdict(world, decide, termination, active)
         if verdict is not None:
             outcome, diagnosis = verdict
             return outcome, world, cycle, min_sep, diagnosis
         try:
-            world, evs, sep = execute_cycle(world, active, decide, cycle)
+            world, evs, sep = execute_cycle(world, active, algorithm, cycle, decide)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
@@ -487,7 +489,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 looks += 1
                 cycle = (looks - 1) // n
                 view = world_at(t)
-                action = _look(view, rid, algorithm, t, cycle, events)
+                action = _look(view, rid, _decisions(view, algorithm), t, cycle, events)
                 dest = _destination(view, rid, action)
                 start = t + delay()
                 if dest is None:
@@ -504,7 +506,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
             if quiescent:
                 w = world_at(t)
                 # One decision per robot: the stall check and its tags share it.
-                verdict = _verdict(w, _memoized(algorithm), termination)
+                verdict = _verdict(w, _decisions(w, algorithm), termination)
                 if verdict is not None:
                     outcome, diagnosis = verdict
                     return outcome, w, (looks + n - 1) // n, min_sep, diagnosis

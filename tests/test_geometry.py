@@ -267,3 +267,66 @@ def test_sec_encloses_and_matches_oracle(raw):
     slow = smallest_enclosing_circle_bruteforce(pts)
     assert abs(c.radius - slow.radius) <= 1e-6 * (1.0 + c.radius)
 
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pin of the incremental SEC
+# ---------------------------------------------------------------------------
+
+
+def _sec_corpus():
+    """About 2 000 seeded point sets of 1..25 points, eight kinds per size:
+    random, with duplicates, collinear, regular polygons (near and far
+    from the origin), random near 1e6, small integer grids, and robot-like
+    discs."""
+    rng = random.Random(20_512)
+    sets = []
+    for n in range(1, 26):
+        for k in range(80):
+            kind = k % 8
+            if kind == 0:
+                pts = [P(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(n)]
+            elif kind == 1:
+                pool = [P(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(max(1, n // 2))]
+                pts = [rng.choice(pool) for _ in range(n)]
+            elif kind == 2:
+                a = P(rng.uniform(-50, 50), rng.uniform(-50, 50))
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                u = P(math.cos(ang), math.sin(ang))
+                pts = [a + u.scaled(rng.uniform(-30, 30)) for _ in range(n)]
+            elif kind in (3, 4):
+                off = 1e6 if kind == 4 else 0.0
+                c = P(off + rng.uniform(-10, 10), off + rng.uniform(-10, 10))
+                r, phase = rng.uniform(1, 40), rng.uniform(0.0, 2.0 * math.pi)
+                pts = [
+                    P(c.x + r * math.cos(phase + 2 * math.pi * i / n), c.y + r * math.sin(phase + 2 * math.pi * i / n))
+                    for i in range(n)
+                ]
+            elif kind == 5:
+                pts = [P(1e6 + rng.uniform(-50, 50), -1e6 + rng.uniform(-50, 50)) for _ in range(n)]
+            elif kind == 6:
+                pts = [P(float(rng.randint(-5, 5)), float(rng.randint(-5, 5))) for _ in range(n)]
+            else:
+                pts = []
+                for _ in range(n):
+                    r, ang = 3.0 * n * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+                    pts.append(P(r * math.cos(ang), r * math.sin(ang)))
+            sets.append(pts)
+    return sets
+
+
+# Recorded before the SEC was rewritten on plain floats: any change in a
+# centre or radius bit, on any of these sets, changes the digest.
+SEC_CORPUS_SHA256 = "d04e2c8db66dc2fecfae75a38d8410484fc0266de345e4585906aa88c223516f"
+
+
+def test_sec_bits_are_pinned():
+    import hashlib
+
+    h = hashlib.sha256()
+    corpus = _sec_corpus()
+    assert len(corpus) == 2000
+    for pts in corpus:
+        c = smallest_enclosing_circle(pts)
+        h.update(f"{c.center.x.hex()} {c.center.y.hex()} {c.radius.hex()}\n".encode())
+    assert h.hexdigest() == SEC_CORPUS_SHA256

@@ -5,10 +5,20 @@ import random
 
 import pytest
 
-from ucircle.geometry import Circle, Point, dist, smallest_enclosing_circle
+from ucircle.geometry import (
+    EPS,
+    VACANCY_CLEARANCE,
+    Circle,
+    Point,
+    dist,
+    is_vacant_target,
+    smallest_enclosing_circle,
+)
 from ucircle.global_form import (
+    SETTLE_TOL,
     GlobalParams,
     _expansion_move,
+    _seats_and_vacancy,
     compute_radius,
     compute_target_points,
     detect_symmetry,
@@ -271,6 +281,80 @@ class TestFormUcircle:
         assert action.tag in ("expand", "no-leader")
         action = global_step(snap(P(0, r), [P(r, 0), P(0, -r), P(-1, 0)]), params)
         assert action.tag == "form"
+
+
+def window_probes(n, a, offset):
+    """(sec, targets, probes) for n targets at chord a: points placed where
+    an angular window of the targets could miss one. Around each target: on it, just inside and just
+    outside SETTLE_TOL, just inside and just outside the vacancy reach in
+    many directions, and at the two tangent points of the reach seen from
+    the centre. Between targets: midway along the SEC and 2 units off it.
+    Plus the centre and random points over the whole disc."""
+    rng = random.Random(n * 1000 + int(a * 10))
+    c = P(offset + 0.37, offset - 1.3)
+    sec = Circle(c, a / (2.0 * math.sin(math.pi / n)))
+    targets = compute_target_points(n, sec)
+    reach = VACANCY_CLEARANCE + EPS
+    probes = [c]
+    for i, t in enumerate(targets):
+        probes.append(t)
+        for k in range(8):
+            phi = 0.1 + 2.0 * math.pi * k / 8
+            u = P(math.cos(phi), math.sin(phi))
+            probes += [t + u.scaled(r) for r in (0.9 * SETTLE_TOL, 1.1 * SETTLE_TOL)]
+            probes += [t + u.scaled(r) for r in (reach - 1e-12, reach + 1e-12)]
+        if reach < sec.radius:
+            theta = math.atan2(t.y - c.y, t.x - c.x)
+            tangent = math.sqrt(sec.radius**2 - reach**2)
+            for side in (-1.0, 1.0):
+                ang = theta + side * math.asin(reach / sec.radius)
+                for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+                    probes.append(P(c.x + scale * tangent * math.cos(ang), c.y + scale * tangent * math.sin(ang)))
+        mid = math.pi / 2.0 - 2.0 * math.pi * (i + 0.5) / n
+        probes += [Circle(c, max(0.0, sec.radius + dr)).point_at_angle(mid) for dr in (-2.0, 0.0, 2.0)]
+    for _ in range(60):
+        r, ang = (sec.radius + 4.0) * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+        probes.append(P(c.x + r * math.cos(ang), c.y + r * math.sin(ang)))
+    return sec, targets, probes
+
+
+class TestSeatsAndVacancy:
+    """The angular windows give the same seats and vacancies as testing
+    every robot against every target."""
+
+    @staticmethod
+    def brute(points, targets):
+        seats = [next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None) for p in points]
+        return seats, [is_vacant_target(t, points) for t in targets]
+
+    # Chords of 3.0001, 3.5 and 5 are the formation's; at chord 1 the targets
+    # are packed closer than the clearance, so a robot reaches more than
+    # two targets either side of its angle and only asin(d/R) finds them.
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 20, 32])
+    @pytest.mark.parametrize("a", [1.0, 3.0001, 3.5, 5.0])
+    def test_matches_the_scan_of_every_target(self, n, a):
+        for offset in (0.0, 1e6) if n in (6, 20) else (0.0,):
+            sec, targets, probes = window_probes(n, a, offset)
+            # Reaches no target, so each probe alone decides the vacancies.
+            far = P(sec.center.x, sec.center.y - sec.radius - 50.0)
+            for p in probes:
+                seats, vacant = self.brute([p], targets)
+                got = _seats_and_vacancy([p], targets, sec)
+                assert got == (None if seats[0] is not None else (seats, vacant)), p
+                assert _seats_and_vacancy([far, p], targets, sec) == self.brute([far, p], targets), p
+            rng = random.Random(n)
+            for _ in range(20):
+                points = [far, *rng.sample(probes, min(len(probes), 2 * n))]
+                assert _seats_and_vacancy(points, targets, sec) == self.brute(points, targets)
+
+    def test_window_probes_reach_the_edges(self):
+        # The probes sit on both sides of each threshold, so the comparison
+        # above sees seated and unseated, reached and unreached robots.
+        sec, targets, probes = window_probes(12, 3.0001, 0.0)
+        near = [min(dist(p, t) for t in targets) for p in probes]
+        reach = VACANCY_CLEARANCE + EPS
+        assert any(d <= SETTLE_TOL for d in near) and any(SETTLE_TOL < d < 2e-7 for d in near)
+        assert any(reach - 2e-12 < d <= reach for d in near) and any(reach < d < reach + 2e-12 for d in near)
 
 
 class TestIsFormed:

@@ -661,6 +661,41 @@ class TestCli:
         assert "--jobs: must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_global_under_async_warns_once_and_changes_nothing(self, tmp_path, capsys):
+        raw = base_global(seed=5, scheduler="ASYNC")
+        trace, summary = run_scenario(parse_config(raw))
+        assert capsys.readouterr().err == ""  # the library stays silent
+        cfg = self.write_config(tmp_path, raw)
+        out_trace, out_summary = tmp_path / "t.jsonl", tmp_path / "s.json"
+        code = main(["run", "--config", cfg, "--trace", str(out_trace), "--summary", str(out_summary)])
+        assert code == exit_code_for(trace)
+        printed = capsys.readouterr()
+        err = printed.err.splitlines()
+        assert len(err) == 1 and "ASYNC" in err[0] and "SSYNC" in err[0]
+        assert printed.out == summary.to_json_line() + "\n"
+        assert out_trace.read_text() == trace.to_jsonl()
+        assert out_summary.read_text() == summary.to_json_line() + "\n"
+        for scheduler in ("SSYNC", "FSYNC"):
+            cfg = self.write_config(tmp_path, base_global(seed=5, scheduler=scheduler))
+            assert main(["run", "--config", cfg]) == 0
+            assert capsys.readouterr().err == ""
+        cfg = self.write_config(tmp_path, base_local(seed=5))
+        assert main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_warns_for_global_under_async(self, tmp_path, capsys, jobs):
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text(json.dumps(base_global(seed=5, scheduler="ASYNC")))
+        (confs / "b.json").write_text(json.dumps(base_global(seed=5)))
+        code = main(["batch", "--configs", str(confs), "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert code == 0
+        printed = capsys.readouterr()
+        assert printed.out == "a: converged\nb: converged\n"
+        err = printed.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("a: warning:") and "ASYNC" in err[0]
+
     def test_batch_empty_dir(self, tmp_path, capsys):
         confs = tmp_path / "confs"
         confs.mkdir()

@@ -376,6 +376,20 @@ class TestComputeOnce:
         assert trace.cycles_used > 1
         assert algo.calls <= len(w.robots) * trace.cycles_used
 
+    def test_sync_round_snapshots_each_robot_once(self, monkeypatch):
+        # The stall check, its diagnosis and the round share one snapshot
+        # and one decision per robot, so snapshots and decisions match.
+        import ucircle.simcore as simcore
+
+        snapshots = Counted(simcore.take_snapshot)
+        monkeypatch.setattr(simcore, "take_snapshot", snapshots)
+        w = make_world([P(0, 0), P(5, 4), P(-3, 8), P(9, -6)])
+        algo = Counted(step_to_x(1.0))
+        trace = run(w, algo, Schedule("SSYNC", seed=3, fairness_bound=2), all_at_x(1.0), max_cycles=50)
+        assert trace.outcome == OUTCOME_CONVERGED
+        assert trace.cycles_used > 1
+        assert snapshots.calls == algo.calls
+
     def test_stall_diagnosis_reuses_the_stall_check(self):
         w = make_world([P(0, 0), P(9, 0), P(0, 9)])
         algo = Counted(lambda snap: Action("stay", tag=f"x{snap.self_pos.x:g}"))
