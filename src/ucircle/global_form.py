@@ -16,6 +16,7 @@ stay oblivious and anonymous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -82,11 +83,19 @@ def compute_radius(a: float, n: int) -> float:
     return a / (2.0 * math.sin(math.pi / n))
 
 
+@functools.cache
+def _target_directions(n: int) -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of each target's angle on a circle of n targets."""
+    angles = (math.pi / 2.0 - 2.0 * math.pi * i / n for i in range(n))
+    return tuple((math.cos(a), math.sin(a)) for a in angles)
+
+
 def compute_target_points(n: int, sec: Circle) -> tuple[Point, ...]:
-    """n equally spaced points on sec, the first at the top (max Y)."""
-    return tuple(
-        sec.point_at_angle(math.pi / 2.0 - 2.0 * math.pi * i / n) for i in range(n)
-    )
+    """n equally spaced points on sec, the first at the top (max Y).
+
+    Each is `sec.point_at_angle(pi/2 - 2*pi*i/n)`, bit for bit."""
+    cx, cy, r = sec.center.x, sec.center.y, sec.radius
+    return tuple(Point(cx + r * c, cy + r * s) for c, s in _target_directions(n))
 
 
 def _mirror_x(p: Point, axis_x: float) -> Point:

@@ -7,6 +7,11 @@ append-only trace. Both loops share one look path (`_look`), one move rule
 (`_destination`) and one ending path: each returns how the run ended and
 `run` builds the Trace. An invalid move is a fault under every scheduler.
 
+An algorithm must be a pure function of its Snapshot, and a termination
+test a function of the positions: the engine keeps one decision table per
+static world (`_decisions`) and reuses it, and a sync round its verdict, for
+as long as every robot stands on the same Point object.
+
 A robot's handle is its index into `WorldState.robots` (what it is:
 visibility and frame, fixed for the run) and `WorldState.positions` (where
 it is, the only thing a cycle changes); only the trace records it.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -154,13 +160,6 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
-def _to_local(observer: Robot, at: Point, p: Point) -> Point:
-    """World point `p` in the frame of `observer` standing at `at`."""
-    if observer.frame == FRAME_FULL_AXES:
-        return p
-    return Point((p.x - at.x) * observer.chirality, p.y - at.y)
-
-
 def _to_world(observer: Robot, at: Point, local: Point) -> Point:
     """Local point of `observer` standing at `at`, in world coordinates."""
     if observer.frame == FRAME_FULL_AXES:
@@ -171,12 +170,18 @@ def _to_world(observer: Robot, at: Point, local: Point) -> Point:
 def take_snapshot(world: WorldState, i: int) -> Snapshot:
     obs = world.robots[i]
     at = world.positions[i]
-    others = tuple(
-        _to_local(obs, at, p)
-        for j, p in enumerate(world.positions)
-        if j != i and dist(p, at) <= obs.vis_radius + EPS
-    )
-    return Snapshot(self_pos=_to_local(obs, at, at), others=others, vis_radius=obs.vis_radius)
+    vis = obs.vis_radius
+    if vis == math.inf:
+        seen = world.positions[:i] + world.positions[i + 1 :]
+    else:
+        seen = tuple(p for j, p in enumerate(world.positions) if j != i and dist(p, at) <= vis + EPS)
+    if obs.frame == FRAME_FULL_AXES:
+        return Snapshot(self_pos=at, others=seen, vis_radius=vis)
+    # A y-only robot sees each point relative to itself, X mirrored when its
+    # chirality is -1; its own position is the origin, zeros signed so.
+    ax, ay, chi = at.x, at.y, obs.chirality
+    others = tuple(Point((p.x - ax) * chi, p.y - ay) for p in seen)
+    return Snapshot(self_pos=Point((ax - ax) * chi, ay - ay), others=others, vis_radius=vis)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +220,44 @@ def _check_action(action: Action) -> None:
         raise InvalidActionFault(f"non-finite move destination {action.dest}")
 
 
-def _decisions(world: WorldState, algorithm: Callable[[Snapshot], Action]) -> Callable[[int], Action]:
-    """`decide(i)`: robot i's decision in the static `world`, made the first
-    time it is asked. Algorithms are pure functions of the snapshot, so a
-    robot asked twice in the same world decides the same; each robot is
-    snapshotted once, and mirror twins with equal snapshots decide apart."""
-    made: list[Optional[Action]] = [None] * len(world.robots)
+class _Decisions:
+    """The decision table of one static world: `table(i)` is robot i's
+    decision in `world`, made the first time it is asked. Each robot is
+    snapshotted once, and mirror twins with equal snapshots decide apart,
+    since each robot has its own entry."""
 
-    def decide(i: int) -> Action:
-        action = made[i]
+    __slots__ = ("world", "algorithm", "made")
+
+    def __init__(self, world: WorldState, algorithm: Callable[[Snapshot], Action]):
+        self.world = world
+        self.algorithm = algorithm
+        self.made: list[Optional[Action]] = [None] * len(world.robots)
+
+    def __call__(self, i: int) -> Action:
+        action = self.made[i]
         if action is None:
-            action = made[i] = algorithm(take_snapshot(world, i))
+            action = self.made[i] = self.algorithm(take_snapshot(self.world, i))
         return action
 
-    return decide
+
+def _decisions(
+    world: WorldState, algorithm: Callable[[Snapshot], Action], last: Optional[_Decisions] = None
+) -> _Decisions:
+    """The decision table of `world`: `last` while every robot still stands
+    on the same Point object as in its world, else a fresh one.
+
+    Algorithms must be pure functions of the Snapshot, which carries no
+    clock; Points are immutable, so the same Points give the same snapshots
+    and the same decisions, whatever the clock. The test is identity, not
+    equality: 0.0 == -0.0, yet a robot can see the sign of a zero.
+    """
+    if (
+        last is not None
+        and last.world.robots is world.robots
+        and all(map(operator.is_, world.positions, last.world.positions))
+    ):
+        return last
+    return _Decisions(world, algorithm)
 
 
 def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
@@ -375,7 +404,9 @@ def run(
     """Run the scheduler loop until convergence, stall, fault, or budget.
 
     Both loops append to `events` and return how the run ended: (outcome,
-    final world, cycles used, minimum separation, diagnosis).
+    final world, cycles used, minimum separation, diagnosis). `algorithm`
+    must be a pure function of its Snapshot and `termination` a function of
+    the positions, since both are asked once per static world.
     """
     if max_cycles < 1:
         raise ValueError("max_cycles must be >= 1")
@@ -388,15 +419,18 @@ def run(
 def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
     min_sep = min_pairwise_distance(world.positions)
     n = len(world.robots)
+    decide = None
     for cycle in range(max_cycles):
-        # One snapshot and one decision per robot per round: the stall
-        # check, its diagnosis and the round itself share them.
-        decide = _decisions(world, algorithm)
+        # One snapshot and one decision per robot per static world: the
+        # stall check, its diagnosis and every round until someone moves
+        # share them. A carried table's world has had its verdict (None).
         active = next_activation(schedule, n, cycle)
-        verdict = _verdict(world, decide, termination, active)
-        if verdict is not None:
-            outcome, diagnosis = verdict
-            return outcome, world, cycle, min_sep, diagnosis
+        last, decide = decide, _decisions(world, algorithm, decide)
+        if decide is not last:
+            verdict = _verdict(world, decide, termination, active)
+            if verdict is not None:
+                outcome, diagnosis = verdict
+                return outcome, world, cycle, min_sep, diagnosis
         try:
             world, evs, sep = execute_cycle(world, active, algorithm, cycle, decide)
         except SimulationFault as exc:
@@ -453,6 +487,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     heap = [(world.clock + delay(), rid, "look") for rid in range(n)]
     heapq.heapify(heap)
     looks = 0
+    table = None  # the decisions of the last static world looked at
     try:
         while True:
             t, rid, kind = heapq.heappop(heap)
@@ -489,7 +524,8 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 looks += 1
                 cycle = (looks - 1) // n
                 view = world_at(t)
-                action = _look(view, rid, _decisions(view, algorithm), t, cycle, events)
+                table = _decisions(view, algorithm, table)
+                action = _look(view, rid, table, t, cycle, events)
                 dest = _destination(view, rid, action)
                 start = t + delay()
                 if dest is None:
@@ -505,8 +541,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 quiescent = looks == 1 and dest is None
             if quiescent:
                 w = world_at(t)
-                # One decision per robot: the stall check and its tags share it.
-                verdict = _verdict(w, _decisions(w, algorithm), termination)
+                # One decision per robot: the stall check, its tags and the
+                # looks until a robot leaves its position share it.
+                table = _decisions(w, algorithm, table)
+                verdict = _verdict(w, table, termination)
                 if verdict is not None:
                     outcome, diagnosis = verdict
                     return outcome, w, (looks + n - 1) // n, min_sep, diagnosis

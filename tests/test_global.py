@@ -123,6 +123,14 @@ class TestTargetPoints:
         for p in ts:
             assert close(dist(p, c.center), 4.0, 1e-12)
 
+    @pytest.mark.parametrize("center", [P(0.0, 0.0), P(-3.7, -3.7), P(1e6 + 0.3, -1e6 - 0.7)])
+    def test_bits_match_point_at_angle(self, center):
+        for n in range(2, 65):
+            sec = Circle(center, 1.5 / math.sin(math.pi / n) + 0.01 * n)
+            want = [sec.point_at_angle(math.pi / 2.0 - 2.0 * math.pi * i / n) for i in range(n)]
+            got = compute_target_points(n, sec)
+            assert [(p.x.hex(), p.y.hex()) for p in got] == [(p.x.hex(), p.y.hex()) for p in want]
+
     def test_first_point_is_topmost(self):
         ts = compute_target_points(5, Circle(P(0, 0), 2.0))
         assert ts[0].y == max(p.y for p in ts)

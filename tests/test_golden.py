@@ -58,6 +58,12 @@ CORPUS = {
         _global(11, 3.5, "SSYNC", 2),
         "ed59ce14d65b9f5b3e1c3a3e01c1fc916daa1ea98d41f0fa570e96a3ed7402e9",
     ),
+    # Rounds 6-8 move nobody: the only robot that would move sits them out,
+    # so the engine carries one world's decisions across rounds.
+    "global-ssync-idle": (
+        _global(5, 4.0, "SSYNC", 3, fairness_bound=4),
+        "c8c6c094a2f2832d0a58fe0b013325012729c06b86a1c4b0c20837ca6f9cf3cb",
+    ),
     "global-ssync-livelock-budget": (
         _global(6, 5.0, "SSYNC", 49, max_cycles=120),
         "bf31fa6b0c6d7f5ca7b557e90661ae17c27aa1c7acd932111bd5446d9b3875c0",

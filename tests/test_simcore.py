@@ -2,10 +2,11 @@
 
 import json
 import math
+import random
 
 import pytest
 
-from ucircle.geometry import Point, dist
+from ucircle.geometry import EPS, MotionSegment, Point, dist
 from ucircle.harness import (
     curated_local_configs,
     curated_placement,
@@ -28,6 +29,7 @@ from ucircle.simcore import (
     Snapshot,
     TraceEvent,
     WorldState,
+    _decisions,
     execute_cycle,
     move_to,
     next_activation,
@@ -45,6 +47,28 @@ def make_world(positions, **kw):
 # ---------------------------------------------------------------------------
 # Snapshots and frames
 # ---------------------------------------------------------------------------
+
+
+def reference_snapshot(world, i):
+    """A snapshot by its definition: every robot within vis + EPS, through
+    the observer's frame."""
+    obs, at = world.robots[i], world.positions[i]
+
+    def to_local(p):
+        if obs.frame == FRAME_FULL_AXES:
+            return p
+        return Point((p.x - at.x) * obs.chirality, p.y - at.y)
+
+    others = tuple(
+        to_local(p)
+        for j, p in enumerate(world.positions)
+        if j != i and dist(p, at) <= obs.vis_radius + EPS
+    )
+    return Snapshot(to_local(at), others, obs.vis_radius)
+
+
+def snapshot_bits(snap):
+    return [(p.x.hex(), p.y.hex()) for p in (snap.self_pos, *snap.others)], snap.vis_radius
 
 
 class TestSnapshots:
@@ -73,6 +97,25 @@ class TestSnapshots:
     def test_visibility_boundary_inclusive(self):
         w = make_world([P(0, 0), P(5, 0)], vis_radius=5.0)
         assert take_snapshot(w, 0).others == (P(5, 0),)
+
+    @pytest.mark.parametrize("vis", [math.inf, 7.5])
+    @pytest.mark.parametrize("frame", [FRAME_FULL_AXES, FRAME_Y_ONLY])
+    @pytest.mark.parametrize("chirality", [1, -1])
+    def test_bits_match_the_frame_definition(self, vis, frame, chirality):
+        # Random worlds, zeros of both signs, and points at exactly vis + EPS
+        # from the observer and one float beyond it.
+        rng = random.Random(f"{vis}:{frame}:{chirality}")
+        edge = 7.5 + EPS
+        for trial in range(40):
+            at = P(rng.choice([0.0, -0.0, rng.uniform(-9, 9)]), rng.choice([0.0, -0.0, 3.25]))
+            points = [at, P(at.x + edge, at.y), P(at.x, at.y - math.nextafter(edge, 99.0))]
+            points += [P(at.x, -0.0), P(-0.0, at.y), P(0.0, 0.0)]
+            points += [P(rng.uniform(-12, 12), rng.uniform(-12, 12)) for _ in range(trial % 9)]
+            rng.shuffle(points)
+            robots = tuple(Robot(vis, chirality, frame) for _ in points)
+            w = WorldState(robots, tuple(points))
+            for i in range(len(points)):
+                assert snapshot_bits(take_snapshot(w, i)) == snapshot_bits(reference_snapshot(w, i))
 
     def test_move_dest_interpreted_in_local_frame(self):
         # A mirrored y-only robot asking to move to local (1, 0) must move
@@ -457,8 +500,71 @@ class TestComputeOnce:
         algo = Counted(lambda snap: Action("stay", tag="blocked"))
         trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
-        looks = sum(1 for e in trace.events if e.phase == "look")
-        assert algo.calls == looks + len(w.robots)
+        # The first look's decision is reused by the verdict, which asks
+        # only the robots that have not looked yet.
+        assert algo.calls == len(w.robots)
+
+    def test_sync_rounds_without_a_move_reuse_the_decisions(self, monkeypatch):
+        # Only the last robot moves, and it sits out some rounds: those
+        # rounds move nobody, so they reuse the decisions of their world.
+        import ucircle.simcore as simcore
+
+        snapshots = Counted(simcore.take_snapshot)
+        monkeypatch.setattr(simcore, "take_snapshot", snapshots)
+        w = make_world([P(1, 0), P(1, 4), P(1, 8), P(1, 12), P(1, 16), P(-19, 20)])
+        algo = Counted(step_to_x(1.0))
+        sched = Schedule("SSYNC", seed=2, fairness_bound=4)
+        trace = run(w, algo, sched, all_at_x(1.0), max_cycles=100)
+        assert trace.outcome == OUTCOME_CONVERGED
+        moving = {e.cycle for e in trace.events if e.phase == "move"}
+        assert trace.cycles_used - len(moving) >= 3
+        assert algo.calls <= len(w.robots) * (len(moving) + 1)
+        assert snapshots.calls == algo.calls
+
+    def test_async_look_after_an_arrival_decides_afresh(self):
+        # Robot 0 walks to x=1 in steps while the others, parked there, keep
+        # looking. Each decision is tagged with where robot 0 stands in its
+        # snapshot, which must be where it stands at that look.
+        def algo(snap: Snapshot):
+            walker = next(p for p in (snap.self_pos, *snap.others) if p.y == 0)
+            action = step_to_x(1.0)(snap)
+            return Action(action.kind, action.dest, tag=f"{walker.x:.17g}")
+
+        counted = Counted(algo)
+        w = make_world([P(-19, 0), P(1, 5), P(1, 10), P(1, 15)])
+        trace = run(w, counted, Schedule("ASYNC", seed=3, fairness_bound=2), all_at_x(1.0), 400)
+        assert trace.outcome == OUTCOME_CONVERGED
+        walks = [
+            MotionSegment(e.pos, e.dest, e.clock, e.clock + dist(e.pos, e.dest))
+            for e in trace.events
+            if e.phase == "move"
+        ]
+        assert len(walks) == 10 and {e.robot for e in trace.events if e.phase == "move"} == {0}
+
+        def walker_at(t):
+            started = [seg for seg in walks if seg.t0 <= t]
+            return started[-1].position_at(t) if started else w.positions[0]
+
+        computes = [e for e in trace.events if e.phase == "compute"]
+        for e in computes:
+            assert e.tag == f"{walker_at(e.clock).x:.17g}", e
+        # Looks with nobody in motion shared decisions.
+        assert counted.calls < len(computes)
+
+    def test_a_table_holds_only_for_the_same_points(self):
+        # Equal points are not enough: 0.0 == -0.0, yet robot 1 sees the
+        # sign of robot 0's x.
+        algo = lambda snap: Action("stay", tag=str(snap.others))  # noqa: E731
+        robots = (Robot(), Robot())
+        w = WorldState(robots, (P(0.0, 0.0), P(5.0, 0.0)))
+        table = _decisions(w, algo)
+        later = WorldState(robots, w.positions, clock=3.0)
+        assert _decisions(later, algo, table) is table
+        flipped = WorldState(robots, (P(-0.0, 0.0), w.positions[1]))
+        assert flipped.positions == w.positions
+        fresh = _decisions(flipped, algo, table)
+        assert fresh is not table
+        assert fresh(1).tag != table(1).tag
 
     def test_mirror_twins_decide_apart(self):
         # Mirrored y-only twins see equal snapshots whose zeros differ in
