@@ -4,6 +4,7 @@ from .geometry import (
     Circle,
     MotionSegment,
     Point,
+    compute_target_points,
     is_free_path,
     is_vacant_target,
     min_separation_during_motion,
@@ -13,7 +14,6 @@ from .geometry import (
 from .global_form import (
     GlobalParams,
     compute_radius,
-    compute_target_points,
     detect_symmetry,
     form_ucircle,
     global_step,

@@ -2,7 +2,8 @@
 
 Robots are closed unit discs identified by their centers, so clearance
 thresholds below combine a region radius with the unit body radius.
-All predicates share the single tolerance EPS.
+All predicates share the single tolerance EPS. The target layout of the
+uniform circle, shared by both algorithms, lives here too.
 """
 
 from __future__ import annotations
@@ -122,6 +123,47 @@ class MotionSegment:
             self.start.x + f * (self.end.x - self.start.x),
             self.start.y + f * (self.end.y - self.start.y),
         )
+
+
+# ---------------------------------------------------------------------------
+# Target layout of the uniform circle
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _target_directions(n: int) -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of each target's angle on a circle of n targets."""
+    angles = (math.pi / 2.0 - 2.0 * math.pi * i / n for i in range(n))
+    return tuple((math.cos(a), math.sin(a)) for a in angles)
+
+
+def compute_target_points(n: int, circle: Circle) -> tuple[Point, ...]:
+    """n equally spaced points on circle, the first at the top (max Y).
+
+    Each is `circle.point_at_angle(pi/2 - 2*pi*i/n)`, bit for bit."""
+    cx, cy, r = circle.center.x, circle.center.y, circle.radius
+    return tuple(Point(cx + r * c, cy + r * s) for c, s in _target_directions(n))
+
+
+def target_index(theta: float, n: int) -> int:
+    """The target nearest in angle to direction theta: the only one that
+    can pass a "sits on a target" test, as targets lie 2*pi/n apart."""
+    return round((math.pi / 2.0 - theta) / (2.0 * math.pi / n)) % n
+
+
+def fills_targets(
+    positions: Iterable[Point], targets: Sequence[Point], center: Point, tol: float
+) -> bool:
+    """True when each position sits within tol of its own target of the
+    layout around center, and every target is taken."""
+    n = len(targets)
+    taken: set[int] = set()
+    for p in positions:
+        i = target_index(angle_of(p, center), n)
+        if i in taken or dist(p, targets[i]) > tol:
+            return False
+        taken.add(i)
+    return len(taken) == n
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +335,6 @@ def is_free_path(src: Point, dst: Point, obstacles: Iterable[Point]) -> bool:
 def is_vacant_target(p: Point, robot_centers: Iterable[Point]) -> bool:
     """True iff no part of any robot disc lies in the closed radius-2 disc around p."""
     return all(dist(p, r) > VACANCY_CLEARANCE + EPS for r in robot_centers)
-
-
-def on_distinct_points(
-    positions: Iterable[Point], targets: Sequence[Point], tol: float
-) -> bool:
-    """True when each position sits within tol of its own target and every
-    target is taken. Each position takes the first free target in reach."""
-    taken = [False] * len(targets)
-    for p in positions:
-        hit = -1
-        for i, t in enumerate(targets):
-            if not taken[i] and dist(p, t) <= tol:
-                hit = i
-                break
-        if hit < 0:
-            return False
-        taken[hit] = True
-    return all(taken)
 
 
 # ---------------------------------------------------------------------------

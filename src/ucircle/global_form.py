@@ -10,13 +10,15 @@ algorithm has two phases, dispatched by `global_step`:
   2. formation: once the SEC is large enough, robots walk one at a time
      onto n equally spaced target points on the SEC.
 
+The target layout (`compute_target_points`, `target_index`) lives in
+`geometry`, shared with the limited-visibility algorithm.
+
 Everything here is a pure function of one robot's snapshot, so the robots
 stay oblivious and anonymous.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,12 +29,14 @@ from .geometry import (
     Circle,
     Point,
     angle_of,
+    compute_target_points,
     dist,
     distance_point_to_segment,
+    fills_targets,
     is_free_path,
     is_vacant_target,
-    on_distinct_points,
     smallest_enclosing_circle,
+    target_index,
     unit_toward,
 )
 from .simcore import Action, Snapshot, move_to
@@ -81,21 +85,6 @@ def compute_radius(a: float, n: int) -> float:
     if a <= 3:
         raise ValueError(f"adjacent distance must exceed 3, got a={a}")
     return a / (2.0 * math.sin(math.pi / n))
-
-
-@functools.cache
-def _target_directions(n: int) -> tuple[tuple[float, float], ...]:
-    """(cos, sin) of each target's angle on a circle of n targets."""
-    angles = (math.pi / 2.0 - 2.0 * math.pi * i / n for i in range(n))
-    return tuple((math.cos(a), math.sin(a)) for a in angles)
-
-
-def compute_target_points(n: int, sec: Circle) -> tuple[Point, ...]:
-    """n equally spaced points on sec, the first at the top (max Y).
-
-    Each is `sec.point_at_angle(pi/2 - 2*pi*i/n)`, bit for bit."""
-    cx, cy, r = sec.center.x, sec.center.y, sec.radius
-    return tuple(Point(cx + r * c, cy + r * s) for c, s in _target_directions(n))
 
 
 def _mirror_x(p: Point, axis_x: float) -> Point:
@@ -286,34 +275,32 @@ def _seats_and_vacancy(
     """Each robot's seat and whether each target is vacant, or None as soon
     as points[0] turns out to be seated (that robot stays, nothing else counts).
 
-    Target i sits at angle pi/2 - 2*pi*i/n on the SEC of radius R; `u` is a
-    robot's angle in those target steps. A robot's seat is the target within
-    SETTLE_TOL of it: targets lie more than 3 apart, so only the one nearest
-    in angle can be. A robot within the vacancy reach d of a target lies
-    within asin(d/R) of its angle (anywhere when d >= R), so
-    `is_vacant_target` sees only the robots whose window of that half-width
-    holds the target. floor and ceil round the window outward, and one more
-    target on each side is a margin for the rounding of atan2 and asin.
-    Every test is the exact one of a scan of all targets.
+    A robot's seat is the target within SETTLE_TOL of it: targets lie more
+    than 3 apart, so only the one `target_index` names can be. A robot
+    within the vacancy reach d of a target lies within asin(d/R) of its
+    angle on the SEC of radius R (anywhere when d >= R), and its own angle
+    lies within half a target step of its nearest target `i`. So
+    `is_vacant_target` sees only the robots whose window around `i` holds
+    the target: the window is as wide as those two bounds, plus half a step
+    each side as a margin for the rounding of atan2 and asin, and floor and
+    ceil round it outward. Every test is the exact one of a scan of all
+    targets.
     """
     n = len(targets)
     step = 2.0 * math.pi / n
     reach = VACANCY_CLEARANCE + EPS
-    half = math.asin(reach / sec.radius) / step if reach < sec.radius else float(n)
-    cx, cy = sec.center.x, sec.center.y
+    half = 1.0 + (math.asin(reach / sec.radius) / step if reach < sec.radius else n)
     near: list[list[Point]] = [[] for _ in targets]
     seats: list[Optional[int]] = []
     for k, p in enumerate(points):
-        u = (math.pi / 2.0 - math.atan2(p.y - cy, p.x - cx)) / step
-        seat: Optional[int] = round(u) % n
-        if dist(p, targets[seat]) > SETTLE_TOL:
-            seat = None
-        elif k == 0:
+        i = target_index(angle_of(p, sec.center), n)
+        seated = dist(p, targets[i]) <= SETTLE_TOL
+        if seated and k == 0:
             return None
-        seats.append(seat)
-        lo, hi = math.floor(u - half) - 1, math.ceil(u + half) + 1
-        for i in range(n) if hi - lo + 1 >= n else [j % n for j in range(lo, hi + 1)]:
-            near[i].append(p)
+        seats.append(i if seated else None)
+        lo, hi = math.floor(i - half), math.ceil(i + half)
+        for j in range(n) if hi - lo + 1 >= n else [j % n for j in range(lo, hi + 1)]:
+            near[j].append(p)
     return seats, [is_vacant_target(t, near[i]) for i, t in enumerate(targets)]
 
 
@@ -403,4 +390,4 @@ def is_formed(positions: Sequence[Point], params: GlobalParams, tol: float = 1e-
     sec = smallest_enclosing_circle(list(positions))
     if sec.radius < params.rad_req - tol:
         return False
-    return on_distinct_points(positions, compute_target_points(params.n, sec), tol)
+    return fills_targets(positions, compute_target_points(params.n, sec), sec.center, tol)

@@ -256,15 +256,10 @@ def build_algorithm(config: ScenarioConfig):
 
 
 def build_termination(config: ScenarioConfig, params):
-    if config.algorithm == "global":
+    formed = is_formed if config.algorithm == "global" else is_formed_local
 
-        def done(world: WorldState) -> bool:
-            return is_formed(world.positions, params, tol=TERMINATION_TOL)
-
-    else:
-
-        def done(world: WorldState) -> bool:
-            return is_formed_local(world.positions, params, tol=TERMINATION_TOL)
+    def done(world: WorldState) -> bool:
+        return formed(world.positions, params, tol=TERMINATION_TOL)
 
     return done
 

@@ -29,15 +29,16 @@ from .geometry import (
     Circle,
     Point,
     angle_of,
+    compute_target_points,
     cross,
     dist,
+    fills_targets,
     is_free_path,
     is_vacant_target,
     midpoint,
-    on_distinct_points,
+    target_index,
     unit_toward,
 )
-from .global_form import compute_target_points
 from .simcore import Action, Snapshot, move_to
 
 POS_EPS = 1e-9
@@ -126,10 +127,9 @@ def _cw_offset(frm: float, to: float) -> float:
 
 
 def _aligned_target(theta: float, params: LocalParams) -> Optional[Point]:
-    for t in params.targets:
-        if _ang_diff(theta, angle_of(t, params.cir.center)) <= ALIGN_TOL:
-            return t
-    return None
+    """The target on the ray from C at angle theta, if any."""
+    t = params.targets[target_index(theta, params.n)]
+    return t if _ang_diff(theta, angle_of(t, params.cir.center)) <= ALIGN_TOL else None
 
 
 def _detect_psi9(
@@ -167,31 +167,27 @@ def classify_psi(
     cir = params.cir
     pos = compute_robot_position(self_pos, cir)
     if pos == ON_CIRCLE:
-        for t in params.targets:
-            if dist(self_pos, t) <= 1e-7:
-                return PsiConfig("psi1", anchor=t)
+        t = params.targets[target_index(angle_of(self_pos, cir.center), params.n)]
+        if dist(self_pos, t) <= 1e-7:
+            return PsiConfig("psi1", anchor=t)
         return PsiConfig("psi0")
     if pos == AT_CENTER:
         return PsiConfig("psi4")
     contention = _detect_psi9(self_pos, params, others)
     if contention is not None:
         return contention
+    # How far the visibility disc reaches across CIR: it touches CIR at h,
+    # crosses it, or falls short. Inside and outside cases mirror each other.
     d = dist(self_pos, cir.center)
     if pos == INSIDE:
-        reach = d + vis_radius - cir.radius
-        if abs(reach) <= POS_EPS:
-            h = cir.center + unit_toward(cir.center, self_pos).scaled(cir.radius)
-            return PsiConfig("psi2", anchor=h)
-        if reach > 0.0:
-            return PsiConfig("psi5")
-        return PsiConfig("psi3")
-    gap = d - vis_radius - cir.radius
-    if abs(gap) <= POS_EPS:
+        over, cases = d + vis_radius - cir.radius, ("psi2", "psi5", "psi3")
+    else:
+        over, cases = -(d - vis_radius - cir.radius), ("psi6", "psi8", "psi7")
+    touch, crosses, short = cases
+    if abs(over) <= POS_EPS:
         h = cir.center + unit_toward(cir.center, self_pos).scaled(cir.radius)
-        return PsiConfig("psi6", anchor=h)
-    if gap < 0.0:
-        return PsiConfig("psi8")
-    return PsiConfig("psi7")
+        return PsiConfig(touch, anchor=h)
+    return PsiConfig(crosses if over > 0.0 else short)
 
 
 def _claim_step(self_pos: Point, goal: Point, vis_radius: float, params: LocalParams) -> Point:
@@ -322,25 +318,19 @@ def compute_destination(
                 return _claim_step(self_pos, target, vis_radius, params)
             return _rotate_cw(self_pos, params, others)
         return _scan_or_rotate(self_pos, vis_radius, params, others, skip=target)
-    if kind == "psi2":
+    if kind in ("psi2", "psi6"):
+        # Visibility just reaches CIR at h; from outside, h may be claimed too.
         h = psi.anchor
         t = _aligned_target(angle_of(self_pos, c), params)
         if t is not None and is_vacant_target(t, others):
             return _claim_step(self_pos, t, vis_radius, params)
-        return midpoint(self_pos, h)
-    if kind == "psi6":
-        h = psi.anchor
-        t = _aligned_target(angle_of(self_pos, c), params)
-        if t is not None and is_vacant_target(t, others):
-            return _claim_step(self_pos, t, vis_radius, params)
-        if is_vacant_target(h, others):
+        if kind == "psi6" and is_vacant_target(h, others):
             return _claim_step(self_pos, h, vis_radius, params)
         return midpoint(self_pos, h)
-    if kind == "psi3":
-        t = self_pos + unit_toward(c, self_pos).scaled(vis_radius)
-        return t if is_vacant_target(t, others) else midpoint(self_pos, t)
-    if kind == "psi7":
-        t = self_pos - unit_toward(c, self_pos).scaled(vis_radius)
+    if kind in ("psi3", "psi7"):
+        # A radial hop of the visibility radius toward CIR.
+        hop = vis_radius if kind == "psi3" else -vis_radius
+        t = self_pos + unit_toward(c, self_pos).scaled(hop)
         return t if is_vacant_target(t, others) else midpoint(self_pos, t)
     if kind in ("psi5", "psi8"):
         return _scan_or_rotate(self_pos, vis_radius, params, others)
@@ -393,4 +383,4 @@ def satisfies_direction_constraint(
 
 def is_formed_local(positions: Sequence[Point], params: LocalParams, tol: float = 1e-6) -> bool:
     """True when every robot sits on a distinct target point of CIR."""
-    return on_distinct_points(positions, params.targets, tol)
+    return fills_targets(positions, params.targets, params.cir.center, tol)

@@ -282,6 +282,19 @@ def _destination(world: WorldState, i: int, action: Action) -> Optional[Point]:
     return dest if dist(dest, pos) > EPS else None
 
 
+def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionSegment]:
+    """The segments of a robot's track that overlap [a, b], in time order.
+
+    A track is contiguous from the start clock, so past its last segment the
+    robot holds where that segment ends; that hold is added up to b.
+    """
+    out = [s for s in track if s.t1 >= a and s.t0 <= b]
+    last = track[-1]
+    if last.t1 < b:
+        out.append(MotionSegment(last.end, last.end, last.t1, b))
+    return out
+
+
 def execute_cycle(
     world: WorldState,
     active: Sequence[int],
@@ -293,9 +306,10 @@ def execute_cycle(
 
     `decide` is the round's table of decisions of `world` (see `_decisions`),
     when the caller has already asked some robots; by default it is a fresh
-    one over `algorithm`. Returns (new world, trace events, min pairwise
-    separation of the round). Raises CollisionFault when concurrent motions
-    come closer than two units.
+    one over `algorithm`. Returns (new world, trace events, min separation
+    of the pairs with a mover, +inf if none). A still pair's distance counts
+    at the start of the next round that moves either robot, or else in the
+    final world. Raises CollisionFault when motions come closer than two units.
     """
     robots, positions = world.robots, world.positions
     n = len(robots)
@@ -317,28 +331,22 @@ def execute_cycle(
 
     t1 = t0 + max((dist(positions[rid], d) for rid, d in moves.items()), default=1.0)
 
-    pieces: list[list[MotionSegment]] = []
-    for i, pos in enumerate(positions):
-        if i in moves:
-            arrive = t0 + dist(pos, moves[i])
-            segs = [MotionSegment(pos, moves[i], t0, arrive)]
-            if arrive < t1:
-                segs.append(MotionSegment(moves[i], moves[i], arrive, t1))
-        else:
-            segs = [MotionSegment(pos, pos, t0, t1)]
-        pieces.append(segs)
+    # A mover arrives, then holds until t1; everyone else holds throughout.
+    pieces = [
+        _pieces_over([MotionSegment(pos, moves[i], t0, t0 + dist(pos, moves[i]))], t0, t1)
+        if i in moves
+        else [MotionSegment(pos, pos, t0, t1)]
+        for i, pos in enumerate(positions)
+    ]
 
     min_sep = math.inf
     for a in range(n):
         for b in range(a + 1, n):
             if a not in moves and b not in moves:
-                sep = dist(positions[a], positions[b])
-            else:
-                sep = min(
-                    min_separation_during_motion(s1, s2)
-                    for s1 in pieces[a]
-                    for s2 in pieces[b]
-                )
+                continue
+            sep = min(
+                min_separation_during_motion(s1, s2) for s1 in pieces[a] for s2 in pieces[b]
+            )
             if sep < min_sep:
                 min_sep = sep
             if sep < SAFE_SEPARATION:
@@ -444,19 +452,6 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
 
 
 # --- ASYNC (CORDA-style) event loop ----------------------------------------
-
-
-def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionSegment]:
-    """The segments of a robot's track that overlap [a, b], in time order.
-
-    A track is contiguous from the start clock, so past its last segment the
-    robot holds where that segment ends; that hold is added up to b.
-    """
-    out = [s for s in track if s.t1 >= a and s.t0 <= b]
-    last = track[-1]
-    if last.t1 < b:
-        out.append(MotionSegment(last.end, last.end, last.t1, b))
-    return out
 
 
 def _run_async(world, algorithm, schedule, termination, max_cycles, events):

@@ -10,6 +10,7 @@ from ucircle.geometry import (
     VACANCY_CLEARANCE,
     Circle,
     Point,
+    compute_target_points,
     dist,
     is_vacant_target,
     smallest_enclosing_circle,
@@ -20,7 +21,6 @@ from ucircle.global_form import (
     _expansion_move,
     _seats_and_vacancy,
     compute_radius,
-    compute_target_points,
     detect_symmetry,
     form_ucircle,
     global_step,

@@ -180,7 +180,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0), P(5, 0)])
         new, events, sep = execute_cycle(w, [0, 1], lambda s: Action("stay"))
         assert new.positions == w.positions
-        assert sep == 5.0
+        assert sep == math.inf  # no pair has a mover
         phases = [e.phase for e in events]
         assert phases == ["wait", "look", "compute"] * 2
 
@@ -761,16 +761,17 @@ def _local_async(n, kind, seed):
     )
 
 
-def _global_async(n, seed):
+def _global(n, seed, scheduler="ASYNC", a=4.0):
     return dict(
-        algorithm="global", n=n, a=4.0, scheduler="ASYNC", seed=seed, placement="random-disc"
+        algorithm="global", n=n, a=a, scheduler=scheduler, seed=seed, placement="random-disc"
     )
 
 
 class TestAsyncMinSeparation:
-    """`Trace.min_separation` of an ASYNC run that ends with every move
-    arrived is the exact minimum over all pairs and times, so no pair the
-    monitor skipped came closer than the pairs it tested."""
+    """`Trace.min_separation` of a run that ends with every move arrived is
+    the exact minimum over all pairs and times, so no pair the monitor
+    skipped came closer than the pairs it tested: under ASYNC the pairs that
+    cannot come close, in an SSYNC or FSYNC round the pairs with no mover."""
 
     @pytest.mark.parametrize(
         "raw",
@@ -779,9 +780,15 @@ class TestAsyncMinSeparation:
             _local_async(16, "center", 3),
             _local_async(24, "contention", 1),
             nonuniform_variant(curated_local_configs(seeds=(4,))[13], 2),
-            _global_async(4, 1),
-            _global_async(5, 0),
-            _global_async(5, 3),
+            _global(4, 1),
+            _global(5, 0),
+            _global(5, 3),
+            _global(6, 7, "SSYNC"),
+            _global(8, 2, "FSYNC", a=3.5),
+            dict(
+                algorithm="local", n=16, rad=96.0, vis=48.0, scheduler="SSYNC", seed=2,
+                placement="random-disc",
+            ),
         ],
         ids=[
             "local-16-center-1",
@@ -791,6 +798,9 @@ class TestAsyncMinSeparation:
             "global-4-seed-1",
             "global-5-seed-0",
             "global-5-seed-3",
+            "global-6-ssync-seed-7",
+            "global-8-fsync-seed-2",
+            "local-16-ssync-stall",
         ],
     )
     def test_matches_a_brute_force_over_the_moves(self, raw):
