@@ -171,6 +171,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if isinstance(placement, str):
         if placement not in ("random-disc", "random-annulus"):
             raise ConfigError(f"unknown placement {placement!r}")
+        if placement == "random-annulus" and algorithm == "global":
+            raise ConfigError("placement 'random-annulus' applies to the local algorithms only")
     elif isinstance(placement, (list, tuple)):
         if len(placement) != n:
             raise ConfigError(f"explicit placement needs {n} points, got {len(placement)}")
@@ -458,10 +460,10 @@ def curated_local_configs(seeds: Sequence[int] = (1,)) -> list[dict]:
     return configs
 
 
-def nonuniform_variant(config_dict: dict, seed_offset: int = 0) -> dict:
+def nonuniform_variant(config_dict: dict) -> dict:
     """Same scenario with per-robot visibility radii drawn from [rad/3, rad]."""
     out = dict(config_dict)
-    rng = random.Random(f"vis:{config_dict['seed'] + seed_offset}")
+    rng = random.Random(f"vis:{config_dict['seed']}")
     rad = config_dict["rad"]
     n = config_dict["n"]
     out["algorithm"] = "local-nonuniform"

@@ -58,6 +58,7 @@ class LocalParams:
     cir: Circle
     n: int
     targets: tuple[Point, ...]
+    angles: tuple[float, ...]  # angle of each target from C
 
     @staticmethod
     def make(n: int, rad: float) -> "LocalParams":
@@ -72,13 +73,15 @@ class LocalParams:
                 f"radius {rad} cannot space {n} unit-disc robots two units apart"
             )
         cir = Circle(ORIGIN, rad)
-        return LocalParams(cir=cir, n=n, targets=compute_target_points(n, cir))
+        targets = compute_target_points(n, cir)
+        angles = tuple(angle_of(t, cir.center) for t in targets)
+        return LocalParams(cir=cir, n=n, targets=targets, angles=angles)
 
 
 @dataclass(frozen=True, slots=True)
 class PsiConfig:
     value: str  # "psi0".."psi9"
-    anchor: Optional[Point] = None  # tangency/projection point or contested target
+    anchor: Optional[Point] = None  # psi1's target; off CIR, the target on the robot's ray
     rival: Optional[Point] = None  # psi9 counterpart
 
 
@@ -128,33 +131,8 @@ def _cw_offset(frm: float, to: float) -> float:
 
 def _aligned_target(theta: float, params: LocalParams) -> Optional[Point]:
     """The target on the ray from C at angle theta, if any."""
-    t = params.targets[target_index(theta, params.n)]
-    return t if _ang_diff(theta, angle_of(t, params.cir.center)) <= ALIGN_TOL else None
-
-
-def _detect_psi9(
-    self_pos: Point, params: LocalParams, others: Sequence[Point]
-) -> Optional[PsiConfig]:
-    """Contention: a visible robot across CIR on the same target ray."""
-    c = params.cir.center
-    rad = params.cir.radius
-    d = dist(self_pos, c)
-    if d <= POS_EPS or abs(d - rad) <= POS_EPS:
-        return None
-    inside = d < rad
-    theta = angle_of(self_pos, c)
-    target = _aligned_target(theta, params)
-    if target is None:
-        return None
-    for o in others:
-        do = dist(o, c)
-        across = do > rad + POS_EPS if inside else POS_EPS < do < rad - POS_EPS
-        if not across:
-            continue
-        if _ang_diff(theta, angle_of(o, c)) > ALIGN_TOL:
-            continue
-        return PsiConfig("psi9", anchor=target, rival=o)
-    return None
+    i = target_index(theta, params.n)
+    return params.targets[i] if _ang_diff(theta, params.angles[i]) <= ALIGN_TOL else None
 
 
 def classify_psi(
@@ -163,31 +141,41 @@ def classify_psi(
     params: LocalParams,
     others: Sequence[Point],
 ) -> PsiConfig:
-    """One of the ten positional cases, by fixed precedence."""
-    cir = params.cir
-    pos = compute_robot_position(self_pos, cir)
+    """One of the ten positional cases, by fixed precedence.
+
+    Off CIR, the anchor is the target on the robot's ray from C, if any.
+    """
+    c = params.cir.center
+    rad = params.cir.radius
+    pos = compute_robot_position(self_pos, params.cir)
+    if pos == AT_CENTER:
+        return PsiConfig("psi4")
+    theta = angle_of(self_pos, c)
     if pos == ON_CIRCLE:
-        t = params.targets[target_index(angle_of(self_pos, cir.center), params.n)]
+        t = params.targets[target_index(theta, params.n)]
         if dist(self_pos, t) <= 1e-7:
             return PsiConfig("psi1", anchor=t)
         return PsiConfig("psi0")
-    if pos == AT_CENTER:
-        return PsiConfig("psi4")
-    contention = _detect_psi9(self_pos, params, others)
-    if contention is not None:
-        return contention
-    # How far the visibility disc reaches across CIR: it touches CIR at h,
+    inside = pos == INSIDE
+    target = _aligned_target(theta, params)
+    if target is not None:
+        # Contention: a visible robot across CIR on the same target ray.
+        for o in others:
+            do = dist(o, c)
+            across = do > rad + POS_EPS if inside else POS_EPS < do < rad - POS_EPS
+            if across and _ang_diff(theta, angle_of(o, c)) <= ALIGN_TOL:
+                return PsiConfig("psi9", anchor=target, rival=o)
+    # How far the visibility disc reaches across CIR: it touches CIR,
     # crosses it, or falls short. Inside and outside cases mirror each other.
-    d = dist(self_pos, cir.center)
-    if pos == INSIDE:
-        over, cases = d + vis_radius - cir.radius, ("psi2", "psi5", "psi3")
+    d = dist(self_pos, c)
+    if inside:
+        over, cases = d + vis_radius - rad, ("psi2", "psi5", "psi3")
     else:
-        over, cases = -(d - vis_radius - cir.radius), ("psi6", "psi8", "psi7")
+        over, cases = -(d - vis_radius - rad), ("psi6", "psi8", "psi7")
     touch, crosses, short = cases
     if abs(over) <= POS_EPS:
-        h = cir.center + unit_toward(cir.center, self_pos).scaled(cir.radius)
-        return PsiConfig(touch, anchor=h)
-    return PsiConfig(crosses if over > 0.0 else short)
+        return PsiConfig(touch, anchor=target)
+    return PsiConfig(crosses if over > 0.0 else short, anchor=target)
 
 
 def _claim_step(self_pos: Point, goal: Point, vis_radius: float, params: LocalParams) -> Point:
@@ -220,15 +208,12 @@ def _rotate_cw(
     """
     c = params.cir.center
     d = dist(self_pos, c)
-    if d <= POS_EPS:
-        return self_pos
     slot = 2.0 * math.asin(min(1.0, SLOT_CHORD / (2.0 * d)))
     theta = angle_of(self_pos, c)
     for frac in (1.0, 0.5, 1.5, 0.25, 2.0):
         ang = slot * frac
-        if stop_offset is not None:
-            if ang > stop_offset + EPS:
-                ang = stop_offset
+        if stop_offset is not None and ang > stop_offset + EPS:
+            ang = stop_offset
         if ang <= EPS:
             continue
         dest = Point(c.x + d * math.cos(theta - ang), c.y + d * math.sin(theta - ang))
@@ -245,7 +230,7 @@ def _visible_arc_halfwidth(d: float, vis_radius: float, rad: float) -> Optional[
     """Half the central angle of CIR covered by the visibility circle."""
     if vis_radius >= d + rad:
         return math.pi  # whole circle visible
-    if d <= 0.0 or abs(d - rad) >= vis_radius:
+    if abs(d - rad) >= vis_radius:
         return None
     cos_b = (d * d + rad * rad - vis_radius * vis_radius) / (2.0 * d * rad)
     return math.acos(max(-1.0, min(1.0, cos_b)))
@@ -256,29 +241,30 @@ def _scan_or_rotate(
     vis_radius: float,
     params: LocalParams,
     others: Sequence[Point],
-    skip: Optional[Point] = None,
+    aligned: Optional[Point],
 ) -> Point:
     """Cases (a)/(b)/(c) shared by the inside and outside crossing classes.
 
-    (a) the radial projection hits a vacant target: advance radially,
+    (a) `aligned`, the target on the robot's ray from C that it may claim,
+        is vacant: advance radially,
     (b) a vacant target lies rightward on the visible arc: rotate toward it,
     (c) otherwise: one rightward slot step, waiting when blocked.
+
+    The arc never offers the target on the robot's own ray: its clockwise
+    offset is within ALIGN_TOL of 0 or of 2*pi, and the arc reaches at most
+    pi clockwise.
     """
     c = params.cir.center
     rad = params.cir.radius
     d = dist(self_pos, c)
     theta = angle_of(self_pos, c)
-    aligned = _aligned_target(theta, params)
-    if aligned is not None and (skip is None or aligned is not skip):
-        if is_vacant_target(aligned, others):
-            return _claim_step(self_pos, aligned, vis_radius, params)
+    if aligned is not None and is_vacant_target(aligned, others):
+        return _claim_step(self_pos, aligned, vis_radius, params)
     half = _visible_arc_halfwidth(d, vis_radius, rad)
     if half is not None:
         best: Optional[tuple[float, Point]] = None
-        for t in params.targets:
-            if skip is not None and t is skip:
-                continue
-            off = _cw_offset(theta, angle_of(t, c))
+        for t, angle in zip(params.targets, params.angles):
+            off = _cw_offset(theta, angle)
             if off <= ALIGN_TOL or off > half:
                 continue
             if not is_vacant_target(t, others):
@@ -311,19 +297,17 @@ def compute_destination(
         m = Point(c.x + vis_radius, c.y)
         return m if is_vacant_target(m, others) else midpoint(self_pos, m)
     if kind == "psi9":
-        d = dist(self_pos, c)
-        target = psi.anchor
-        if d < rad:
-            if is_vacant_target(target, [o for o in others if o is not psi.rival]):
-                return _claim_step(self_pos, target, vis_radius, params)
+        if dist(self_pos, c) < rad:
+            if is_vacant_target(psi.anchor, [o for o in others if o is not psi.rival]):
+                return _claim_step(self_pos, psi.anchor, vis_radius, params)
             return _rotate_cw(self_pos, params, others)
-        return _scan_or_rotate(self_pos, vis_radius, params, others, skip=target)
+        # Outside, the contested target is left to the inside robot.
+        return _scan_or_rotate(self_pos, vis_radius, params, others, None)
     if kind in ("psi2", "psi6"):
         # Visibility just reaches CIR at h; from outside, h may be claimed too.
-        h = psi.anchor
-        t = _aligned_target(angle_of(self_pos, c), params)
-        if t is not None and is_vacant_target(t, others):
-            return _claim_step(self_pos, t, vis_radius, params)
+        if psi.anchor is not None and is_vacant_target(psi.anchor, others):
+            return _claim_step(self_pos, psi.anchor, vis_radius, params)
+        h = c + unit_toward(c, self_pos).scaled(rad)
         if kind == "psi6" and is_vacant_target(h, others):
             return _claim_step(self_pos, h, vis_radius, params)
         return midpoint(self_pos, h)
@@ -333,7 +317,7 @@ def compute_destination(
         t = self_pos + unit_toward(c, self_pos).scaled(hop)
         return t if is_vacant_target(t, others) else midpoint(self_pos, t)
     if kind in ("psi5", "psi8"):
-        return _scan_or_rotate(self_pos, vis_radius, params, others)
+        return _scan_or_rotate(self_pos, vis_radius, params, others, psi.anchor)
     raise AssertionError(f"unhandled positional case {kind}")
 
 

@@ -11,6 +11,7 @@ To print the digests of the current code:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import collections
 import functools
 import hashlib
 
@@ -144,10 +145,24 @@ CORPUS = {
         "ed51ae6f0b33cff690feda5bba49aaf4cb46d540b3ed1ecaf643164a38bb4815",
     ),
     "local-nonuniform-async-stall": (
-        nonuniform_variant(_CURATED_SEED4[13], 2),
+        # Radii drawn for seed 6 over the seed-4 scenario.
+        dict(nonuniform_variant(dict(_CURATED_SEED4[13], seed=6)), seed=4),
         "1cdffbd2f57f36ce4a681f06d1e447c7cb3152555fad788dbfec8694c6905282",
     ),
 }
+
+
+# Twelve random local scenes: both random placements under SSYNC and ASYNC,
+# seeds 0-2. They end in 6 convergences, 2 faults and 4 diagnosed stalls
+# and include psi9 moves, so they pin `local_form` past the curated shapes.
+LOCAL_RANDOM = [
+    dict(algorithm="local", n=16, rad=96.0, vis=48.0, scheduler=scheduler, seed=seed,
+         placement=placement)
+    for placement in ("random-disc", "random-annulus")
+    for scheduler in ("SSYNC", "ASYNC")
+    for seed in range(3)
+]
+LOCAL_RANDOM_DIGEST = "b646b80852194e3f9ccf511599e00a6a1f4c531b157edf33d760d9c7ea11bd76"
 
 
 @functools.cache
@@ -176,7 +191,28 @@ def test_corpus_covers_every_outcome():
         assert outcomes == every, f"asynchronous={asynchronous}"
 
 
+def local_random_digest() -> tuple[str, collections.Counter, int]:
+    """(sha256 over every scene's trace and summary, outcomes, psi9 moves)."""
+    h = hashlib.sha256()
+    outcomes: collections.Counter = collections.Counter()
+    psi9_moves = 0
+    for raw in LOCAL_RANDOM:
+        trace, summary = run_scenario(parse_config(raw))
+        h.update((trace.to_jsonl() + summary.to_json_line() + "\n").encode("utf-8"))
+        outcomes[summary.outcome] += 1
+        psi9_moves += sum(ev.phase == "move" and ev.tag == "psi9" for ev in trace.events)
+    return h.hexdigest(), outcomes, psi9_moves
+
+
+def test_local_random_corpus_digest():
+    got, outcomes, psi9_moves = local_random_digest()
+    assert outcomes == {"converged": 6, "fault": 2, "diagnosed-stall": 4}
+    assert psi9_moves > 0
+    assert got == LOCAL_RANDOM_DIGEST, "local random corpus: trace or summary bytes changed"
+
+
 if __name__ == "__main__":
     for name in sorted(CORPUS):
         digest, outcome = scenario_digest(name)
         print(f"{name:32s} {outcome:18s} {digest}")
+    print(f"{'local-random (12 scenes)':51s} {local_random_digest()[0]}")

@@ -147,6 +147,9 @@ class TestParseConfig:
     def test_bad_placement_mode(self):
         with pytest.raises(ConfigError):
             parse_config(base_global(placement="grid"))
+        # The global placement has no annulus; it used to run the disc.
+        with pytest.raises(ConfigError, match="random-annulus"):
+            parse_config(base_global(placement="random-annulus"))
 
     def test_bad_budget_and_fairness(self):
         with pytest.raises(ConfigError):
@@ -462,6 +465,12 @@ class TestCli:
         path.write_text(raw + ", " + text + "}")
         assert main(["run", "--config", str(path)]) == 1
         assert "invalid config" in capsys.readouterr().err
+
+    def test_run_global_annulus(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_global(placement="random-annulus"))
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and err.count("\n") == 1
 
     def test_run_rad_too_small_for_n(self, tmp_path, capsys):
         raw = base_local(n=3, rad=0.3, vis=1.0, placement=[[0, 0], [3, 0], [0, 3]])

@@ -1,12 +1,16 @@
 """Tests for the limited-visibility formation algorithm."""
 
+import collections
 import math
 
 import pytest
 
-from ucircle.geometry import Circle, Point, dist
+from ucircle import local_form
+from ucircle.geometry import Circle, Point, angle_of, dist
+from ucircle.harness import parse_config, run_scenario
 from ucircle.local_form import (
     LocalParams,
+    _aligned_target,
     classify_psi,
     compute_destination,
     compute_robot_position,
@@ -134,6 +138,27 @@ class TestClassifyPsi:
     def test_no_contention_off_ray(self):
         assert classify_psi(P(0, 6), 8.0, self.p, [P(1, 13)]).value != "psi9"
 
+    @pytest.mark.parametrize(
+        "me, vis, others, value",
+        [
+            (P(0, 6), 4.0, [], "psi2"),
+            (P(3, 4), 5.0, [], "psi2"),
+            (P(0, 2), 4.0, [], "psi3"),
+            (P(0, 6), 5.0, [], "psi5"),
+            (P(0, 14), 4.0, [], "psi6"),
+            (P(0, 16), 4.0, [], "psi7"),
+            (P(0, 12), 4.0, [], "psi8"),
+            (P(1, 12), 4.0, [], "psi8"),
+            (P(0, 6), 8.0, [P(0, 13)], "psi9"),
+            (P(0, 13), 8.0, [P(0, 6)], "psi9"),
+        ],
+    )
+    def test_off_circle_anchor_is_the_aligned_target(self, me, vis, others, value):
+        # compute_destination reads the aligned target from here only.
+        psi = classify_psi(me, vis, self.p, others)
+        assert psi.value == value
+        assert psi.anchor is _aligned_target(angle_of(me, CENTER), self.p)
+
 
 # ---------------------------------------------------------------------------
 # Destinations
@@ -182,6 +207,16 @@ class TestComputeDestination:
         # The inside robot advances along the ray toward the target.
         assert abs(dest.x) <= 1e-9
         assert dest.y > 7.0
+
+    @pytest.mark.parametrize("vis", [8.0, 12.0, 30.0])
+    def test_contention_outside_never_claims(self, vis):
+        # The contested target (0, 10) is vacant, but it is the inside
+        # robot's: the outside robot keeps its radius, turning or waiting.
+        me, others = P(0, 13), [P(0, 5)]
+        psi = classify_psi(me, vis, self.p, others)
+        assert psi.value == "psi9" and psi.rival == P(0, 5)
+        dest = compute_destination(me, vis, self.p, others, psi)
+        assert abs(dist(dest, CENTER) - 13.0) <= 1e-9
 
     def test_moves_satisfy_direction_constraint(self):
         cases = [
@@ -239,6 +274,33 @@ class TestLocalStep:
         action = local_step(snap(P(0, 10), [], 4.0), self.p)
         assert action.kind == "stay"
         assert action.tag == "psi1"
+
+
+def test_one_aligned_target_lookup_per_activation(monkeypatch):
+    # classify_psi looks the target up; compute_destination takes its anchor.
+    lookups = []
+    tags = collections.Counter()
+    real_lookup, real_step = local_form._aligned_target, local_form.local_step
+
+    def lookup(theta, params):
+        lookups[-1] += 1
+        return real_lookup(theta, params)
+
+    def step(snapshot, params):
+        lookups.append(0)
+        action = real_step(snapshot, params)
+        tags[action.tag] += 1
+        return action
+
+    monkeypatch.setattr(local_form, "_aligned_target", lookup)
+    monkeypatch.setattr(local_form, "local_step", step)
+    raw = dict(
+        algorithm="local", n=16, rad=96.0, vis=48.0, scheduler="SSYNC", seed=1,
+        placement="random-annulus",
+    )
+    run_scenario(parse_config(raw))
+    assert all(tags[t] > 0 for t in ("psi1", "psi5", "psi8", "psi9"))
+    assert max(lookups) == 1
 
 
 class TestIsFormedLocal:

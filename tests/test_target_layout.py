@@ -47,7 +47,8 @@ LAYOUT_IDS = [f"n{n}-c{k}" for n in NS for k in range(len(CENTERS))]
 def _layout(n, center):
     circle = Circle(center, compute_radius(3.5, n))
     targets = compute_target_points(n, circle)
-    return circle, targets, LocalParams(cir=circle, n=n, targets=targets)
+    angles = tuple(angle_of(t, center) for t in targets)
+    return circle, targets, LocalParams(cir=circle, n=n, targets=targets, angles=angles)
 
 
 def _off(t, rho, k):
