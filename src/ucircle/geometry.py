@@ -320,11 +320,13 @@ def is_free_path(src: Point, dst: Point, obstacles: Iterable[Point]) -> bool:
     length = dist(src, dst)
     if length <= 1e-15:
         return all(dist(src, ob) > 2.0 * UNIT_BODY_RADIUS + EPS for ob in obstacles)
-    u = unit_toward(src, dst)
+    # On plain floats: `unit_toward`, `dot` and `cross` written out.
+    sx, sy = src.x, src.y
+    ux, uy = (dst.x - sx) / length, (dst.y - sy) / length
     for ob in obstacles:
-        w = ob - src
-        s = dot(w, u)
-        t = abs(cross(u, w))
+        wx, wy = ob.x - sx, ob.y - sy
+        s = wx * ux + wy * uy
+        t = abs(ux * wy - uy * wx)
         dx = max(0.0, -s, s - length)
         dy = max(0.0, t - UNIT_BODY_RADIUS)
         if math.hypot(dx, dy) <= UNIT_BODY_RADIUS + EPS:

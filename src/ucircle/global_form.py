@@ -215,7 +215,7 @@ def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Acti
 def _approach_metric(r: Point, t: Point, sec: Circle) -> float:
     """Arc distance for robots on the SEC boundary, chord distance otherwise."""
     if _on_sec(r, sec):
-        da = abs(angle_of(r - sec.center) - angle_of(t - sec.center))
+        da = abs(angle_of(r, sec.center) - angle_of(t, sec.center))
         da = min(da, 2.0 * math.pi - da)
         return da * sec.radius
     return dist(r, t)
@@ -239,8 +239,8 @@ def _select_mover(
 
 def _arc_step(me: Point, target: Point, sec: Circle, others: Sequence[Point]) -> Point:
     """Walk along the SEC toward target in bounded chordal steps."""
-    a_me = angle_of(me - sec.center)
-    a_t = angle_of(target - sec.center)
+    a_me = angle_of(me, sec.center)
+    a_t = angle_of(target, sec.center)
     diff = math.remainder(a_t - a_me, 2.0 * math.pi)
     if abs(diff) <= 1e-12:
         return target

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     EPS,
@@ -85,36 +85,54 @@ class PsiConfig:
     rival: Optional[Point] = None  # psi9 counterpart
 
 
-def compute_robot_position(r: Point, cir: Circle) -> str:
-    d = dist(r, cir.center)
+class Sight(NamedTuple):
+    """One look measured from C once: the robot's distance `d` and angle
+    `theta` from C, and `radii`, each visible robot's distance from C in
+    the order of the others."""
+
+    d: float
+    theta: float
+    radii: list[float]
+
+
+def measure(self_pos: Point, others: Sequence[Point], c: Point) -> Sight:
+    """The Sight of a robot at self_pos; each radius is `dist(o, c)`."""
+    hypot, cx, cy = math.hypot, c.x, c.y
+    radii = [hypot(o.x - cx, o.y - cy) for o in others]
+    return Sight(dist(self_pos, c), angle_of(self_pos, c), radii)
+
+
+def compute_robot_position(d: float, rad: float) -> str:
+    """Where a robot at distance d from C stands against CIR of radius rad."""
     if d <= POS_EPS:
         return AT_CENTER
-    if abs(d - cir.radius) <= POS_EPS:
+    if abs(d - rad) <= POS_EPS:
         return ON_CIRCLE
-    return INSIDE if d < cir.radius else OUTSIDE
+    return INSIDE if d < rad else OUTSIDE
 
 
-def eligible_to_move(self_pos: Point, others: Sequence[Point], cir: Circle) -> bool:
+def eligible_to_move(
+    self_pos: Point, others: Sequence[Point], cir: Circle, sight: Optional[Sight] = None
+) -> bool:
     """Eligibility rule: only the robot nearest CIR on its side moves.
 
     A robot strictly inside may move only if no visible robot is strictly
     inside and farther out; strictly outside is symmetric. Robots across
     CIR never constrain each other, and a robot at C is always eligible.
+    `sight` is the look's measure from C, when the caller has it.
     """
-    d = dist(self_pos, cir.center)
+    d, _, radii = sight or measure(self_pos, others, cir.center)
     if d <= POS_EPS:
         return True
     rad = cir.radius
     if d < rad - POS_EPS:
-        for o in others:
-            do = dist(o, cir.center)
+        for do in radii:
             if POS_EPS < do < rad - POS_EPS and do > d + POS_EPS:
                 return False
         return True
     # Outside, or exactly on CIR, which it may leave outward only ahead of
     # any closer outside robot.
-    for o in others:
-        do = dist(o, cir.center)
+    for do in radii:
         if do > rad + POS_EPS and do < d - POS_EPS:
             return False
     return True
@@ -140,17 +158,19 @@ def classify_psi(
     vis_radius: float,
     params: LocalParams,
     others: Sequence[Point],
+    sight: Optional[Sight] = None,
 ) -> PsiConfig:
     """One of the ten positional cases, by fixed precedence.
 
     Off CIR, the anchor is the target on the robot's ray from C, if any.
+    `sight` is the look's measure from C, when the caller has it.
     """
     c = params.cir.center
     rad = params.cir.radius
-    pos = compute_robot_position(self_pos, params.cir)
+    d, theta, radii = sight or measure(self_pos, others, c)
+    pos = compute_robot_position(d, rad)
     if pos == AT_CENTER:
         return PsiConfig("psi4")
-    theta = angle_of(self_pos, c)
     if pos == ON_CIRCLE:
         t = params.targets[target_index(theta, params.n)]
         if dist(self_pos, t) <= 1e-7:
@@ -160,14 +180,12 @@ def classify_psi(
     target = _aligned_target(theta, params)
     if target is not None:
         # Contention: a visible robot across CIR on the same target ray.
-        for o in others:
-            do = dist(o, c)
+        for o, do in zip(others, radii):
             across = do > rad + POS_EPS if inside else POS_EPS < do < rad - POS_EPS
             if across and _ang_diff(theta, angle_of(o, c)) <= ALIGN_TOL:
                 return PsiConfig("psi9", anchor=target, rival=o)
     # How far the visibility disc reaches across CIR: it touches CIR,
     # crosses it, or falls short. Inside and outside cases mirror each other.
-    d = dist(self_pos, c)
     if inside:
         over, cases = d + vis_radius - rad, ("psi2", "psi5", "psi3")
     else:
@@ -178,7 +196,9 @@ def classify_psi(
     return PsiConfig(crosses if over > 0.0 else short, anchor=target)
 
 
-def _claim_step(self_pos: Point, goal: Point, vis_radius: float, params: LocalParams) -> Point:
+def _claim_step(
+    self_pos: Point, d: float, goal: Point, vis_radius: float, params: LocalParams
+) -> Point:
     """Radial advance toward a point on CIR, pausing at the claim distance.
 
     Stopping short keeps enough separation that an unseen robot homing on
@@ -189,13 +209,14 @@ def _claim_step(self_pos: Point, goal: Point, vis_radius: float, params: LocalPa
     claim = min(CLAIM_CAP, vis_radius / 4.0)
     if dist(self_pos, goal) <= claim + EPS:
         return goal
-    d = dist(self_pos, c)
     hold = rad - claim if d < rad else rad + claim
     return c + unit_toward(c, goal).scaled(hold)
 
 
 def _rotate_cw(
     self_pos: Point,
+    d: float,
+    theta: float,
     params: LocalParams,
     others: Sequence[Point],
     stop_offset: Optional[float] = None,
@@ -207,9 +228,7 @@ def _rotate_cw(
     free path. A few alternative fractions dodge a blocked slot.
     """
     c = params.cir.center
-    d = dist(self_pos, c)
     slot = 2.0 * math.asin(min(1.0, SLOT_CHORD / (2.0 * d)))
-    theta = angle_of(self_pos, c)
     for frac in (1.0, 0.5, 1.5, 0.25, 2.0):
         ang = slot * frac
         if stop_offset is not None and ang > stop_offset + EPS:
@@ -238,6 +257,8 @@ def _visible_arc_halfwidth(d: float, vis_radius: float, rad: float) -> Optional[
 
 def _scan_or_rotate(
     self_pos: Point,
+    d: float,
+    theta: float,
     vis_radius: float,
     params: LocalParams,
     others: Sequence[Point],
@@ -254,13 +275,9 @@ def _scan_or_rotate(
     offset is within ALIGN_TOL of 0 or of 2*pi, and the arc reaches at most
     pi clockwise.
     """
-    c = params.cir.center
-    rad = params.cir.radius
-    d = dist(self_pos, c)
-    theta = angle_of(self_pos, c)
     if aligned is not None and is_vacant_target(aligned, others):
-        return _claim_step(self_pos, aligned, vis_radius, params)
-    half = _visible_arc_halfwidth(d, vis_radius, rad)
+        return _claim_step(self_pos, d, aligned, vis_radius, params)
+    half = _visible_arc_halfwidth(d, vis_radius, params.cir.radius)
     if half is not None:
         best: Optional[tuple[float, Point]] = None
         for t, angle in zip(params.targets, params.angles):
@@ -272,8 +289,8 @@ def _scan_or_rotate(
             if best is None or off < best[0]:
                 best = (off, t)
         if best is not None:
-            return _rotate_cw(self_pos, params, others, stop_offset=best[0])
-    return _rotate_cw(self_pos, params, others)
+            return _rotate_cw(self_pos, d, theta, params, others, stop_offset=best[0])
+    return _rotate_cw(self_pos, d, theta, params, others)
 
 
 def compute_destination(
@@ -282,11 +299,16 @@ def compute_destination(
     params: LocalParams,
     others: Sequence[Point],
     psi: PsiConfig,
+    sight: Optional[Sight] = None,
 ) -> Point:
-    """Destination for an eligible robot in case `psi`; returns self_pos to wait."""
+    """Destination for an eligible robot in case `psi`; returns self_pos to wait.
+
+    `sight` is the look's measure from C, when the caller has it.
+    """
     c = params.cir.center
     rad = params.cir.radius
     kind = psi.value
+    d, theta, _ = sight or measure(self_pos, others, c)
 
     if kind == "psi1":
         return self_pos
@@ -297,19 +319,19 @@ def compute_destination(
         m = Point(c.x + vis_radius, c.y)
         return m if is_vacant_target(m, others) else midpoint(self_pos, m)
     if kind == "psi9":
-        if dist(self_pos, c) < rad:
+        if d < rad:
             if is_vacant_target(psi.anchor, [o for o in others if o is not psi.rival]):
-                return _claim_step(self_pos, psi.anchor, vis_radius, params)
-            return _rotate_cw(self_pos, params, others)
+                return _claim_step(self_pos, d, psi.anchor, vis_radius, params)
+            return _rotate_cw(self_pos, d, theta, params, others)
         # Outside, the contested target is left to the inside robot.
-        return _scan_or_rotate(self_pos, vis_radius, params, others, None)
+        return _scan_or_rotate(self_pos, d, theta, vis_radius, params, others, None)
     if kind in ("psi2", "psi6"):
         # Visibility just reaches CIR at h; from outside, h may be claimed too.
         if psi.anchor is not None and is_vacant_target(psi.anchor, others):
-            return _claim_step(self_pos, psi.anchor, vis_radius, params)
+            return _claim_step(self_pos, d, psi.anchor, vis_radius, params)
         h = c + unit_toward(c, self_pos).scaled(rad)
         if kind == "psi6" and is_vacant_target(h, others):
-            return _claim_step(self_pos, h, vis_radius, params)
+            return _claim_step(self_pos, d, h, vis_radius, params)
         return midpoint(self_pos, h)
     if kind in ("psi3", "psi7"):
         # A radial hop of the visibility radius toward CIR.
@@ -317,18 +339,19 @@ def compute_destination(
         t = self_pos + unit_toward(c, self_pos).scaled(hop)
         return t if is_vacant_target(t, others) else midpoint(self_pos, t)
     if kind in ("psi5", "psi8"):
-        return _scan_or_rotate(self_pos, vis_radius, params, others, psi.anchor)
+        return _scan_or_rotate(self_pos, d, theta, vis_radius, params, others, psi.anchor)
     raise AssertionError(f"unhandled positional case {kind}")
 
 
 def local_step(snapshot: Snapshot, params: LocalParams) -> Action:
-    """One activation: classify, gate on eligibility, move or wait."""
+    """One activation: measure from C, classify, gate on eligibility, move or wait."""
     me = snapshot.self_pos
     others = list(snapshot.others)
-    psi = classify_psi(me, snapshot.vis_radius, params, others)
-    if not eligible_to_move(me, others, params.cir):
+    sight = measure(me, others, params.cir.center)
+    psi = classify_psi(me, snapshot.vis_radius, params, others, sight)
+    if not eligible_to_move(me, others, params.cir, sight):
         return Action("stay", tag=psi.value)
-    dest = compute_destination(me, snapshot.vis_radius, params, others, psi=psi)
+    dest = compute_destination(me, snapshot.vis_radius, params, others, psi, sight)
     if dist(dest, me) <= EPS:
         return Action("stay", tag=psi.value)
     return move_to(dest, tag=psi.value)

@@ -26,7 +26,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (
     EPS,
@@ -108,8 +108,9 @@ class Schedule:
             raise ValueError("fairness_bound must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace line. Immutable and cheap to build: a look makes three."""
+
     clock: float
     cycle: int
     robot: int
@@ -119,20 +120,30 @@ class TraceEvent:
     tag: str = ""
 
     def to_json_line(self) -> str:
-        parts = [
-            f'"clock": {self.clock:.17g}',
-            f'"cycle": {self.cycle}',
-            f'"robot": {self.robot}',
-            f'"phase": "{self.phase}"',
-            f'"x": {self.pos.x:.17g}',
-            f'"y": {self.pos.y:.17g}',
-        ]
-        if self.dest is not None:
-            parts.append(f'"dest_x": {self.dest.x:.17g}')
-            parts.append(f'"dest_y": {self.dest.y:.17g}')
-        if self.tag:
-            parts.append(f'"tag": "{self.tag}"')
-        return "{" + ", ".join(parts) + "}"
+        clock, cycle, robot, phase, pos, dest, tag = self
+        return _json_line(_json_head(clock, cycle, robot), phase, _json_at(pos), dest, tag)
+
+
+# The trace line format: {"clock", "cycle", "robot", "phase", "x", "y"}, then
+# "dest_x" and "dest_y" for a move and "tag" when it is not empty. The head
+# and the position are formatted apart, so that `Trace.to_jsonl` can reuse
+# them across the events of one look.
+
+
+def _json_head(clock: float, cycle: int, robot: int) -> str:
+    return f'{{"clock": {clock:.17g}, "cycle": {cycle}, "robot": {robot}, "phase": "'
+
+
+def _json_at(pos: Point) -> str:
+    return f'", "x": {pos.x:.17g}, "y": {pos.y:.17g}'
+
+
+def _json_line(head: str, phase: str, at: str, dest: Optional[Point], tag: str) -> str:
+    if dest is not None:
+        at = f'{at}, "dest_x": {dest.x:.17g}, "dest_y": {dest.y:.17g}'
+    if tag:
+        return f'{head}{phase}{at}, "tag": "{tag}"}}'
+    return f"{head}{phase}{at}}}"
 
 
 OUTCOME_CONVERGED = "converged"
@@ -152,7 +163,27 @@ class Trace:
     diagnosis: str = ""
 
     def to_jsonl(self) -> str:
-        return "".join(ev.to_json_line() + "\n" for ev in self.events)
+        """The trace as JSON lines, each one `TraceEvent.to_json_line()`.
+
+        The wait, look and compute events of a look share their clock,
+        cycle, robot and position, so each text is formatted once and reused
+        while the next event holds the very same objects. The test is
+        identity, as in `_decisions`: a -0.0 never borrows the text of a 0.0.
+        """
+        lines: list[str] = []
+        append = lines.append
+        clock = cycle = robot = pos = None
+        head = at = ""
+        for c, k, r, phase, p, dest, tag in self.events:
+            if c is not clock or k is not cycle or r is not robot:
+                clock, cycle, robot = c, k, r
+                head = _json_head(c, k, r)
+            if p is not pos:
+                pos = p
+                at = _json_at(p)
+            append(_json_line(head, phase, at, dest, tag))
+        append("")
+        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +202,11 @@ def take_snapshot(world: WorldState, i: int) -> Snapshot:
     obs = world.robots[i]
     at = world.positions[i]
     vis = obs.vis_radius
-    if vis == math.inf:
-        seen = world.positions[:i] + world.positions[i + 1 :]
-    else:
-        seen = tuple(p for j, p in enumerate(world.positions) if j != i and dist(p, at) <= vis + EPS)
+    seen = world.positions[:i] + world.positions[i + 1 :]
+    if vis != math.inf:
+        # `dist(p, at) <= vis + EPS`, written out.
+        hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
+        seen = tuple([p for p in seen if hypot(p.x - ax, p.y - ay) <= reach])
     if obs.frame == FRAME_FULL_AXES:
         return Snapshot(self_pos=at, others=seen, vis_radius=vis)
     # A y-only robot sees each point relative to itself, X mirrored when its
@@ -499,8 +531,9 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 now = world_at(t).positions
                 reach = 2.0 * (seg.t1 - seg.t0)
                 clear = max(min_sep, SAFE_SEPARATION) + 1e-6
-                for other in range(n):
-                    if other == rid or dist(seg.end, now[other]) - reach >= clear:
+                ex, ey = seg.end.x, seg.end.y  # `dist(seg.end, q)`, written out
+                for other, q in enumerate(now):
+                    if other == rid or math.hypot(ex - q.x, ey - q.y) - reach >= clear:
                         continue
                     for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
                         sep = min_separation_during_motion(seg, piece)

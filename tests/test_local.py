@@ -54,17 +54,20 @@ def snap(me, others, vis):
 class TestRobotPosition:
     cir = Circle(CENTER, 5.0)
 
+    def position(self, p):
+        return compute_robot_position(dist(p, self.cir.center), self.cir.radius)
+
     def test_at_center(self):
-        assert compute_robot_position(P(0, 0), self.cir) == "at-center"
+        assert self.position(P(0, 0)) == "at-center"
 
     def test_on_circle(self):
-        assert compute_robot_position(P(3, 4), self.cir) == "on-circle"
+        assert self.position(P(3, 4)) == "on-circle"
 
     def test_just_inside(self):
-        assert compute_robot_position(P(3, 3.99), self.cir) == "inside"
+        assert self.position(P(3, 3.99)) == "inside"
 
     def test_outside(self):
-        assert compute_robot_position(P(3, 5), self.cir) == "outside"
+        assert self.position(P(3, 5)) == "outside"
 
 
 class TestEligibility:
@@ -301,6 +304,52 @@ def test_one_aligned_target_lookup_per_activation(monkeypatch):
     run_scenario(parse_config(raw))
     assert all(tags[t] > 0 for t in ("psi1", "psi5", "psi8", "psi9"))
     assert max(lookups) == 1
+
+
+def test_one_measure_from_center_per_activation(monkeypatch):
+    # local_step measures the robot's distance and angle from C, and each
+    # visible robot's distance, once; every later rule reads that Sight.
+    measures, calls = [], []  # per local_step: measures, (name, is own) from C
+    real_measure, real_step = local_form.measure, local_form.local_step
+    state = {"me": None, "measuring": False}
+
+    def measure(self_pos, others, c):
+        measures[-1] += 1
+        state["measuring"] = True
+        try:
+            return real_measure(self_pos, others, c)
+        finally:
+            state["measuring"] = False
+
+    def from_center(real, name):
+        def wrapped(p, q):
+            if state["me"] is not None and not state["measuring"] and q == CENTER:
+                calls[-1].append((name, p is state["me"]))
+            return real(p, q)
+
+        return wrapped
+
+    def step(snapshot, params):
+        measures.append(0)
+        calls.append([])
+        state["me"] = snapshot.self_pos
+        try:
+            return real_step(snapshot, params)
+        finally:
+            state["me"] = None
+
+    monkeypatch.setattr(local_form, "measure", measure)
+    monkeypatch.setattr(local_form, "local_step", step)
+    monkeypatch.setattr(local_form, "dist", from_center(local_form.dist, "dist"))
+    monkeypatch.setattr(local_form, "angle_of", from_center(local_form.angle_of, "angle_of"))
+    raw = dict(
+        algorithm="local", n=16, rad=96.0, vis=48.0, scheduler="SSYNC", seed=1,
+        placement="random-annulus",
+    )
+    run_scenario(parse_config(raw))
+    assert len(measures) > 100 and set(measures) == {1}
+    # Only the contention test asks for another robot's angle from C.
+    assert {call for step_calls in calls for call in step_calls} == {("angle_of", False)}
 
 
 class TestIsFormedLocal:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import operator
 import random
+import re
 
 import pytest
 
@@ -27,6 +29,7 @@ from ucircle.simcore import (
     Robot,
     Schedule,
     Snapshot,
+    Trace,
     TraceEvent,
     WorldState,
     _decisions,
@@ -116,6 +119,34 @@ class TestSnapshots:
             w = WorldState(robots, tuple(points))
             for i in range(len(points)):
                 assert snapshot_bits(take_snapshot(w, i)) == snapshot_bits(reference_snapshot(w, i))
+
+    @pytest.mark.parametrize("frame, chirality", [(FRAME_FULL_AXES, 1), (FRAME_Y_ONLY, -1)])
+    def test_visibility_is_the_reference_rule(self, frame, chirality):
+        # Robots at exactly vis + EPS are seen, one float beyond are not, and
+        # near the edge in every direction the filter is `dist <= vis + EPS`.
+        vis = 7.5
+        edge = vis + EPS
+        beyond = math.nextafter(edge, math.inf)
+        rng = random.Random(f"edge:{frame}")
+        at = P(0.0, 0.0)
+        on_edge = [P(edge, 0.0), P(0.0, -edge), P(-edge, -0.0)]
+        past_edge = [P(beyond, 0.0), P(-0.0, beyond), P(-beyond, 0.0)]
+        assert all(dist(p, at) == edge for p in on_edge)
+        assert all(dist(p, at) == beyond for p in past_edge)
+        near = []
+        for _ in range(60):
+            a = rng.uniform(-math.pi, math.pi)
+            r = edge * (1.0 + rng.randint(-3, 3) * 2.0**-52)
+            near.append(P(r * math.cos(a), r * math.sin(a)))
+        points = [at, *on_edge, *past_edge, *near]
+        w = WorldState(tuple(Robot(vis, chirality, frame) for _ in points), tuple(points))
+        seen = [p for p in points[1:] if dist(p, at) <= vis + EPS]
+        assert 3 < len(seen) < len(points) - 4
+        snap = take_snapshot(w, 0)
+        assert len(snap.others) == len(seen)
+        assert snapshot_bits(snap) == snapshot_bits(reference_snapshot(w, 0))
+        if frame == FRAME_FULL_AXES:
+            assert all(map(operator.is_, snap.others, seen))
 
     def test_move_dest_interpreted_in_local_frame(self):
         # A mirrored y-only robot asking to move to local (1, 0) must move
@@ -264,6 +295,97 @@ class TestTraceFormat:
     def test_optional_fields_omitted(self):
         rec = json.loads(TraceEvent(0.0, 0, 0, "look", P(0, 0)).to_json_line())
         assert "dest_x" not in rec and "tag" not in rec
+
+    def test_event_is_immutable(self):
+        ev = TraceEvent(0.0, 0, 0, "look", P(0, 0))
+        for field, value in [("clock", 1.0), ("pos", P(1, 1)), ("dest", P(2, 2)), ("tag", "x")]:
+            with pytest.raises(AttributeError):
+                setattr(ev, field, value)
+        assert ev == TraceEvent(0.0, 0, 0, "look", P(0, 0))
+
+    def test_keyword_construction_and_defaults(self):
+        ev = TraceEvent(clock=2.5, cycle=1, robot=3, phase="wait", pos=P(1, 2))
+        assert (ev.clock, ev.cycle, ev.robot, ev.phase, ev.pos) == (2.5, 1, 3, "wait", P(1, 2))
+        assert ev.dest is None and ev.tag == ""
+        assert ev == TraceEvent(2.5, 1, 3, "wait", P(1, 2), None, "")
+        move = TraceEvent(2.5, 1, 3, "move", P(1, 2), tag="psi5", dest=P(4, 2))
+        assert move.dest == P(4, 2) and move.tag == "psi5"
+
+
+def _lines_of(trace):
+    return "".join(ev.to_json_line() + "\n" for ev in trace.events)
+
+
+class TestTraceSerialiser:
+    """`Trace.to_jsonl` reuses the text of the fields a look's events share;
+    every line must still be the event's own `to_json_line()`."""
+
+    def test_async_run_with_moves_between_looks(self):
+        cfg = dict(algorithm="local", n=8, rad=24.0, vis=12.0, scheduler="ASYNC", seed=2)
+        trace, _ = run_scenario(parse_config(dict(cfg, placement="random-disc")))
+        phases = [ev.phase for ev in trace.events]
+        # A move is written at its look's end, then other robots look
+        # before it arrives: the events of different looks interleave.
+        assert any(a == "move" and b == "wait" for a, b in zip(phases, phases[1:]))
+        assert trace.to_jsonl() == _lines_of(trace)
+
+    def test_ssync_run_with_moves(self):
+        cfg = dict(algorithm="global", n=6, a=4.0, scheduler="SSYNC", seed=2)
+        trace, _ = run_scenario(parse_config(dict(cfg, placement="random-disc")))
+        assert trace.outcome == OUTCOME_CONVERGED
+        assert sum(ev.phase == "move" for ev in trace.events) > 6
+        assert trace.to_jsonl() == _lines_of(trace)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(algorithm="global", n=9, a=4.0, scheduler="ASYNC", seed=3),
+            dict(
+                algorithm="global",
+                n=5,
+                a=6.0,
+                scheduler="SSYNC",
+                seed=1,
+                placement=[[-1.5, 0.0], [1.5, 0.0], [-2.5, 3.0], [2.5, 3.0], [0.0, -5.0]],
+            ),
+        ],
+        ids=["async", "ssync"],
+    )
+    def test_fault_run(self, cfg):
+        trace, _ = run_scenario(parse_config(dict({"placement": "random-disc"}, **cfg)))
+        assert trace.outcome == OUTCOME_FAULT
+        assert trace.to_jsonl() == _lines_of(trace)
+
+    def test_equal_but_distinct_fields_keep_their_own_text(self):
+        # 0.0 == -0.0, but each line must print its own sign; equal Points
+        # and clocks that are distinct objects must not share text either.
+        zero, neg = 0.0, -0.0
+        at, at_neg = P(0.0, 0.0), P(-0.0, 0.0)
+        events = [
+            TraceEvent(zero, 0, 0, "wait", at),
+            TraceEvent(zero, 0, 0, "look", at_neg),
+            TraceEvent(neg, 0, 0, "compute", at_neg, tag="t"),
+            TraceEvent(neg, 0, 0, "move", P(0.0, -0.0), P(1.0, 0.0), "t"),
+            TraceEvent(zero, 0, 0, "wait", P(0.0, -0.0)),
+            TraceEvent(zero, 0, 1, "look", P(0.0, -0.0)),
+        ]
+        w = WorldState((Robot(), Robot()), (at, P(5.0, 0.0)))
+        trace = Trace(events, OUTCOME_BUDGET, w, w, 1, 5.0)
+        text = trace.to_jsonl()
+        assert text == _lines_of(trace)
+        fields = [re.findall(r'"(?:clock|robot|x|y)": (-?\d+)', line) for line in text.splitlines()]
+        assert fields == [
+            ["0", "0", "0", "0"],
+            ["0", "0", "-0", "0"],
+            ["-0", "0", "-0", "0"],
+            ["-0", "0", "0", "-0"],
+            ["0", "0", "0", "-0"],
+            ["0", "1", "0", "-0"],
+        ]
+
+    def test_empty_trace(self):
+        w = make_world([P(0, 0)])
+        assert Trace([], OUTCOME_BUDGET, w, w, 0, math.inf).to_jsonl() == ""
 
 
 # ---------------------------------------------------------------------------

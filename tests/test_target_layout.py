@@ -116,7 +116,7 @@ def test_psi1_anchor_matches_the_scan(n, center):
     probes = [
         p
         for p in _probes(circle, targets, PSI1_TOL, n)
-        if compute_robot_position(p, circle) == ON_CIRCLE
+        if compute_robot_position(dist(p, circle.center), circle.radius) == ON_CIRCLE
     ]
     hits = 0
     for p in probes:
