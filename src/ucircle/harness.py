@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -288,13 +289,19 @@ class RunSummary:
 
 
 def _ring_metrics(positions: Sequence[Point], center: Point, n: int) -> tuple[float, float]:
-    angles = sorted(math.atan2(p.y - center.y, p.x - center.x) for p in positions)
+    # Each robot's angle about the center, computed once; a stable sort by
+    # it orders both the angles and the robots round the ring.
+    ring = sorted(
+        [(math.atan2(p.y - center.y, p.x - center.x), p) for p in positions],
+        key=operator.itemgetter(0),
+    )
+    angles = [ang for ang, _ in ring]
     want = 2.0 * math.pi / n
     uerr = 0.0
     for i, ang in enumerate(angles):
         nxt = angles[(i + 1) % len(angles)] + (2.0 * math.pi if i + 1 == len(angles) else 0.0)
         uerr = max(uerr, abs((nxt - ang) - want))
-    by_angle = sorted(positions, key=lambda p: math.atan2(p.y - center.y, p.x - center.x))
+    by_angle = [p for _, p in ring]
     smin = min(
         dist(by_angle[i], by_angle[(i + 1) % len(by_angle)]) for i in range(len(by_angle))
     )

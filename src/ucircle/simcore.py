@@ -109,41 +109,34 @@ class Schedule:
 
 
 class TraceEvent(NamedTuple):
-    """One trace line. Immutable and cheap to build: a look makes three."""
+    """One trace event, immutable and cheap to build: a robot's look or its
+    move. A look stands for its wait, look and compute, which share the
+    clock, cycle, robot and position; its tag is the decision's."""
 
     clock: float
     cycle: int
     robot: int
-    phase: str
+    phase: str  # "look" | "move"
     pos: Point
     dest: Optional[Point] = None
     tag: str = ""
 
-    def to_json_line(self) -> str:
+    def to_jsonl(self) -> str:
+        """The event's trace text: one JSON line, or for a look three (wait,
+        look, then compute, the tag on compute only), each ending in a newline.
+
+        A line holds "clock", "cycle", "robot", "phase", "x" and "y", then
+        "dest_x" and "dest_y" for a destination and "tag" when it is not empty.
+        """
         clock, cycle, robot, phase, pos, dest, tag = self
-        return _json_line(_json_head(clock, cycle, robot), phase, _json_at(pos), dest, tag)
-
-
-# The trace line format: {"clock", "cycle", "robot", "phase", "x", "y"}, then
-# "dest_x" and "dest_y" for a move and "tag" when it is not empty. The head
-# and the position are formatted apart, so that `Trace.to_jsonl` can reuse
-# them across the events of one look.
-
-
-def _json_head(clock: float, cycle: int, robot: int) -> str:
-    return f'{{"clock": {clock:.17g}, "cycle": {cycle}, "robot": {robot}, "phase": "'
-
-
-def _json_at(pos: Point) -> str:
-    return f'", "x": {pos.x:.17g}, "y": {pos.y:.17g}'
-
-
-def _json_line(head: str, phase: str, at: str, dest: Optional[Point], tag: str) -> str:
-    if dest is not None:
-        at = f'{at}, "dest_x": {dest.x:.17g}, "dest_y": {dest.y:.17g}'
-    if tag:
-        return f'{head}{phase}{at}, "tag": "{tag}"}}'
-    return f"{head}{phase}{at}}}"
+        head = f'{{"clock": {clock:.17g}, "cycle": {cycle}, "robot": {robot}, "phase": "'
+        at = f'", "x": {pos.x:.17g}, "y": {pos.y:.17g}'
+        if dest is not None:
+            at = f'{at}, "dest_x": {dest.x:.17g}, "dest_y": {dest.y:.17g}'
+        end = f', "tag": "{tag}"}}\n' if tag else "}\n"
+        if phase == "look":
+            return f"{head}wait{at}}}\n{head}look{at}}}\n{head}compute{at}{end}"
+        return f"{head}{phase}{at}{end}"
 
 
 OUTCOME_CONVERGED = "converged"
@@ -163,27 +156,8 @@ class Trace:
     diagnosis: str = ""
 
     def to_jsonl(self) -> str:
-        """The trace as JSON lines, each one `TraceEvent.to_json_line()`.
-
-        The wait, look and compute events of a look share their clock,
-        cycle, robot and position, so each text is formatted once and reused
-        while the next event holds the very same objects. The test is
-        identity, as in `_decisions`: a -0.0 never borrows the text of a 0.0.
-        """
-        lines: list[str] = []
-        append = lines.append
-        clock = cycle = robot = pos = None
-        head = at = ""
-        for c, k, r, phase, p, dest, tag in self.events:
-            if c is not clock or k is not cycle or r is not robot:
-                clock, cycle, robot = c, k, r
-                head = _json_head(c, k, r)
-            if p is not pos:
-                pos = p
-                at = _json_at(p)
-            append(_json_line(head, phase, at, dest, tag))
-        append("")
-        return "\n".join(lines)
+        """The trace as JSON lines: each event's `TraceEvent.to_jsonl()`, joined."""
+        return "".join([ev.to_jsonl() for ev in self.events])
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +267,11 @@ def _decisions(
 
 
 def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
-    """Robot i looks and decides at clock t. Its wait, look and compute events
-    are appended only once the action is valid (else InvalidActionFault)."""
-    pos = world.positions[i]
+    """Robot i looks and decides at clock t. Its look event, tagged with the
+    decision, is appended only once the action is valid (else InvalidActionFault)."""
     action = decide(i)
     _check_action(action)
-    events.append(TraceEvent(t, cycle, i, "wait", pos))
-    events.append(TraceEvent(t, cycle, i, "look", pos))
-    events.append(TraceEvent(t, cycle, i, "compute", pos, tag=action.tag))
+    events.append(TraceEvent(t, cycle, i, "look", world.positions[i], tag=action.tag))
     return action
 
 
@@ -528,11 +499,11 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 # A pair whose bound clears both min_sep and the fault
                 # threshold, with a margin for the rounding of the exact
                 # test, can neither lower min_sep nor fault: it is skipped.
-                now = world_at(t).positions
+                now = world_at(t)
                 reach = 2.0 * (seg.t1 - seg.t0)
                 clear = max(min_sep, SAFE_SEPARATION) + 1e-6
                 ex, ey = seg.end.x, seg.end.y  # `dist(seg.end, q)`, written out
-                for other, q in enumerate(now):
+                for other, q in enumerate(now.positions):
                     if other == rid or math.hypot(ex - q.x, ey - q.y) - reach >= clear:
                         continue
                     for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
@@ -551,15 +522,15 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                     return OUTCOME_BUDGET, world_at(t), max_cycles, min_sep, ""
                 looks += 1
                 cycle = (looks - 1) // n
-                view = world_at(t)
-                table = _decisions(view, algorithm, table)
-                action = _look(view, rid, table, t, cycle, events)
-                dest = _destination(view, rid, action)
+                now = world_at(t)
+                table = _decisions(now, algorithm, table)
+                action = _look(now, rid, table, t, cycle, events)
+                dest = _destination(now, rid, action)
                 start = t + delay()
                 if dest is None:
                     heapq.heappush(heap, (start + delay(), rid, "look"))
                 else:
-                    cur = view.positions[rid]
+                    cur = now.positions[rid]
                     track.append(MotionSegment(cur, cur, track[-1].t1, start))
                     track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))
                     flying.add(rid)
@@ -568,13 +539,13 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 # The initial world is checked once, if the first look stays.
                 quiescent = looks == 1 and dest is None
             if quiescent:
-                w = world_at(t)
+                # Nobody else is in flight, so `now` is the static world.
                 # One decision per robot: the stall check, its tags and the
                 # looks until a robot leaves its position share it.
-                table = _decisions(w, algorithm, table)
-                verdict = _verdict(w, table, termination)
+                table = _decisions(now, algorithm, table)
+                verdict = _verdict(now, table, termination)
                 if verdict is not None:
                     outcome, diagnosis = verdict
-                    return outcome, w, (looks + n - 1) // n, min_sep, diagnosis
+                    return outcome, now, (looks + n - 1) // n, min_sep, diagnosis
     except SimulationFault as exc:
         return OUTCOME_FAULT, world_at(t), looks // n, min_sep, str(exc)

@@ -213,7 +213,7 @@ class TestExecuteCycle:
         assert new.positions == w.positions
         assert sep == math.inf  # no pair has a mover
         phases = [e.phase for e in events]
-        assert phases == ["wait", "look", "compute"] * 2
+        assert phases == ["look"] * 2
 
     def test_simple_move(self):
         w = make_world([P(0, 0)])
@@ -273,7 +273,7 @@ class TestExecuteCycle:
 class TestTraceFormat:
     def test_event_line_is_json(self):
         ev = TraceEvent(1.5, 3, 2, "move", P(0.1, -2.25), dest=P(1, 1), tag="psi3")
-        rec = json.loads(ev.to_json_line())
+        rec = json.loads(ev.to_jsonl())
         assert rec == {
             "clock": 1.5,
             "cycle": 3,
@@ -289,12 +289,42 @@ class TestTraceFormat:
     def test_floats_round_trip_exactly(self):
         x = 1.0 / 3.0
         ev = TraceEvent(0.0, 0, 0, "look", P(x, -x))
-        rec = json.loads(ev.to_json_line())
-        assert rec["x"] == x and rec["y"] == -x
+        for line in ev.to_jsonl().splitlines():
+            rec = json.loads(line)
+            assert rec["x"] == x and rec["y"] == -x
 
     def test_optional_fields_omitted(self):
-        rec = json.loads(TraceEvent(0.0, 0, 0, "look", P(0, 0)).to_json_line())
-        assert "dest_x" not in rec and "tag" not in rec
+        for line in TraceEvent(0.0, 0, 0, "look", P(0, 0)).to_jsonl().splitlines():
+            rec = json.loads(line)
+            assert "dest_x" not in rec and "tag" not in rec
+
+    def test_look_writes_wait_look_and_compute(self):
+        text = TraceEvent(1.5, 2, 3, "look", P(0.25, -2.0), tag="psi5").to_jsonl()
+        assert text == (
+            '{"clock": 1.5, "cycle": 2, "robot": 3, "phase": "wait", "x": 0.25, "y": -2}\n'
+            '{"clock": 1.5, "cycle": 2, "robot": 3, "phase": "look", "x": 0.25, "y": -2}\n'
+            '{"clock": 1.5, "cycle": 2, "robot": 3, "phase": "compute", "x": 0.25, "y": -2, '
+            '"tag": "psi5"}\n'
+        )
+
+    def test_signed_zeros_print_their_own_sign(self):
+        # 0.0 == -0.0, but each field prints its own sign, on a look's three
+        # lines and on a move's one.
+        events = [
+            TraceEvent(-0.0, 0, 0, "look", P(-0.0, 0.0), tag="t"),
+            TraceEvent(0.0, 0, 1, "move", P(0.0, -0.0), P(-0.0, 0.0), "t"),
+        ]
+        text = "".join(ev.to_jsonl() for ev in events)
+        fields = [
+            re.findall(r'"(?:clock|robot|x|y|dest_x|dest_y)": (-?\d+)', line)
+            for line in text.splitlines()
+        ]
+        assert fields == [
+            ["-0", "0", "-0", "0"],
+            ["-0", "0", "-0", "0"],
+            ["-0", "0", "-0", "0"],
+            ["0", "1", "0", "-0", "-0", "0"],
+        ]
 
     def test_event_is_immutable(self):
         ev = TraceEvent(0.0, 0, 0, "look", P(0, 0))
@@ -304,21 +334,41 @@ class TestTraceFormat:
         assert ev == TraceEvent(0.0, 0, 0, "look", P(0, 0))
 
     def test_keyword_construction_and_defaults(self):
-        ev = TraceEvent(clock=2.5, cycle=1, robot=3, phase="wait", pos=P(1, 2))
-        assert (ev.clock, ev.cycle, ev.robot, ev.phase, ev.pos) == (2.5, 1, 3, "wait", P(1, 2))
+        ev = TraceEvent(clock=2.5, cycle=1, robot=3, phase="look", pos=P(1, 2))
+        assert (ev.clock, ev.cycle, ev.robot, ev.phase, ev.pos) == (2.5, 1, 3, "look", P(1, 2))
         assert ev.dest is None and ev.tag == ""
-        assert ev == TraceEvent(2.5, 1, 3, "wait", P(1, 2), None, "")
+        assert ev == TraceEvent(2.5, 1, 3, "look", P(1, 2), None, "")
         move = TraceEvent(2.5, 1, 3, "move", P(1, 2), tag="psi5", dest=P(4, 2))
         assert move.dest == P(4, 2) and move.tag == "psi5"
 
 
-def _lines_of(trace):
-    return "".join(ev.to_json_line() + "\n" for ev in trace.events)
+def _records_of(trace):
+    """The records the trace text must parse back into, built from the events
+    field by field: a look's wait, look and compute (the tag on compute
+    only), and a move with its destination."""
+    records = []
+    for clock, cycle, robot, phase, pos, dest, tag in trace.events:
+        at = {"x": pos.x, "y": pos.y}
+        if dest is not None:
+            at.update(dest_x=dest.x, dest_y=dest.y)
+        phases = ["wait", "look", "compute"] if phase == "look" else [phase]
+        for shown in phases:
+            rec = {"clock": clock, "cycle": cycle, "robot": robot, "phase": shown, **at}
+            if tag and shown not in ("wait", "look"):
+                rec["tag"] = tag
+            records.append(rec)
+    return records
+
+
+def _parses_back(trace):
+    lines = trace.to_jsonl().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    return all(line.endswith("\n") for line in lines) and records == _records_of(trace)
 
 
 class TestTraceSerialiser:
-    """`Trace.to_jsonl` reuses the text of the fields a look's events share;
-    every line must still be the event's own `to_json_line()`."""
+    """`Trace.to_jsonl` writes each event's lines in event order: the text
+    parses back into the events' fields, three records per look."""
 
     def test_async_run_with_moves_between_looks(self):
         cfg = dict(algorithm="local", n=8, rad=24.0, vis=12.0, scheduler="ASYNC", seed=2)
@@ -326,15 +376,17 @@ class TestTraceSerialiser:
         phases = [ev.phase for ev in trace.events]
         # A move is written at its look's end, then other robots look
         # before it arrives: the events of different looks interleave.
-        assert any(a == "move" and b == "wait" for a, b in zip(phases, phases[1:]))
-        assert trace.to_jsonl() == _lines_of(trace)
+        assert any(a == "move" and b == "look" for a, b in zip(phases, phases[1:]))
+        assert set(phases) == {"look", "move"}
+        assert _parses_back(trace)
+        assert phases.count("look") == trace.to_jsonl().count('"phase": "compute"')
 
     def test_ssync_run_with_moves(self):
         cfg = dict(algorithm="global", n=6, a=4.0, scheduler="SSYNC", seed=2)
         trace, _ = run_scenario(parse_config(dict(cfg, placement="random-disc")))
         assert trace.outcome == OUTCOME_CONVERGED
         assert sum(ev.phase == "move" for ev in trace.events) > 6
-        assert trace.to_jsonl() == _lines_of(trace)
+        assert _parses_back(trace)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -354,34 +406,7 @@ class TestTraceSerialiser:
     def test_fault_run(self, cfg):
         trace, _ = run_scenario(parse_config(dict({"placement": "random-disc"}, **cfg)))
         assert trace.outcome == OUTCOME_FAULT
-        assert trace.to_jsonl() == _lines_of(trace)
-
-    def test_equal_but_distinct_fields_keep_their_own_text(self):
-        # 0.0 == -0.0, but each line must print its own sign; equal Points
-        # and clocks that are distinct objects must not share text either.
-        zero, neg = 0.0, -0.0
-        at, at_neg = P(0.0, 0.0), P(-0.0, 0.0)
-        events = [
-            TraceEvent(zero, 0, 0, "wait", at),
-            TraceEvent(zero, 0, 0, "look", at_neg),
-            TraceEvent(neg, 0, 0, "compute", at_neg, tag="t"),
-            TraceEvent(neg, 0, 0, "move", P(0.0, -0.0), P(1.0, 0.0), "t"),
-            TraceEvent(zero, 0, 0, "wait", P(0.0, -0.0)),
-            TraceEvent(zero, 0, 1, "look", P(0.0, -0.0)),
-        ]
-        w = WorldState((Robot(), Robot()), (at, P(5.0, 0.0)))
-        trace = Trace(events, OUTCOME_BUDGET, w, w, 1, 5.0)
-        text = trace.to_jsonl()
-        assert text == _lines_of(trace)
-        fields = [re.findall(r'"(?:clock|robot|x|y)": (-?\d+)', line) for line in text.splitlines()]
-        assert fields == [
-            ["0", "0", "0", "0"],
-            ["0", "0", "-0", "0"],
-            ["-0", "0", "-0", "0"],
-            ["-0", "0", "0", "-0"],
-            ["0", "0", "0", "-0"],
-            ["0", "1", "0", "-0"],
-        ]
+        assert _parses_back(trace)
 
     def test_empty_trace(self):
         w = make_world([P(0, 0)])
@@ -613,7 +638,7 @@ class TestComputeOnce:
         assert trace.outcome == OUTCOME_CONVERGED
         for i in range(len(w.robots)):
             phases = [e.phase for e in trace.events if e.robot == i]
-            assert phases[:4] == ["wait", "look", "compute", "move"]
+            assert phases[:2] == ["look", "move"]
         moves = [e for e in trace.events if e.phase == "move"]
         assert clocks[0] >= min(e.clock + dist(e.pos, e.dest) for e in moves)
 
@@ -667,11 +692,11 @@ class TestComputeOnce:
             started = [seg for seg in walks if seg.t0 <= t]
             return started[-1].position_at(t) if started else w.positions[0]
 
-        computes = [e for e in trace.events if e.phase == "compute"]
-        for e in computes:
+        looks = [e for e in trace.events if e.phase == "look"]
+        for e in looks:
             assert e.tag == f"{walker_at(e.clock).x:.17g}", e
         # Looks with nobody in motion shared decisions.
-        assert counted.calls < len(computes)
+        assert counted.calls < len(looks)
 
     def test_a_table_holds_only_for_the_same_points(self):
         # Equal points are not enough: 0.0 == -0.0, yet robot 1 sees the
