@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     EPS,
-    VACANCY_CLEARANCE,
     Circle,
     Point,
     angle_of,
@@ -56,6 +55,10 @@ DETOUR_CLEARANCE = 2.05  # center-to-center clearance when stepping around a blo
 TAG_EXPAND = "expand"
 TAG_FORM = "form"
 TAG_NO_LEADER = "no-leader"
+
+# A robot still to be seated: its position, its angle from the SEC center
+# and whether it lies on the SEC.
+Mover = tuple[Point, float, bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,34 +215,34 @@ def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Acti
     return Action("stay", tag=TAG_EXPAND)
 
 
-def _approach_metric(r: Point, t: Point, sec: Circle) -> float:
-    """Arc distance for robots on the SEC boundary, chord distance otherwise."""
-    if _on_sec(r, sec):
-        da = abs(angle_of(r, sec.center) - angle_of(t, sec.center))
-        da = min(da, 2.0 * math.pi - da)
-        return da * sec.radius
-    return dist(r, t)
-
-
 def _select_mover(
     target: Point,
-    movers: Sequence[Point],
+    movers: Sequence[Mover],
     sec: Circle,
     is_top_target: bool,
-) -> Optional[Point]:
-    dists = [(_approach_metric(r, target, sec), r) for r in movers]
+) -> Optional[Mover]:
+    """The mover nearest to target: by arc for a robot on the SEC boundary,
+    by chord otherwise."""
+    a_t = angle_of(target, sec.center)
+    dists = []
+    for m in movers:
+        p, a_p, on_sec = m
+        if on_sec:
+            da = abs(a_p - a_t)
+            dists.append((min(da, 2.0 * math.pi - da) * sec.radius, m))
+        else:
+            dists.append((dist(p, target), m))
     best = min(d for d, _ in dists)
-    tied = [r for d, r in dists if d <= best + 1e-9]
+    tied = [m for d, m in dists if d <= best + 1e-9]
     if len(tied) == 1:
         return tied[0]
     if is_top_target:
         return None  # contested top target: nobody moves this cycle
-    return max(tied, key=lambda r: (r.y, r.x))
+    return max(tied, key=lambda m: (m[0].y, m[0].x))
 
 
-def _arc_step(me: Point, target: Point, sec: Circle, others: Sequence[Point]) -> Point:
-    """Walk along the SEC toward target in bounded chordal steps."""
-    a_me = angle_of(me, sec.center)
+def _arc_step(me: Point, a_me: float, target: Point, sec: Circle, others: Sequence[Point]) -> Point:
+    """Walk along the SEC from me, at angle a_me, toward target in bounded chordal steps."""
     a_t = angle_of(target, sec.center)
     diff = math.remainder(a_t - a_me, 2.0 * math.pi)
     if abs(diff) <= 1e-12:
@@ -269,39 +272,28 @@ def _straight_step(me: Point, target: Point, others: Sequence[Point]) -> Point:
     return me
 
 
-def _seats_and_vacancy(
-    points: Sequence[Point], targets: Sequence[Point], sec: Circle
-) -> Optional[tuple[list[Optional[int]], list[bool]]]:
-    """Each robot's seat and whether each target is vacant, or None as soon
-    as points[0] turns out to be seated (that robot stays, nothing else counts).
+def _target_groups(order: Sequence[Point], points: Sequence[Point]) -> Iterator[list[Point]]:
+    """The untaken targets `order` (highest first) in walk order: groups of
+    vacant targets, then groups of crowded ones, each group the targets of
+    its tier within 1e-9 in y of its first.
 
-    A robot's seat is the target within SETTLE_TOL of it: targets lie more
-    than 3 apart, so only the one `target_index` names can be. A robot
-    within the vacancy reach d of a target lies within asin(d/R) of its
-    angle on the SEC of radius R (anywhere when d >= R), and its own angle
-    lies within half a target step of its nearest target `i`. So
-    `is_vacant_target` sees only the robots whose window around `i` holds
-    the target: the window is as wide as those two bounds, plus half a step
-    each side as a margin for the rounding of atan2 and asin, and floor and
-    ceil round it outward. Every test is the exact one of a scan of all
-    targets.
+    A target's vacancy is tested only when the walk reaches it. y never
+    rises along `order`, so a vacant group is complete, and yielded, as
+    soon as the next target lies lower than that.
     """
-    n = len(targets)
-    step = 2.0 * math.pi / n
-    reach = VACANCY_CLEARANCE + EPS
-    half = 1.0 + (math.asin(reach / sec.radius) / step if reach < sec.radius else n)
-    near: list[list[Point]] = [[] for _ in targets]
-    seats: list[Optional[int]] = []
-    for k, p in enumerate(points):
-        i = target_index(angle_of(p, sec.center), n)
-        seated = dist(p, targets[i]) <= SETTLE_TOL
-        if seated and k == 0:
-            return None
-        seats.append(i if seated else None)
-        lo, hi = math.floor(i - half), math.ceil(i + half)
-        for j in range(n) if hi - lo + 1 >= n else [j % n for j in range(lo, hi + 1)]:
-            near[j].append(p)
-    return seats, [is_vacant_target(t, near[i]) for i, t in enumerate(targets)]
+    crowded: list[Point] = []
+    for tier in (order, crowded):
+        group: list[Point] = []
+        for t in tier:
+            if group and abs(t.y - group[0].y) > 1e-9:
+                yield group
+                group = []
+            if tier is crowded or is_vacant_target(t, points):
+                group.append(t)
+            else:
+                crowded.append(t)
+        if group:
+            yield group
 
 
 def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Action:
@@ -309,41 +301,38 @@ def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Actio
     points = _all_points(snapshot)
     me = snapshot.self_pos
     targets = compute_target_points(params.n, sec)
-    # `me` comes first in `points`: seated, it stays.
-    found = _seats_and_vacancy(points, targets, sec)
-    if found is None:
-        return Action("stay", tag=TAG_FORM)
-    seats, is_vacant = found
-    movers = [p for p, seat in zip(points, seats) if seat is None]
-    taken = set(seats)
-    vacant: list[Point] = []
-    crowded: list[Point] = []
-    for i, t in enumerate(targets):
-        if is_vacant[i]:
-            vacant.append(t)
-        elif i not in taken:
-            crowded.append(t)
+    # A robot's seat is the target within SETTLE_TOL of it: targets lie more
+    # than 3 apart, so only the one `target_index` names can be. A seated
+    # robot lies well inside its target's vacancy clearance, so a taken
+    # target is never vacant and never tested.
+    taken: set[int] = set()
+    movers: list[Mover] = []
+    for p in points:
+        theta = angle_of(p, sec.center)
+        i = target_index(theta, params.n)
+        if dist(p, targets[i]) > SETTLE_TOL:
+            movers.append((p, theta, _on_sec(p, sec)))
+        elif p is me:
+            return Action("stay", tag=TAG_FORM)
+        else:
+            taken.add(i)
     # Highest vacant target first, crowded ones after, cascading downward so
     # that a contested or blocked candidate never stalls the whole formation.
     # Mirror-tied targets within a tier are considered together.
-    groups: list[list[Point]] = []
-    for tier in (vacant, crowded):
-        tier.sort(key=lambda t: (-t.y, abs(t.x - sec.center.x)))
-        for k, t in enumerate(tier):
-            if k and abs(t.y - groups[-1][0].y) <= 1e-9:
-                groups[-1].append(t)
-            else:
-                groups.append([t])
+    order = sorted(
+        (t for i, t in enumerate(targets) if i not in taken),
+        key=lambda t: (-t.y, abs(t.x - sec.center.x)),
+    )
     top = targets[0]
-    for group in groups:
+    for group in _target_groups(order, points):
         chosen: list[tuple[Point, Point, Point]] = []
         for t in group:
             mover = _select_mover(t, movers, sec, dist(t, top) <= 1e-9)
             if mover is None:
                 continue
             step = _move_step(mover, t, points, sec)
-            if dist(step, mover) > EPS:
-                chosen.append((t, mover, step))
+            if dist(step, mover[0]) > EPS:
+                chosen.append((t, mover[0], step))
         if chosen:
             mine = [(t, step) for t, m, step in chosen if m is me]
             if not mine:
@@ -355,17 +344,18 @@ def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Actio
     return Action("stay", tag=TAG_FORM)
 
 
-def _move_step(mover: Point, target: Point, points: Sequence[Point], sec: Circle) -> Point:
+def _move_step(mover: Mover, target: Point, points: Sequence[Point], sec: Circle) -> Point:
     """World step a given robot would take toward target (or itself).
 
     Full move in one cycle when the chord is clear: stopping short of the
     target would make it look occupied next cycle and re-route the mover
     back and forth. A blocked chord falls back to short boundary arc hops.
     """
-    others = [p for p in points if p is not mover]
-    dest = _straight_step(mover, target, others)
-    if dist(dest, mover) <= EPS and _on_sec(mover, sec):
-        dest = _arc_step(mover, target, sec, others)
+    p, a_p, on_sec = mover
+    others = [q for q in points if q is not p]
+    dest = _straight_step(p, target, others)
+    if dist(dest, p) <= EPS and on_sec:
+        dest = _arc_step(p, a_p, target, sec, others)
     return dest
 
 

@@ -474,11 +474,14 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     def delay() -> float:
         return 0.05 + rng.random() * window
 
-    def world_at(t: float) -> WorldState:
+    def positions_at(t: float) -> list[Point]:
         positions = here.copy()
         for i in flying:
             positions[i] = tracks[i][-1].position_at(t)
-        return WorldState(world.robots, tuple(positions), t)
+        return positions
+
+    def world_at(t: float) -> WorldState:
+        return WorldState(world.robots, tuple(positions_at(t)), t)
 
     # Event queue of (time, robot, kind), kind "look" or "arrive". Each robot
     # has exactly one pending event, so (time, robot) orders it alone.
@@ -499,11 +502,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 # A pair whose bound clears both min_sep and the fault
                 # threshold, with a margin for the rounding of the exact
                 # test, can neither lower min_sep nor fault: it is skipped.
-                now = world_at(t)
                 reach = 2.0 * (seg.t1 - seg.t0)
                 clear = max(min_sep, SAFE_SEPARATION) + 1e-6
                 ex, ey = seg.end.x, seg.end.y  # `dist(seg.end, q)`, written out
-                for other, q in enumerate(now.positions):
+                for other, q in enumerate(positions_at(t)):
                     if other == rid or math.hypot(ex - q.x, ey - q.y) - reach >= clear:
                         continue
                     for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
@@ -517,6 +519,8 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 flying.remove(rid)
                 heapq.heappush(heap, (t + delay(), rid, "look"))
                 quiescent = not flying  # only an arrival changes the static world
+                if quiescent:
+                    now = world_at(t)
             else:
                 if looks >= max_cycles * n:
                     return OUTCOME_BUDGET, world_at(t), max_cycles, min_sep, ""

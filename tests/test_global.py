@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ucircle import global_form
 from ucircle.geometry import (
     EPS,
     VACANCY_CLEARANCE,
@@ -12,14 +13,12 @@ from ucircle.geometry import (
     Point,
     compute_target_points,
     dist,
-    is_vacant_target,
     smallest_enclosing_circle,
 )
 from ucircle.global_form import (
     SETTLE_TOL,
     GlobalParams,
     _expansion_move,
-    _seats_and_vacancy,
     compute_radius,
     detect_symmetry,
     form_ucircle,
@@ -28,6 +27,7 @@ from ucircle.global_form import (
     make_global_algorithm,
     sec_expansion,
 )
+from ucircle.harness import parse_config, run_scenario
 from ucircle.simcore import (
     FRAME_Y_ONLY,
     OUTCOME_CONVERGED,
@@ -292,12 +292,12 @@ class TestFormUcircle:
 
 
 def window_probes(n, a, offset):
-    """(sec, targets, probes) for n targets at chord a: points placed where
-    an angular window of the targets could miss one. Around each target: on it, just inside and just
-    outside SETTLE_TOL, just inside and just outside the vacancy reach in
-    many directions, and at the two tangent points of the reach seen from
-    the centre. Between targets: midway along the SEC and 2 units off it.
-    Plus the centre and random points over the whole disc."""
+    """(sec, targets, probes) for n targets at chord a: points on both sides
+    of each seat and vacancy threshold. Around each target: on it, just
+    inside and just outside SETTLE_TOL, just inside and just outside the
+    vacancy reach in many directions, and at the two tangent points of the
+    reach seen from the centre. Between targets: midway along the SEC and 2
+    units off it. Plus the centre and random points over the whole disc."""
     rng = random.Random(n * 1000 + int(a * 10))
     c = P(offset + 0.37, offset - 1.3)
     sec = Circle(c, a / (2.0 * math.sin(math.pi / n)))
@@ -327,33 +327,29 @@ def window_probes(n, a, offset):
 
 
 class TestSeatsAndVacancy:
-    """The angular windows give the same seats and vacancies as testing
-    every robot against every target."""
-
-    @staticmethod
-    def brute(points, targets):
-        seats = [next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None) for p in points]
-        return seats, [is_vacant_target(t, points) for t in targets]
+    """The formation walk seats each robot by `target_index` and tests a
+    target's vacancy only when the walk reaches it; it must act as the
+    reference walk, which scans every target for both."""
 
     # Chords of 3.0001, 3.5 and 5 are the formation's; at chord 1 the targets
-    # are packed closer than the clearance, so a robot reaches more than
-    # two targets either side of its angle and only asin(d/R) finds them.
+    # are packed closer than the clearance, so a robot crowds more than one
+    # target on either side of its own.
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 20, 32])
     @pytest.mark.parametrize("a", [1.0, 3.0001, 3.5, 5.0])
-    def test_matches_the_scan_of_every_target(self, n, a):
+    def test_matches_the_scan_of_every_target(self, n, a, walk_agrees):
         for offset in (0.0, 1e6) if n in (6, 20) else (0.0,):
             sec, targets, probes = window_probes(n, a, offset)
+            params = GlobalParams(n=n, a=a, rad_req=sec.radius)
             # Reaches no target, so each probe alone decides the vacancies.
             far = P(sec.center.x, sec.center.y - sec.radius - 50.0)
             for p in probes:
-                seats, vacant = self.brute([p], targets)
-                got = _seats_and_vacancy([p], targets, sec)
-                assert got == (None if seats[0] is not None else (seats, vacant)), p
-                assert _seats_and_vacancy([far, p], targets, sec) == self.brute([far, p], targets), p
+                walk_agrees(snap(p, [far]), params, sec)
+                walk_agrees(snap(far, [p]), params, sec)
             rng = random.Random(n)
             for _ in range(20):
-                points = [far, *rng.sample(probes, min(len(probes), 2 * n))]
-                assert _seats_and_vacancy(points, targets, sec) == self.brute(points, targets)
+                points = rng.sample(probes, min(len(probes), 2 * n))
+                walk_agrees(snap(far, points), params, sec)
+                walk_agrees(snap(points[0], points[1:]), params, sec)
 
     def test_window_probes_reach_the_edges(self):
         # The probes sit on both sides of each threshold, so the comparison
@@ -363,6 +359,111 @@ class TestSeatsAndVacancy:
         reach = VACANCY_CLEARANCE + EPS
         assert any(d <= SETTLE_TOL for d in near) and any(SETTLE_TOL < d < 2e-7 for d in near)
         assert any(reach - 2e-12 < d <= reach for d in near) and any(reach < d < reach + 2e-12 for d in near)
+
+
+SEC6 = Circle(P(0.0, 0.0), 5.0)
+# Top first, then clockwise: T6[1]/T6[5] and T6[2]/T6[4] are mirror pairs.
+T6 = compute_target_points(6, SEC6)
+PARAMS6 = GlobalParams.make(6, 5.0)
+
+
+class TestFormationWalk:
+    """Hand-built looks at six targets of a radius-5 SEC, one case for each
+    way a walk ends, checked against the reference walk."""
+
+    @staticmethod
+    def look(walk_agrees, me, others):
+        s = snap(me, others)
+        how = walk_agrees(s, PARAMS6, SEC6)
+        return form_ucircle(s, PARAMS6, SEC6), how
+
+    def test_mirror_tied_vacant_pair(self, walk_agrees):
+        # The upper pair is vacant and one group; the robot at (0, 0.5) is
+        # nearest to both and takes one of them, the other robot waits.
+        seats = [T6[0], T6[2], T6[3], T6[4]]
+        a, b = P(0.0, 0.5), P(0.0, -2.5)
+        action, how = self.look(walk_agrees, a, [b, *seats])
+        assert how[0] == "vacant" and set(how[1]) == {T6[1], T6[5]}
+        assert action.kind == "move" and action.dest in (T6[1], T6[5])
+        action, how = self.look(walk_agrees, b, [a, *seats])
+        assert action.kind == "stay" and set(how[1]) == {T6[1], T6[5]}
+
+    def test_mirror_pair_split_across_tiers(self, walk_agrees):
+        # T6[1] is vacant, its mirror T6[5] crowded by a: they are walked as
+        # two groups, so b's move onto T6[1] ends the walk and a waits.
+        seats = [T6[0], T6[2], T6[3], T6[4]]
+        a, b = P(-3.5, 2.0), P(1.0, -0.5)
+        action, how = self.look(walk_agrees, a, [b, *seats])
+        assert action.kind == "stay" and how == ("vacant", [T6[1]])
+        action, how = self.look(walk_agrees, b, [a, *seats])
+        assert action.kind == "move" and action.dest == T6[1]
+
+    def test_contested_top_target(self, walk_agrees):
+        # Two robots tie for the vacant top target, so nobody takes it; the
+        # bottom target's tie goes to the higher, then rightward, robot.
+        seats = [T6[1], T6[2], T6[4], T6[5]]
+        a, b = P(1.5, 0.0), P(-1.5, 0.0)
+        action, how = self.look(walk_agrees, a, [b, *seats])
+        assert how == ("vacant", [T6[3]])
+        assert action.kind == "move" and action.dest == T6[3]
+        action, how = self.look(walk_agrees, b, [a, *seats])
+        assert action.kind == "stay" and how == ("vacant", [T6[3]])
+
+    def test_crowded_only(self, walk_agrees):
+        # Each untaken target has a robot within its clearance: the walk
+        # takes the crowded tier, top first.
+        seats = [T6[1], T6[2], T6[4], T6[5]]
+        a, b = P(0.0, 4.0), P(0.0, -3.0)
+        action, how = self.look(walk_agrees, a, [b, *seats])
+        assert how == ("crowded", [T6[0]])
+        assert action.kind == "move" and action.dest == T6[0]
+        action, how = self.look(walk_agrees, b, [a, *seats])
+        assert action.kind == "stay" and how == ("crowded", [T6[0]])
+
+    def test_every_group_blocked(self, walk_agrees):
+        # Both robots are wedged between seated ones at the top, and no
+        # straight path or detour reaches the vacant lower pair.
+        seats = [T6[0], T6[1], T6[3], T6[5]]
+        a, b = P(2.3, 2.6), P(-2.7, 3.8)
+        for me, other in ((a, b), (b, a)):
+            action, how = self.look(walk_agrees, me, [other, *seats])
+            assert action.kind == "stay" and how is None
+
+
+def test_formation_look_tests_only_what_it_reaches(monkeypatch, walk_agrees):
+    """A look never tests the vacancy of a taken target, and it stops at the
+    first group that chooses a move: it tests no target below that group."""
+    looks = []  # (snapshot, params, sec, targets tested)
+    real_test, real_form = global_form.is_vacant_target, global_form.form_ucircle
+
+    def is_vacant_target(t, points):
+        looks[-1][3].append(t)
+        return real_test(t, points)
+
+    def form(snapshot, params, sec):
+        looks.append((snapshot, params, sec, []))
+        return real_form(snapshot, params, sec)
+
+    monkeypatch.setattr(global_form, "is_vacant_target", is_vacant_target)
+    monkeypatch.setattr(global_form, "form_ucircle", form)
+    for seed in (1, 2):
+        raw = dict(algorithm="global", n=8, a=3.5, scheduler="SSYNC", seed=seed, placement="random-disc")
+        run_scenario(parse_config(raw))
+    monkeypatch.undo()
+    top_moves = 0
+    for snapshot, params, sec, tested in looks:
+        points = [snapshot.self_pos, *snapshot.others]
+        assert not any(dist(t, p) <= SETTLE_TOL for t in tested for p in points)
+        how = walk_agrees(snapshot, params, sec)
+        if how == "seated":
+            assert tested == []
+        elif how is not None and how[0] == "vacant":
+            head = how[1][0]
+            assert all(t.y >= head.y - 1e-9 for t in tested)
+            if compute_target_points(params.n, sec)[0] in how[1]:
+                assert len(tested) <= len(how[1]) + 1
+                top_moves += 1
+    assert top_moves > 0
 
 
 class TestIsFormed:

@@ -4,7 +4,8 @@ Each lookup takes its one candidate from `target_index` and makes one exact
 test on it. The reference scans every target and takes the first that
 passes. Both must name the same Point object, since callers compare targets
 by identity, and the formed check must give the verdict of the old
-first-free-target matching.
+first-free-target matching. The formation walk, which seats robots the same
+way, must act as the reference walk that scans every target.
 """
 
 import math
@@ -19,10 +20,9 @@ from ucircle.geometry import (
     compute_target_points,
     dist,
     fills_targets,
-    is_vacant_target,
     target_index,
 )
-from ucircle.global_form import SETTLE_TOL, _seats_and_vacancy, compute_radius
+from ucircle.global_form import SETTLE_TOL, GlobalParams, compute_radius
 from ucircle.harness import TERMINATION_TOL
 from ucircle.local_form import (
     ALIGN_TOL,
@@ -34,6 +34,7 @@ from ucircle.local_form import (
     compute_robot_position,
     is_formed_local,
 )
+from ucircle.simcore import Snapshot
 
 P = Point
 PSI1_TOL = 1e-7
@@ -98,16 +99,19 @@ def _probes(circle, targets, tol, seed):
 
 
 @pytest.mark.parametrize("n, center", LAYOUTS, ids=LAYOUT_IDS)
-def test_seats_and_vacancy_match_the_scans(n, center):
+def test_seats_and_vacancy_match_the_scans(n, center, walk_agrees):
     circle, targets, _ = _layout(n, center)
-    # The centre is never seated, so the robot asking comes first.
-    points = [center] + _probes(circle, targets, SETTLE_TOL, n)
-    seats, vacant = _seats_and_vacancy(points, targets, circle)
-    got = [None if s is None else targets[s] for s in seats]
-    want = [_scan_near(p, targets, SETTLE_TOL) for p in points]
-    assert all(g is w for g, w in zip(got, want))
-    assert any(w is not None for w in want) and any(w is None for w in want)
-    assert vacant == [is_vacant_target(t, points) for t in targets]
+    params = GlobalParams(n=n, a=3.5, rad_req=circle.radius)
+    probes = _probes(circle, targets, SETTLE_TOL, n)
+    rng = random.Random(n)
+    # The centre is never seated, so it asks among every probe; then each
+    # probe asks beside the centre, and the centre among a few probes.
+    hows = [walk_agrees(Snapshot(center, tuple(probes), math.inf), params, circle)]
+    hows += [walk_agrees(Snapshot(p, (center,), math.inf), params, circle) for p in probes]
+    for _ in range(20):
+        few = tuple(rng.sample(probes, n + 2))
+        hows.append(walk_agrees(Snapshot(center, few, math.inf), params, circle))
+    assert "seated" in hows and any(h not in ("seated", None) for h in hows)
 
 
 @pytest.mark.parametrize("n, center", LAYOUTS, ids=LAYOUT_IDS)
