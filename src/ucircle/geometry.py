@@ -323,20 +323,29 @@ def is_free_path(src: Point, dst: Point, obstacles: Iterable[Point]) -> bool:
     # On plain floats: `unit_toward`, `dot` and `cross` written out.
     sx, sy = src.x, src.y
     ux, uy = (dst.x - sx) / length, (dst.y - sy) / length
+    # The obstacle's distance past either end of the corridor (dx) and
+    # beyond its half-width (dy): `max(0.0, -s, s - length)` and
+    # `max(0.0, t - UNIT_BODY_RADIUS)`, written as comparisons.
+    hypot, reach = math.hypot, UNIT_BODY_RADIUS + EPS
     for ob in obstacles:
         wx, wy = ob.x - sx, ob.y - sy
         s = wx * ux + wy * uy
         t = abs(ux * wy - uy * wx)
-        dx = max(0.0, -s, s - length)
-        dy = max(0.0, t - UNIT_BODY_RADIUS)
-        if math.hypot(dx, dy) <= UNIT_BODY_RADIUS + EPS:
+        dx = -s if s < 0.0 else s - length if s > length else 0.0
+        dy = t - UNIT_BODY_RADIUS if t > UNIT_BODY_RADIUS else 0.0
+        if hypot(dx, dy) <= reach:
             return False
     return True
 
 
 def is_vacant_target(p: Point, robot_centers: Iterable[Point]) -> bool:
     """True iff no part of any robot disc lies in the closed radius-2 disc around p."""
-    return all(dist(p, r) > VACANCY_CLEARANCE + EPS for r in robot_centers)
+    # `all(dist(p, r) > VACANCY_CLEARANCE + EPS ...)`, written out.
+    hypot, px, py, reach = math.hypot, p.x, p.y, VACANCY_CLEARANCE + EPS
+    for r in robot_centers:
+        if not hypot(px - r.x, py - r.y) > reach:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .geometry import (
     EPS,
     Circle,
     Point,
+    _target_directions,
     angle_of,
     compute_target_points,
     dist,
@@ -35,7 +36,6 @@ from .geometry import (
     is_free_path,
     is_vacant_target,
     smallest_enclosing_circle,
-    target_index,
     unit_toward,
 )
 from .simcore import Action, Snapshot, move_to
@@ -167,8 +167,11 @@ def _path_ok(src: Point, dst: Point, obstacles: Sequence[Point]) -> bool:
     The corridor test alone lets an obstacle sit diagonally past the end of
     the rectangle, closer than two units to the arrival point.
     """
-    if any(dist(o, dst) < ENDPOINT_CLEARANCE for o in obstacles):
-        return False
+    # `any(dist(o, dst) < ENDPOINT_CLEARANCE ...)`, written out.
+    hypot, qx, qy = math.hypot, dst.x, dst.y
+    for o in obstacles:
+        if hypot(o.x - qx, o.y - qy) < ENDPOINT_CLEARANCE:
+            return False
     return is_free_path(src, dst, obstacles)
 
 
@@ -300,22 +303,33 @@ def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Actio
     """Move robots onto the n targets of the snapshot's SEC `sec`, top vacant first."""
     points = _all_points(snapshot)
     me = snapshot.self_pos
-    targets = compute_target_points(params.n, sec)
+    n, cx, cy, r = params.n, sec.center.x, sec.center.y, sec.radius
     # A robot's seat is the target within SETTLE_TOL of it: targets lie more
     # than 3 apart, so only the one `target_index` names can be. A seated
     # robot lies well inside its target's vacancy clearance, so a taken
     # target is never vacant and never tested.
+    #
+    # On plain floats: `angle_of`, `target_index`, `dist` to the target,
+    # and `_on_sec` written out with the same expressions, the target's
+    # coordinates as `compute_target_points` builds them. The asking robot
+    # comes first, so a seated one stays before any target Point is built.
+    hypot, atan2, half_pi, arc = math.hypot, math.atan2, math.pi / 2.0, 2.0 * math.pi / n
+    on_sec_tol = ON_SEC_EPS * max(1.0, r)
+    directions = _target_directions(n)
     taken: set[int] = set()
     movers: list[Mover] = []
     for p in points:
-        theta = angle_of(p, sec.center)
-        i = target_index(theta, params.n)
-        if dist(p, targets[i]) > SETTLE_TOL:
-            movers.append((p, theta, _on_sec(p, sec)))
+        dx, dy = p.x - cx, p.y - cy
+        theta = atan2(dy, dx)
+        i = round((half_pi - theta) / arc) % n
+        c, s = directions[i]
+        if hypot(p.x - (cx + r * c), p.y - (cy + r * s)) > SETTLE_TOL:
+            movers.append((p, theta, abs(hypot(dx, dy) - r) <= on_sec_tol))
         elif p is me:
             return Action("stay", tag=TAG_FORM)
         else:
             taken.add(i)
+    targets = compute_target_points(n, sec)
     # Highest vacant target first, crowded ones after, cascading downward so
     # that a contested or blocked candidate never stalls the whole formation.
     # Mirror-tied targets within a tier are considered together.
@@ -337,8 +351,10 @@ def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Actio
             mine = [(t, step) for t, m, step in chosen if m is me]
             if not mine:
                 return Action("stay", tag=TAG_FORM)
-            # Nearest to several tied targets: prefer the rightward one in the
-            # robot's own frame (both mirror choices are safe).
+            # Nearest to several targets of the group: take the one with the
+            # largest y, then the largest x in the robot's own frame. Mirror
+            # twins' y mostly differ in the last bits, so rounding, not
+            # handedness, picks between them (both choices are safe).
             _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
             return move_to(dest, tag=TAG_FORM)
     return Action("stay", tag=TAG_FORM)

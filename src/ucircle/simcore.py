@@ -186,7 +186,7 @@ def take_snapshot(world: WorldState, i: int) -> Snapshot:
     # A y-only robot sees each point relative to itself, X mirrored when its
     # chirality is -1; its own position is the origin, zeros signed so.
     ax, ay, chi = at.x, at.y, obs.chirality
-    others = tuple(Point((p.x - ax) * chi, p.y - ay) for p in seen)
+    others = tuple([Point((p.x - ax) * chi, p.y - ay) for p in seen])
     return Snapshot(self_pos=Point((ax - ax) * chi, ay - ay), others=others, vis_radius=vis)
 
 
@@ -304,6 +304,7 @@ def execute_cycle(
     algorithm: Callable[[Snapshot], Action],
     cycle: int = 0,
     decide: Optional[Callable[[int], Action]] = None,
+    floor: float = math.inf,
 ) -> tuple[WorldState, list[TraceEvent], float]:
     """One FSYNC/SSYNC round: active robots look together, then move together.
 
@@ -313,6 +314,11 @@ def execute_cycle(
     of the pairs with a mover, +inf if none). A still pair's distance counts
     at the start of the next round that moves either robot, or else in the
     final world. Raises CollisionFault when motions come closer than two units.
+
+    `floor` is the run's minimum separation so far. A pair that cannot come
+    closer than both `floor` and the fault threshold is not tested, so the
+    minimum returned may be higher than with the default +inf, which tests
+    every pair with a mover, but its minimum with `floor` is the same.
     """
     robots, positions = world.robots, world.positions
     n = len(robots)
@@ -332,23 +338,44 @@ def execute_cycle(
             moves[rid] = dest
             events.append(TraceEvent(t0, cycle, rid, "move", positions[rid], dest, action.tag))
 
-    t1 = t0 + max((dist(positions[rid], d) for rid, d in moves.items()), default=1.0)
+    lengths = {rid: dist(positions[rid], d) for rid, d in moves.items()}
+    t1 = t0 + max(lengths.values(), default=1.0)
 
     # A mover arrives, then holds until t1; everyone else holds throughout.
-    pieces = [
-        _pieces_over([MotionSegment(pos, moves[i], t0, t0 + dist(pos, moves[i]))], t0, t1)
-        if i in moves
-        else [MotionSegment(pos, pos, t0, t1)]
-        for i, pos in enumerate(positions)
-    ]
+    # A robot's segments are built when one of its pairs is first tested.
+    pieces: list[Optional[list[MotionSegment]]] = [None] * n
 
+    def pieces_of(i: int) -> list[MotionSegment]:
+        got = pieces[i]
+        if got is None:
+            pos = positions[i]
+            if i in moves:
+                got = _pieces_over([MotionSegment(pos, moves[i], t0, t0 + lengths[i])], t0, t1)
+            else:
+                got = [MotionSegment(pos, pos, t0, t1)]
+            pieces[i] = got
+        return got
+
+    # Over the round a robot strays at most its move's length from where it
+    # starts, so a pair is never closer than its start distance less both
+    # lengths. A pair whose bound clears both `floor` and the fault
+    # threshold, with a margin for the rounding of the exact test, can
+    # neither lower the run's minimum nor fault: it is skipped, as on an
+    # ASYNC arrival. Pairs are tested in (a, b) order, so the first pair to
+    # fault is the same.
+    clear = max(floor, SAFE_SEPARATION) + 1e-6
     min_sep = math.inf
     for a in range(n):
+        pa, la = positions[a], lengths.get(a, 0.0)
         for b in range(a + 1, n):
             if a not in moves and b not in moves:
                 continue
+            pb = positions[b]
+            # `dist(pa, pb)`, written out.
+            if math.hypot(pa.x - pb.x, pa.y - pb.y) - la - lengths.get(b, 0.0) >= clear:
+                continue
             sep = min(
-                min_separation_during_motion(s1, s2) for s1 in pieces[a] for s2 in pieces[b]
+                min_separation_during_motion(s1, s2) for s1 in pieces_of(a) for s2 in pieces_of(b)
             )
             if sep < min_sep:
                 min_sep = sep
@@ -443,7 +470,7 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
                 outcome, diagnosis = verdict
                 return outcome, world, cycle, min_sep, diagnosis
         try:
-            world, evs, sep = execute_cycle(world, active, algorithm, cycle, decide)
+            world, evs, sep = execute_cycle(world, active, algorithm, cycle, decide, min_sep)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)

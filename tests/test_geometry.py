@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucircle.geometry import (
+    EPS,
+    UNIT_BODY_RADIUS,
+    VACANCY_CLEARANCE,
     GeometryError,
     MotionSegment,
     Point,
@@ -20,6 +23,7 @@ from ucircle.geometry import (
     smallest_enclosing_circle,
     smallest_enclosing_circle_bruteforce,
 )
+from ucircle.global_form import ENDPOINT_CLEARANCE, _path_ok
 
 P = Point
 
@@ -162,6 +166,101 @@ class TestVacantTarget:
 
     def test_empty_is_vacant(self):
         assert is_vacant_target(P(2, 2), [])
+
+
+def reference_is_free_path(src, dst, obstacles):
+    """`is_free_path` as written with `max`, `all` and the vector helpers."""
+    length = dist(src, dst)
+    if length <= 1e-15:
+        return all(dist(src, ob) > 2.0 * UNIT_BODY_RADIUS + EPS for ob in obstacles)
+    ux, uy = (dst.x - src.x) / length, (dst.y - src.y) / length
+    for ob in obstacles:
+        wx, wy = ob.x - src.x, ob.y - src.y
+        s = wx * ux + wy * uy
+        t = abs(ux * wy - uy * wx)
+        dx = max(0.0, -s, s - length)
+        dy = max(0.0, t - UNIT_BODY_RADIUS)
+        if math.hypot(dx, dy) <= UNIT_BODY_RADIUS + EPS:
+            return False
+    return True
+
+
+def reference_is_vacant_target(p, robot_centers):
+    return all(dist(p, r) > VACANCY_CLEARANCE + EPS for r in robot_centers)
+
+
+def reference_path_ok(src, dst, obstacles):
+    if any(dist(o, dst) < ENDPOINT_CLEARANCE for o in obstacles):
+        return False
+    return reference_is_free_path(src, dst, obstacles)
+
+
+def _around(x):
+    """x and its two floating-point neighbours."""
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+def _clearance_cases():
+    """(src, dst, obstacles) on both sides of every threshold the clearance
+    tests compare against, plus random scenes."""
+    cases = []
+    src, dst = P(0.0, 0.0), P(10.0, 0.0)
+    reach = UNIT_BODY_RADIUS + EPS
+    # Abeam of the corridor (t <= 1 inside it, grazing at 2 + EPS), behind
+    # the start (s < 0) and past the end (s > length).
+    for off in (*_around(2.0 * UNIT_BODY_RADIUS + EPS), 0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+        for x in (5.0, -1.0, 11.0):
+            cases.append((src, dst, [P(x, off)]))
+            cases.append((src, dst, [P(x, -off)]))
+    # Behind the start and past the end of a path 2**-10 long, at which
+    # `s - length` is exact.
+    short = P(2.0**-10, 0.0)
+    for gap in _around(reach):
+        cases.append((src, dst, [P(-gap, 0.0)]))
+        cases.append((src, short, [P(short.x + gap, 0.0)]))
+    # The endpoint clearance, and the vacancy clearance around the target.
+    for d in (*_around(ENDPOINT_CLEARANCE), *_around(VACANCY_CLEARANCE + EPS)):
+        cases.append((src, dst, [P(10.0 + d, 0.0)]))
+        cases.append((src, dst, [P(10.0, d)]))
+    # Zero-length paths, with obstacles on both sides of 2 + EPS.
+    for d in (*_around(2.0 * UNIT_BODY_RADIUS + EPS), 0.0, 1.0, 3.0):
+        cases.append((src, src, [P(d, 0.0)]))
+        cases.append((dst, P(10.0, 1e-16), [P(10.0, d)]))
+    # No obstacles, and ones that are not finite.
+    cases.append((src, dst, []))
+    cases.append((src, dst, [P(math.nan, 0.0), P(5.0, math.inf)]))
+    rng = random.Random(19)
+    for _ in range(400):
+        a = P(rng.uniform(-8, 8), rng.uniform(-8, 8))
+        b = a if rng.random() < 0.05 else P(rng.uniform(-8, 8), rng.uniform(-8, 8))
+        obstacles = [P(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(rng.randrange(6))]
+        cases.append((a, b, obstacles))
+    return cases
+
+
+class TestClearanceRewrites:
+    """The clearance tests on plain floats answer as the reference copies
+    with `max`, `all` and `any` do, on every edge and random input."""
+
+    def test_is_free_path(self):
+        for src, dst, obstacles in _clearance_cases():
+            assert is_free_path(src, dst, obstacles) == reference_is_free_path(src, dst, obstacles)
+
+    def test_is_vacant_target(self):
+        for src, dst, obstacles in _clearance_cases():
+            for p in (src, dst):
+                assert is_vacant_target(p, obstacles) == reference_is_vacant_target(p, obstacles)
+
+    def test_path_ok(self):
+        for src, dst, obstacles in _clearance_cases():
+            assert _path_ok(src, dst, obstacles) == reference_path_ok(src, dst, obstacles)
+
+    def test_cases_reach_both_answers(self):
+        # Every kind of answer comes up, so no comparison above is vacuous.
+        cases = _clearance_cases()
+        for test in (reference_is_free_path, reference_path_ok):
+            assert {test(*case) for case in cases} == {True, False}
+        assert {reference_is_vacant_target(dst, obs) for _, dst, obs in cases} == {True, False}
 
 
 

@@ -384,7 +384,10 @@ class TestFormationWalk:
         a, b = P(0.0, 0.5), P(0.0, -2.5)
         action, how = self.look(walk_agrees, a, [b, *seats])
         assert how[0] == "vacant" and set(how[1]) == {T6[1], T6[5]}
-        assert action.kind == "move" and action.dest in (T6[1], T6[5])
+        # The larger y wins, and rounding decides it: T6[5] (left) lies at
+        # y = 2.5000000000000004, its mirror T6[1] (right) at y = 2.5.
+        assert T6[5].y > T6[1].y and T6[5].x < T6[1].x
+        assert action.kind == "move" and action.dest == T6[5]
         action, how = self.look(walk_agrees, b, [a, *seats])
         assert action.kind == "stay" and set(how[1]) == {T6[1], T6[5]}
 

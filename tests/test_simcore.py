@@ -24,6 +24,7 @@ from ucircle.simcore import (
     OUTCOME_CONVERGED,
     OUTCOME_FAULT,
     OUTCOME_STALL,
+    SAFE_SEPARATION,
     Action,
     CollisionFault,
     Robot,
@@ -263,6 +264,82 @@ class TestExecuteCycle:
         w = make_world([P(0, 0)])
         with pytest.raises(KeyError):
             execute_cycle(w, [7], lambda s: Action("stay"))
+
+
+def _round_outcome(world, active, algo, floor):
+    """execute_cycle's answer with `floor`: ("fault", message, separation)
+    or ("ok", positions, events, minimum)."""
+    try:
+        new, events, sep = execute_cycle(world, active, algo, 0, floor=floor)
+    except CollisionFault as exc:
+        return "fault", str(exc), exc.separation
+    return "ok", new.positions, [ev.to_jsonl() for ev in events], sep
+
+
+# Floors above, at and below the fault threshold, and the default.
+FLOORS = (math.inf, 40.0, 4.0, 2.5, SAFE_SEPARATION, 1.0, 0.0)
+
+
+class TestSyncPruning:
+    """A finite `floor` lets a round skip the pairs that cannot come closer
+    than both the floor and the fault threshold: the fault, the new world,
+    the events and the run's minimum (the round's with the floor) stay the
+    same."""
+
+    def test_fault_is_the_same(self):
+        # Pairs (1, 4) and (2, 3) charge head on while robot 0 holds far
+        # away. Under a finite floor the pairs before (1, 4) are skipped,
+        # and (1, 4) still faults first.
+        w = make_world([P(60, 60), P(0, 30), P(0, 0), P(6, 0), P(6, 30)])
+
+        def algo(snap: Snapshot):
+            me = snap.self_pos
+            return Action("stay") if me.x > 50 else move_to(P(3, me.y))
+
+        outcomes = {_round_outcome(w, range(5), algo, floor) for floor in FLOORS}
+        assert outcomes == {("fault", "robots 1 and 4 reach separation 0 during cycle 0", 0.0)}
+
+    def test_random_rounds(self, monkeypatch):
+        import ucircle.simcore as simcore
+
+        tested = Counted(simcore.min_separation_during_motion)
+        monkeypatch.setattr(simcore, "min_separation_during_motion", tested)
+        rng = random.Random(19)
+        kinds, skipped = set(), 0
+        for _ in range(150):
+            spots: list[Point] = []
+            while len(spots) < 12:
+                p = P(rng.uniform(0, 24), rng.uniform(0, 24))
+                if all(dist(p, q) > 2.1 for q in spots):
+                    spots.append(p)
+            steps = {
+                p: P(p.x + rng.uniform(-3, 3), p.y + rng.uniform(-3, 3))
+                for p in rng.sample(spots, rng.randrange(1, 5))
+            }
+
+            def algo(snap: Snapshot):
+                dest = steps.get(snap.self_pos)
+                return Action("stay") if dest is None else move_to(dest)
+
+            w = make_world(spots)
+            active = range(len(spots))
+            tested.calls = 0
+            free = _round_outcome(w, active, algo, math.inf)
+            n_free = tested.calls
+            kinds.add(free[0])
+            for floor in FLOORS[1:]:
+                tested.calls = 0
+                got = _round_outcome(w, active, algo, floor)
+                skipped += n_free - tested.calls
+                if free[0] == "fault":
+                    assert got == free
+                    continue
+                assert got[:3] == free[:3]
+                # A skipped pair never sets a round minimum below the
+                # floor-free one, and the run keeps the same minimum.
+                assert got[3] >= free[3]
+                assert min(got[3], floor) == min(free[3], floor)
+        assert kinds == {"fault", "ok"} and skipped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +994,9 @@ def _global(n, seed, scheduler="ASYNC", a=4.0):
 class TestAsyncMinSeparation:
     """`Trace.min_separation` of a run that ends with every move arrived is
     the exact minimum over all pairs and times, so no pair the monitor
-    skipped came closer than the pairs it tested: under ASYNC the pairs that
-    cannot come close, in an SSYNC or FSYNC round the pairs with no mover."""
+    skipped came closer than the pairs it tested: under every scheduler the
+    pairs that cannot come closer than the run's minimum so far, and in an
+    SSYNC or FSYNC round also the pairs with no mover."""
 
     @pytest.mark.parametrize(
         "raw",
@@ -933,6 +1011,12 @@ class TestAsyncMinSeparation:
             _global(5, 3),
             _global(6, 7, "SSYNC"),
             _global(8, 2, "FSYNC", a=3.5),
+            # The size of the global-ssync benchmark corpus, where a round
+            # skips most pairs; in each the minimum is set during a round,
+            # below the initial placement's.
+            _global(16, 3, "SSYNC", a=5.0),
+            _global(16, 4, "SSYNC", a=5.0),
+            _global(20, 4, "SSYNC", a=5.0),
             dict(
                 algorithm="local", n=16, rad=96.0, vis=48.0, scheduler="SSYNC", seed=2,
                 placement="random-disc",
@@ -948,6 +1032,9 @@ class TestAsyncMinSeparation:
             "global-5-seed-3",
             "global-6-ssync-seed-7",
             "global-8-fsync-seed-2",
+            "global-16-ssync-seed-3",
+            "global-16-ssync-seed-4",
+            "global-20-ssync-seed-4",
             "local-16-ssync-stall",
         ],
     )
