@@ -30,11 +30,13 @@ from .harness import (
 )
 from .local_form import (
     LocalParams,
+    Sight,
     classify_psi,
     compute_destination,
     compute_robot_position,
     eligible_to_move,
     local_step,
+    measure,
 )
 from .simcore import (
     Action,

@@ -153,10 +153,6 @@ def detect_symmetry(on_sec: Sequence[Point], sec: Circle) -> SymmetryCase:
     return SymmetryCase("no-leader", ())
 
 
-def _all_points(snapshot: Snapshot) -> list[Point]:
-    return [snapshot.self_pos, *snapshot.others]
-
-
 def _on_sec(p: Point, sec: Circle) -> bool:
     return abs(dist(p, sec.center) - sec.radius) <= ON_SEC_EPS * max(1.0, sec.radius)
 
@@ -203,10 +199,10 @@ def _expansion_move(points: Sequence[Point], leader: Point, sec: Circle, params:
     return best, q
 
 
-def sec_expansion(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Action:
-    """Grow the snapshot's SEC `sec` toward the required radius, one robot per cycle."""
-    points = _all_points(snapshot)
-    me = snapshot.self_pos
+def sec_expansion(points: Sequence[Point], params: GlobalParams, sec: Circle) -> Action:
+    """Grow the SEC `sec` of `points` toward the required radius, one robot
+    per cycle. The robot asking is `points[0]`."""
+    me = points[0]
     sym = detect_symmetry([p for p in points if _on_sec(p, sec)], sec)
     if sym.kind == "no-leader":
         return Action("stay", tag=TAG_NO_LEADER)
@@ -299,10 +295,10 @@ def _target_groups(order: Sequence[Point], points: Sequence[Point]) -> Iterator[
             yield group
 
 
-def form_ucircle(snapshot: Snapshot, params: GlobalParams, sec: Circle) -> Action:
-    """Move robots onto the n targets of the snapshot's SEC `sec`, top vacant first."""
-    points = _all_points(snapshot)
-    me = snapshot.self_pos
+def form_ucircle(points: Sequence[Point], params: GlobalParams, sec: Circle) -> Action:
+    """Move robots onto the n targets of the SEC `sec` of `points`, top
+    vacant first. The robot asking is `points[0]`."""
+    me = points[0]
     n, cx, cy, r = params.n, sec.center.x, sec.center.y, sec.radius
     # A robot's seat is the target within SETTLE_TOL of it: targets lie more
     # than 3 apart, so only the one `target_index` names can be. A seated
@@ -376,12 +372,13 @@ def _move_step(mover: Mover, target: Point, points: Sequence[Point], sec: Circle
 
 
 def global_step(snapshot: Snapshot, params: GlobalParams) -> Action:
-    """Dispatch between the expansion and formation phases."""
-    points = _all_points(snapshot)
+    """Dispatch between the expansion and formation phases, both given the
+    snapshot's points, the robot asking first, and their SEC."""
+    points = [snapshot.self_pos, *snapshot.others]
     sec = smallest_enclosing_circle(points)
     if sec.radius < params.rad_req - PHASE_TOL:
-        return sec_expansion(snapshot, params, sec)
-    return form_ucircle(snapshot, params, sec)
+        return sec_expansion(points, params, sec)
+    return form_ucircle(points, params, sec)
 
 
 def make_global_algorithm(params: GlobalParams):

@@ -280,9 +280,9 @@ class RunSummary:
         payload = {
             "outcome": self.outcome,
             "cycles_used": self.cycles_used,
-            "min_pairwise_dist": float(f"{self.min_pairwise_dist:.17g}"),
-            "uniformity_error": float(f"{self.uniformity_error:.17g}"),
-            "spacing_min": float(f"{self.spacing_min:.17g}"),
+            "min_pairwise_dist": self.min_pairwise_dist,
+            "uniformity_error": self.uniformity_error,
+            "spacing_min": self.spacing_min,
             "diagnosis": self.diagnosis,
         }
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False)
@@ -442,7 +442,7 @@ def curated_placement(kind: str, n: int, vis: float) -> list[list[float]]:
     return pts
 
 
-def curated_local_configs(seeds: Sequence[int] = (1,)) -> list[dict]:
+def curated_local_configs(seeds: Sequence[int]) -> list[dict]:
     """The acceptance suite: 30 scenario shapes, one config dict per seed."""
     configs = []
     for n in (4, 6, 8):

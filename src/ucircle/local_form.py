@@ -86,20 +86,26 @@ class PsiConfig:
 
 
 class Sight(NamedTuple):
-    """One look measured from C once: the robot's distance `d` and angle
-    `theta` from C, and `radii`, each visible robot's distance from C in
-    the order of the others."""
+    """The view of one activation: the robot's position `me`, the visible
+    `others` and its visibility radius `vis`, as the snapshot gives them,
+    then measured from C once: its distance `d` and angle `theta` from C,
+    and `radii`, each visible robot's distance from C in the order of
+    `others`."""
 
+    me: Point
+    others: Sequence[Point]
+    vis: float
     d: float
     theta: float
     radii: list[float]
 
 
-def measure(self_pos: Point, others: Sequence[Point], c: Point) -> Sight:
-    """The Sight of a robot at self_pos; each radius is `dist(o, c)`."""
+def measure(snapshot: Snapshot, c: Point) -> Sight:
+    """The Sight of `snapshot`; each radius is `dist(o, c)`."""
+    me, others = snapshot.self_pos, snapshot.others
     hypot, cx, cy = math.hypot, c.x, c.y
     radii = [hypot(o.x - cx, o.y - cy) for o in others]
-    return Sight(dist(self_pos, c), angle_of(self_pos, c), radii)
+    return Sight(me, others, snapshot.vis_radius, dist(me, c), angle_of(me, c), radii)
 
 
 def compute_robot_position(d: float, rad: float) -> str:
@@ -111,20 +117,16 @@ def compute_robot_position(d: float, rad: float) -> str:
     return INSIDE if d < rad else OUTSIDE
 
 
-def eligible_to_move(
-    self_pos: Point, others: Sequence[Point], cir: Circle, sight: Optional[Sight] = None
-) -> bool:
-    """Eligibility rule: only the robot nearest CIR on its side moves.
+def eligible_to_move(sight: Sight, rad: float) -> bool:
+    """Eligibility rule: only the robot nearest CIR, of radius rad, on its side moves.
 
     A robot strictly inside may move only if no visible robot is strictly
     inside and farther out; strictly outside is symmetric. Robots across
     CIR never constrain each other, and a robot at C is always eligible.
-    `sight` is the look's measure from C, when the caller has it.
     """
-    d, _, radii = sight or measure(self_pos, others, cir.center)
+    d, radii = sight.d, sight.radii
     if d <= POS_EPS:
         return True
-    rad = cir.radius
     if d < rad - POS_EPS:
         for do in radii:
             if POS_EPS < do < rad - POS_EPS and do > d + POS_EPS:
@@ -153,52 +155,43 @@ def _aligned_target(theta: float, params: LocalParams) -> Optional[Point]:
     return params.targets[i] if _ang_diff(theta, params.angles[i]) <= ALIGN_TOL else None
 
 
-def classify_psi(
-    self_pos: Point,
-    vis_radius: float,
-    params: LocalParams,
-    others: Sequence[Point],
-    sight: Optional[Sight] = None,
-) -> PsiConfig:
+def classify_psi(sight: Sight, params: LocalParams) -> PsiConfig:
     """One of the ten positional cases, by fixed precedence.
 
     Off CIR, the anchor is the target on the robot's ray from C, if any.
-    `sight` is the look's measure from C, when the caller has it.
     """
     c = params.cir.center
     rad = params.cir.radius
-    d, theta, radii = sight or measure(self_pos, others, c)
+    d, theta = sight.d, sight.theta
     pos = compute_robot_position(d, rad)
     if pos == AT_CENTER:
         return PsiConfig("psi4")
     if pos == ON_CIRCLE:
         t = params.targets[target_index(theta, params.n)]
-        if dist(self_pos, t) <= 1e-7:
+        if dist(sight.me, t) <= 1e-7:
             return PsiConfig("psi1", anchor=t)
         return PsiConfig("psi0")
     inside = pos == INSIDE
     target = _aligned_target(theta, params)
     if target is not None:
         # Contention: a visible robot across CIR on the same target ray.
-        for o, do in zip(others, radii):
+        for o, do in zip(sight.others, sight.radii):
             across = do > rad + POS_EPS if inside else POS_EPS < do < rad - POS_EPS
             if across and _ang_diff(theta, angle_of(o, c)) <= ALIGN_TOL:
                 return PsiConfig("psi9", anchor=target, rival=o)
     # How far the visibility disc reaches across CIR: it touches CIR,
     # crosses it, or falls short. Inside and outside cases mirror each other.
     if inside:
-        over, cases = d + vis_radius - rad, ("psi2", "psi5", "psi3")
+        over, cases = d + sight.vis - rad, ("psi2", "psi5", "psi3")
     else:
-        over, cases = -(d - vis_radius - rad), ("psi6", "psi8", "psi7")
+        over, cases = -(d - sight.vis - rad), ("psi6", "psi8", "psi7")
     touch, crosses, short = cases
     if abs(over) <= POS_EPS:
         return PsiConfig(touch, anchor=target)
     return PsiConfig(crosses if over > 0.0 else short, anchor=target)
 
 
-def _claim_step(
-    self_pos: Point, d: float, goal: Point, vis_radius: float, params: LocalParams
-) -> Point:
+def _claim_step(sight: Sight, goal: Point, params: LocalParams) -> Point:
     """Radial advance toward a point on CIR, pausing at the claim distance.
 
     Stopping short keeps enough separation that an unseen robot homing on
@@ -206,21 +199,14 @@ def _claim_step(
     """
     c = params.cir.center
     rad = params.cir.radius
-    claim = min(CLAIM_CAP, vis_radius / 4.0)
-    if dist(self_pos, goal) <= claim + EPS:
+    claim = min(CLAIM_CAP, sight.vis / 4.0)
+    if dist(sight.me, goal) <= claim + EPS:
         return goal
-    hold = rad - claim if d < rad else rad + claim
+    hold = rad - claim if sight.d < rad else rad + claim
     return c + unit_toward(c, goal).scaled(hold)
 
 
-def _rotate_cw(
-    self_pos: Point,
-    d: float,
-    theta: float,
-    params: LocalParams,
-    others: Sequence[Point],
-    stop_offset: Optional[float] = None,
-) -> Point:
+def _rotate_cw(sight: Sight, params: LocalParams, stop_offset: Optional[float] = None) -> Point:
     """One rightward slot step along the circle through self, or stay.
 
     The slot angle subtends a chord of SLOT_CHORD; the landing point must
@@ -228,6 +214,7 @@ def _rotate_cw(
     free path. A few alternative fractions dodge a blocked slot.
     """
     c = params.cir.center
+    me, others, d, theta = sight.me, sight.others, sight.d, sight.theta
     slot = 2.0 * math.asin(min(1.0, SLOT_CHORD / (2.0 * d)))
     for frac in (1.0, 0.5, 1.5, 0.25, 2.0):
         ang = slot * frac
@@ -238,11 +225,11 @@ def _rotate_cw(
         dest = Point(c.x + d * math.cos(theta - ang), c.y + d * math.sin(theta - ang))
         if not all(dist(o, dest) >= LANDING_CLEARANCE - EPS for o in others):
             continue
-        if is_free_path(self_pos, dest, others):
+        if is_free_path(me, dest, others):
             return dest
         if stop_offset is not None and ang >= stop_offset - EPS:
             break
-    return self_pos
+    return me
 
 
 def _visible_arc_halfwidth(d: float, vis_radius: float, rad: float) -> Optional[float]:
@@ -255,15 +242,7 @@ def _visible_arc_halfwidth(d: float, vis_radius: float, rad: float) -> Optional[
     return math.acos(max(-1.0, min(1.0, cos_b)))
 
 
-def _scan_or_rotate(
-    self_pos: Point,
-    d: float,
-    theta: float,
-    vis_radius: float,
-    params: LocalParams,
-    others: Sequence[Point],
-    aligned: Optional[Point],
-) -> Point:
+def _scan_or_rotate(sight: Sight, params: LocalParams, aligned: Optional[Point]) -> Point:
     """Cases (a)/(b)/(c) shared by the inside and outside crossing classes.
 
     (a) `aligned`, the target on the robot's ray from C that it may claim,
@@ -275,13 +254,14 @@ def _scan_or_rotate(
     offset is within ALIGN_TOL of 0 or of 2*pi, and the arc reaches at most
     pi clockwise.
     """
+    others = sight.others
     if aligned is not None and is_vacant_target(aligned, others):
-        return _claim_step(self_pos, d, aligned, vis_radius, params)
-    half = _visible_arc_halfwidth(d, vis_radius, params.cir.radius)
+        return _claim_step(sight, aligned, params)
+    half = _visible_arc_halfwidth(sight.d, sight.vis, params.cir.radius)
     if half is not None:
         best: Optional[tuple[float, Point]] = None
         for t, angle in zip(params.targets, params.angles):
-            off = _cw_offset(theta, angle)
+            off = _cw_offset(sight.theta, angle)
             if off <= ALIGN_TOL or off > half:
                 continue
             if not is_vacant_target(t, others):
@@ -289,70 +269,58 @@ def _scan_or_rotate(
             if best is None or off < best[0]:
                 best = (off, t)
         if best is not None:
-            return _rotate_cw(self_pos, d, theta, params, others, stop_offset=best[0])
-    return _rotate_cw(self_pos, d, theta, params, others)
+            return _rotate_cw(sight, params, stop_offset=best[0])
+    return _rotate_cw(sight, params)
 
 
-def compute_destination(
-    self_pos: Point,
-    vis_radius: float,
-    params: LocalParams,
-    others: Sequence[Point],
-    psi: PsiConfig,
-    sight: Optional[Sight] = None,
-) -> Point:
-    """Destination for an eligible robot in case `psi`; returns self_pos to wait.
-
-    `sight` is the look's measure from C, when the caller has it.
-    """
+def compute_destination(sight: Sight, params: LocalParams, psi: PsiConfig) -> Point:
+    """Destination for an eligible robot in case `psi`; returns its own position to wait."""
     c = params.cir.center
     rad = params.cir.radius
     kind = psi.value
-    d, theta, _ = sight or measure(self_pos, others, c)
+    me, others, vis = sight.me, sight.others, sight.vis
 
     if kind == "psi1":
-        return self_pos
+        return me
     if kind == "psi0":
-        out = c + unit_toward(c, self_pos).scaled(rad + 2.0)
-        return out if is_vacant_target(out, others) else self_pos
+        out = c + unit_toward(c, me).scaled(rad + 2.0)
+        return out if is_vacant_target(out, others) else me
     if kind == "psi4":
-        m = Point(c.x + vis_radius, c.y)
-        return m if is_vacant_target(m, others) else midpoint(self_pos, m)
+        m = Point(c.x + vis, c.y)
+        return m if is_vacant_target(m, others) else midpoint(me, m)
     if kind == "psi9":
-        if d < rad:
+        if sight.d < rad:
             if is_vacant_target(psi.anchor, [o for o in others if o is not psi.rival]):
-                return _claim_step(self_pos, d, psi.anchor, vis_radius, params)
-            return _rotate_cw(self_pos, d, theta, params, others)
+                return _claim_step(sight, psi.anchor, params)
+            return _rotate_cw(sight, params)
         # Outside, the contested target is left to the inside robot.
-        return _scan_or_rotate(self_pos, d, theta, vis_radius, params, others, None)
+        return _scan_or_rotate(sight, params, None)
     if kind in ("psi2", "psi6"):
         # Visibility just reaches CIR at h; from outside, h may be claimed too.
         if psi.anchor is not None and is_vacant_target(psi.anchor, others):
-            return _claim_step(self_pos, d, psi.anchor, vis_radius, params)
-        h = c + unit_toward(c, self_pos).scaled(rad)
+            return _claim_step(sight, psi.anchor, params)
+        h = c + unit_toward(c, me).scaled(rad)
         if kind == "psi6" and is_vacant_target(h, others):
-            return _claim_step(self_pos, d, h, vis_radius, params)
-        return midpoint(self_pos, h)
+            return _claim_step(sight, h, params)
+        return midpoint(me, h)
     if kind in ("psi3", "psi7"):
         # A radial hop of the visibility radius toward CIR.
-        hop = vis_radius if kind == "psi3" else -vis_radius
-        t = self_pos + unit_toward(c, self_pos).scaled(hop)
-        return t if is_vacant_target(t, others) else midpoint(self_pos, t)
+        hop = vis if kind == "psi3" else -vis
+        t = me + unit_toward(c, me).scaled(hop)
+        return t if is_vacant_target(t, others) else midpoint(me, t)
     if kind in ("psi5", "psi8"):
-        return _scan_or_rotate(self_pos, d, theta, vis_radius, params, others, psi.anchor)
+        return _scan_or_rotate(sight, params, psi.anchor)
     raise AssertionError(f"unhandled positional case {kind}")
 
 
 def local_step(snapshot: Snapshot, params: LocalParams) -> Action:
     """One activation: measure from C, classify, gate on eligibility, move or wait."""
-    me = snapshot.self_pos
-    others = list(snapshot.others)
-    sight = measure(me, others, params.cir.center)
-    psi = classify_psi(me, snapshot.vis_radius, params, others, sight)
-    if not eligible_to_move(me, others, params.cir, sight):
+    sight = measure(snapshot, params.cir.center)
+    psi = classify_psi(sight, params)
+    if not eligible_to_move(sight, params.cir.radius):
         return Action("stay", tag=psi.value)
-    dest = compute_destination(me, snapshot.vis_radius, params, others, psi, sight)
-    if dist(dest, me) <= EPS:
+    dest = compute_destination(sight, params, psi)
+    if dist(dest, sight.me) <= EPS:
         return Action("stay", tag=psi.value)
     return move_to(dest, tag=psi.value)
 

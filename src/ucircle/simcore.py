@@ -247,7 +247,7 @@ class _Decisions:
 
 
 def _decisions(
-    world: WorldState, algorithm: Callable[[Snapshot], Action], last: Optional[_Decisions] = None
+    world: WorldState, algorithm: Callable[[Snapshot], Action], last: Optional[_Decisions]
 ) -> _Decisions:
     """The decision table of `world`: `last` while every robot still stands
     on the same Point object as in its world, else a fresh one.
@@ -301,24 +301,19 @@ def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionS
 def execute_cycle(
     world: WorldState,
     active: Sequence[int],
-    algorithm: Callable[[Snapshot], Action],
-    cycle: int = 0,
-    decide: Optional[Callable[[int], Action]] = None,
-    floor: float = math.inf,
+    decide: Callable[[int], Action],
+    cycle: int,
+    floor: float,
 ) -> tuple[WorldState, list[TraceEvent], float]:
     """One FSYNC/SSYNC round: active robots look together, then move together.
 
-    `decide` is the round's table of decisions of `world` (see `_decisions`),
-    when the caller has already asked some robots; by default it is a fresh
-    one over `algorithm`. Returns (new world, trace events, min separation
-    of the pairs with a mover, +inf if none). A still pair's distance counts
-    at the start of the next round that moves either robot, or else in the
-    final world. Raises CollisionFault when motions come closer than two units.
-
-    `floor` is the run's minimum separation so far. A pair that cannot come
-    closer than both `floor` and the fault threshold is not tested, so the
-    minimum returned may be higher than with the default +inf, which tests
-    every pair with a mover, but its minimum with `floor` is the same.
+    `decide` is the table of decisions of `world` (see `_decisions`), and
+    `floor` the run's minimum separation before the round. Returns (new
+    world, trace events, the run's minimum separation after the round:
+    `floor`, or less if a pair with a mover comes closer). A still pair's
+    distance counts at the start of the next round that moves either robot,
+    or else in the final world. Raises CollisionFault when motions come
+    closer than two units.
     """
     robots, positions = world.robots, world.positions
     n = len(robots)
@@ -326,8 +321,6 @@ def execute_cycle(
         if not 0 <= rid < n:
             raise KeyError(f"activation of unknown robot handle {rid}")
 
-    if decide is None:
-        decide = _decisions(world, algorithm)
     t0 = world.clock
     events: list[TraceEvent] = []
     decisions = {rid: _look(world, rid, decide, t0, cycle, events) for rid in sorted(active)}
@@ -364,7 +357,7 @@ def execute_cycle(
     # ASYNC arrival. Pairs are tested in (a, b) order, so the first pair to
     # fault is the same.
     clear = max(floor, SAFE_SEPARATION) + 1e-6
-    min_sep = math.inf
+    min_sep = floor
     for a in range(n):
         pa, la = positions[a], lengths.get(a, 0.0)
         for b in range(a + 1, n):
@@ -470,13 +463,12 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
                 outcome, diagnosis = verdict
                 return outcome, world, cycle, min_sep, diagnosis
         try:
-            world, evs, sep = execute_cycle(world, active, algorithm, cycle, decide, min_sep)
+            world, evs, min_sep = execute_cycle(world, active, decide, cycle, min_sep)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
             return OUTCOME_FAULT, world, cycle, min_sep, str(exc)
         events.extend(evs)
-        min_sep = min(min_sep, sep)
     outcome = OUTCOME_CONVERGED if termination(world) else OUTCOME_BUDGET
     return outcome, world, max_cycles, min_sep, ""
 

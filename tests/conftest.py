@@ -1,8 +1,11 @@
-"""Shared test fixtures.
+"""Shared test fixtures and helpers.
 
 `walk_agrees` checks `global_form.form_ucircle` against an eager reference
 walk: every seat and every vacancy decided by a scan of all targets before
 the walk starts, both tiers sorted and grouped, then walked.
+
+`sight_of` builds the view a local activation reads, and `round_of` runs one
+sync round of an algorithm with a fresh decision table.
 """
 
 import math
@@ -10,9 +13,20 @@ import struct
 
 import pytest
 
-from ucircle.geometry import EPS, angle_of, compute_target_points, dist, is_vacant_target
+from ucircle.geometry import EPS, ORIGIN, angle_of, compute_target_points, dist, is_vacant_target
 from ucircle.global_form import SETTLE_TOL, TAG_FORM, _arc_step, _on_sec, _straight_step, form_ucircle
-from ucircle.simcore import Action, move_to
+from ucircle.local_form import measure
+from ucircle.simcore import Action, Snapshot, _decisions, execute_cycle, move_to
+
+
+def sight_of(me, others, vis):
+    """The Sight of a robot at `me` that sees `others`, measured from the origin."""
+    return measure(Snapshot(me, tuple(others), vis), ORIGIN)
+
+
+def round_of(world, active, algo, cycle=0, floor=math.inf):
+    """`execute_cycle` over a fresh decision table of `algo` in `world`."""
+    return execute_cycle(world, active, _decisions(world, algo, None), cycle, floor)
 
 
 def _approach(r, t, sec):
@@ -31,12 +45,11 @@ def _step(mover, target, points, sec):
     return dest
 
 
-def reference_form_ucircle(snapshot, params, sec):
-    """(action, how): `how` is "seated" when the robot asking sits on a
-    target, else the tier ("vacant" or "crowded") and the group the move
-    was chosen from, or None when no group chose a move."""
-    points = [snapshot.self_pos, *snapshot.others]
-    me = snapshot.self_pos
+def reference_form_ucircle(points, params, sec):
+    """(action, how) of the robot at `points[0]`: `how` is "seated" when it
+    sits on a target, else the tier ("vacant" or "crowded") and the group
+    the move was chosen from, or None when no group chose a move."""
+    me = points[0]
     targets = compute_target_points(params.n, sec)
     seats = [next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None) for p in points]
     if seats[0] is not None:
@@ -81,12 +94,12 @@ def action_bits(action):
 
 @pytest.fixture
 def walk_agrees():
-    """check(snapshot, params, sec): asserts that `form_ucircle` returns the
+    """check(points, params, sec): asserts that `form_ucircle` returns the
     reference walk's action, bit for bit, and returns the reference's `how`."""
 
-    def check(snapshot, params, sec):
-        want, how = reference_form_ucircle(snapshot, params, sec)
-        assert action_bits(form_ucircle(snapshot, params, sec)) == action_bits(want), snapshot
+    def check(points, params, sec):
+        want, how = reference_form_ucircle(points, params, sec)
+        assert action_bits(form_ucircle(points, params, sec)) == action_bits(want), points
         return how
 
     return check

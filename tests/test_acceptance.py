@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from conftest import round_of, sight_of
 
 from ucircle.geometry import (
     EPS,
@@ -274,7 +275,7 @@ def test_criterion_7_micro_scene_eligibility():
             others = tuple(
                 q for j, q in enumerate(pts) if j != i and dist(q, me) <= vis + EPS
             )
-            eligible = eligible_to_move(me, others, params.cir)
+            eligible = eligible_to_move(sight_of(me, others, vis), params.cir.radius)
             action = local_step(Snapshot(me, others, vis), params)
             moved = action.kind == "move"
             assert moved == eligible, (vis, [(p.x, p.y) for p in pts], i, action.tag)
@@ -319,7 +320,7 @@ def test_criterion_8_determinism():
 
 def test_criterion_9_progress():
     from ucircle.global_form import GlobalParams, is_formed, make_global_algorithm
-    from ucircle.simcore import Schedule, execute_cycle, next_activation
+    from ucircle.simcore import Schedule, next_activation
 
     sched = Schedule("FSYNC")
     for n in range(3, 11):
@@ -342,7 +343,7 @@ def test_criterion_9_progress():
                     if is_formed(world.positions, params, tol=1e-6):
                         break
                     active = next_activation(sched, n, cycle)
-                    world, events, _ = execute_cycle(world, active, algo, cycle)
+                    world, events, _ = round_of(world, active, algo, cycle)
                     moves = sum(1 for e in events if e.phase == "move")
                     assert moves >= 1, f"idle round: n={n} a={a} seed={seed} c={cycle}"
                 else:

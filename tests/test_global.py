@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from conftest import round_of
 
 from ucircle import global_form
 from ucircle.geometry import (
@@ -46,8 +47,8 @@ def snap(me, others):
     return Snapshot(self_pos=me, others=tuple(others), vis_radius=INF)
 
 
-def with_sec(phase, s, params):
-    return phase(s, params, smallest_enclosing_circle([s.self_pos, *s.others]))
+def with_sec(phase, points, params):
+    return phase(points, params, smallest_enclosing_circle(points))
 
 
 def close(a, b, tol=1e-9):
@@ -197,20 +198,20 @@ class TestSecExpansion:
     boundary = [P(3, 4), P(-4, 3), P(0, -5)]
 
     def test_interior_robot_stays(self):
-        action = with_sec(sec_expansion, snap(P(0, 0), self.boundary), self.params)
+        action = with_sec(sec_expansion, [P(0, 0), *self.boundary], self.params)
         assert action.kind == "stay"
         assert action.tag == "expand"
 
     def test_leader_moves_outward(self):
         others = [P(-4, 3), P(0, -5), P(0, 0)]
-        action = with_sec(sec_expansion, snap(P(3, 4), others), self.params)
+        action = with_sec(sec_expansion, [P(3, 4), *others], self.params)
         assert action.kind == "move"
         # Destination lies outside the current SEC.
         assert dist(action.dest, P(0, 0)) > 5.0 + 1e-9
 
     def test_non_leader_boundary_robot_stays(self):
         others = [P(3, 4), P(0, -5), P(0, 0)]
-        action = with_sec(sec_expansion, snap(P(-4, 3), others), self.params)
+        action = with_sec(sec_expansion, [P(-4, 3), *others], self.params)
         assert action.kind == "stay"
 
     def test_occupied_antipode_radial_rule(self):
@@ -236,7 +237,7 @@ class TestSecExpansion:
         assert close(dist(dest, far), 2.0 * self.params.rad_req, 1e-9)
 
     def test_leaderless_configuration_stays_tagged(self):
-        action = with_sec(sec_expansion, snap(P(0, 5), [P(0, -5)]), self.params)
+        action = with_sec(sec_expansion, [P(0, 5), P(0, -5)], self.params)
         assert action.kind == "stay"
         assert action.tag == "no-leader"
 
@@ -261,14 +262,14 @@ class TestFormUcircle:
         params = square_params()
         for i, me in enumerate(pts):
             others = [p for j, p in enumerate(pts) if j != i]
-            action = with_sec(form_ucircle, snap(me, others), params)
+            action = with_sec(form_ucircle, [me, *others], params)
             assert action.kind == "stay", f"robot at {me} moved"
 
     def test_single_vacant_target_filled_by_nearest(self):
         params = square_params()
         r = params.rad_req
         pts = [P(0, r), P(r, 0), P(0, -r), P(-1, 0)]
-        action = with_sec(form_ucircle, snap(P(-1, 0), pts[:3]), params)
+        action = with_sec(form_ucircle, [P(-1, 0), *pts[:3]], params)
         assert action.kind == "move"
         assert dist(action.dest, P(-r, 0)) <= 1e-7
 
@@ -277,7 +278,7 @@ class TestFormUcircle:
         r = params.rad_req
         me = P(0, r)
         others = [P(r, 0), P(0, -r), P(-1, 0)]
-        action = with_sec(form_ucircle, snap(me, others), params)
+        action = with_sec(form_ucircle, [me, *others], params)
         assert action.kind == "stay"
 
     def test_phase_dispatch(self):
@@ -343,13 +344,13 @@ class TestSeatsAndVacancy:
             # Reaches no target, so each probe alone decides the vacancies.
             far = P(sec.center.x, sec.center.y - sec.radius - 50.0)
             for p in probes:
-                walk_agrees(snap(p, [far]), params, sec)
-                walk_agrees(snap(far, [p]), params, sec)
+                walk_agrees([p, far], params, sec)
+                walk_agrees([far, p], params, sec)
             rng = random.Random(n)
             for _ in range(20):
                 points = rng.sample(probes, min(len(probes), 2 * n))
-                walk_agrees(snap(far, points), params, sec)
-                walk_agrees(snap(points[0], points[1:]), params, sec)
+                walk_agrees([far, *points], params, sec)
+                walk_agrees(points, params, sec)
 
     def test_window_probes_reach_the_edges(self):
         # The probes sit on both sides of each threshold, so the comparison
@@ -373,9 +374,9 @@ class TestFormationWalk:
 
     @staticmethod
     def look(walk_agrees, me, others):
-        s = snap(me, others)
-        how = walk_agrees(s, PARAMS6, SEC6)
-        return form_ucircle(s, PARAMS6, SEC6), how
+        points = [me, *others]
+        how = walk_agrees(points, PARAMS6, SEC6)
+        return form_ucircle(points, PARAMS6, SEC6), how
 
     def test_mirror_tied_vacant_pair(self, walk_agrees):
         # The upper pair is vacant and one group; the robot at (0, 0.5) is
@@ -436,16 +437,16 @@ class TestFormationWalk:
 def test_formation_look_tests_only_what_it_reaches(monkeypatch, walk_agrees):
     """A look never tests the vacancy of a taken target, and it stops at the
     first group that chooses a move: it tests no target below that group."""
-    looks = []  # (snapshot, params, sec, targets tested)
+    looks = []  # (points, params, sec, targets tested)
     real_test, real_form = global_form.is_vacant_target, global_form.form_ucircle
 
     def is_vacant_target(t, points):
         looks[-1][3].append(t)
         return real_test(t, points)
 
-    def form(snapshot, params, sec):
-        looks.append((snapshot, params, sec, []))
-        return real_form(snapshot, params, sec)
+    def form(points, params, sec):
+        looks.append((points, params, sec, []))
+        return real_form(points, params, sec)
 
     monkeypatch.setattr(global_form, "is_vacant_target", is_vacant_target)
     monkeypatch.setattr(global_form, "form_ucircle", form)
@@ -454,10 +455,9 @@ def test_formation_look_tests_only_what_it_reaches(monkeypatch, walk_agrees):
         run_scenario(parse_config(raw))
     monkeypatch.undo()
     top_moves = 0
-    for snapshot, params, sec, tested in looks:
-        points = [snapshot.self_pos, *snapshot.others]
+    for points, params, sec, tested in looks:
         assert not any(dist(t, p) <= SETTLE_TOL for t in tested for p in points)
-        how = walk_agrees(snapshot, params, sec)
+        how = walk_agrees(points, params, sec)
         if how == "seated":
             assert tested == []
         elif how is not None and how[0] == "vacant":
@@ -538,7 +538,7 @@ class TestEndToEnd:
         world = random_world(n, seed, spread=3.5)
         algo = make_global_algorithm(params)
         expansion_radii = []
-        from ucircle.simcore import execute_cycle, next_activation
+        from ucircle.simcore import next_activation
 
         sched = Schedule("FSYNC")
         for cycle in range(200 * n):
@@ -548,7 +548,7 @@ class TestEndToEnd:
             if is_formed(world.positions, params):
                 break
             active = next_activation(sched, n, cycle)
-            world, _, _ = execute_cycle(world, active, algo, cycle)
+            world, _, _ = round_of(world, active, algo, cycle)
         else:
             pytest.fail("did not converge")
         # The enclosing circle only grows while it is still too small; once

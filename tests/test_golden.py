@@ -125,6 +125,21 @@ CORPUS = {
         ),
         "25106c06404bd739ab3e68c751cc79d9abb2832af76dddee5b74fdd74dc8861c",
     ),
+    # The same placement under FSYNC: robots 0 and 8 meet at separation
+    # 1.31629 in cycle 25. The corpus's only local FSYNC fault, raised in a
+    # round under the run's finite minimum so far.
+    "local-fsync-random-fault": (
+        dict(
+            algorithm="local",
+            n=16,
+            rad=96.0,
+            vis=48.0,
+            scheduler="FSYNC",
+            seed=1,
+            placement="random-disc",
+        ),
+        "5d5a0ac1ca12ae10ed84bd88615f66887c51ead1dcdf0e45a1a633abcd13b620",
+    ),
     # Robots 20 and 12 meet at separation 1.04259 in cycle 10. Most pairs
     # tested at the faulting arrival are far apart: the fault is found among
     # pairs that the ASYNC monitor may skip.

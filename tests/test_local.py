@@ -4,6 +4,7 @@ import collections
 import math
 
 import pytest
+from conftest import sight_of
 
 from ucircle import local_form
 from ucircle.geometry import Circle, Point, angle_of, dist
@@ -32,10 +33,12 @@ from ucircle.simcore import (
 
 P = Point
 CENTER = P(0.0, 0.0)
+INF = math.inf
 
 
 def destination(me, vis, params, others):
-    return compute_destination(me, vis, params, others, classify_psi(me, vis, params, others))
+    sight = sight_of(me, others, vis)
+    return compute_destination(sight, params, classify_psi(sight, params))
 
 
 def params10(n=4):
@@ -74,23 +77,23 @@ class TestEligibility:
     cir = Circle(CENTER, 10.0)
 
     def test_center_always_eligible(self):
-        assert eligible_to_move(P(0, 0), [P(0, 5), P(0, -5)], self.cir)
+        assert eligible_to_move(sight_of(P(0, 0), [P(0, 5), P(0, -5)], INF), self.cir.radius)
 
     def test_inside_outermost_moves(self):
         # Inside robots yield to the one nearest the circle.
-        assert eligible_to_move(P(0, 3), [P(0, 2)], self.cir)
-        assert not eligible_to_move(P(0, 2), [P(0, 3)], self.cir)
+        assert eligible_to_move(sight_of(P(0, 3), [P(0, 2)], INF), self.cir.radius)
+        assert not eligible_to_move(sight_of(P(0, 2), [P(0, 3)], INF), self.cir.radius)
 
     def test_outside_innermost_moves(self):
-        assert eligible_to_move(P(0, 12), [P(0, 14)], self.cir)
-        assert not eligible_to_move(P(0, 14), [P(0, 12)], self.cir)
+        assert eligible_to_move(sight_of(P(0, 12), [P(0, 14)], INF), self.cir.radius)
+        assert not eligible_to_move(sight_of(P(0, 14), [P(0, 12)], INF), self.cir.radius)
 
     def test_opposite_sides_do_not_constrain(self):
-        assert eligible_to_move(P(0, 2), [P(0, 14)], self.cir)
-        assert eligible_to_move(P(0, 14), [P(0, 2)], self.cir)
+        assert eligible_to_move(sight_of(P(0, 2), [P(0, 14)], INF), self.cir.radius)
+        assert eligible_to_move(sight_of(P(0, 14), [P(0, 2)], INF), self.cir.radius)
 
     def test_on_circle_robot_ignores_insiders(self):
-        assert eligible_to_move(P(0, 10), [P(0, 9)], self.cir)
+        assert eligible_to_move(sight_of(P(0, 10), [P(0, 9)], INF), self.cir.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -102,44 +105,44 @@ class TestClassifyPsi:
     p = params10()
 
     def test_on_target(self):
-        assert classify_psi(P(0, 10), 4.0, self.p, []).value == "psi1"
+        assert classify_psi(sight_of(P(0, 10), [], 4.0), self.p).value == "psi1"
 
     def test_on_circle_off_target(self):
         q = Circle(CENTER, 10.0).point_at_angle(1.0)
-        assert classify_psi(q, 4.0, self.p, []).value == "psi0"
+        assert classify_psi(sight_of(q, [], 4.0), self.p).value == "psi0"
 
     def test_at_center(self):
-        assert classify_psi(P(0, 0), 4.0, self.p, []).value == "psi4"
+        assert classify_psi(sight_of(P(0, 0), [], 4.0), self.p).value == "psi4"
 
     def test_inside_cannot_reach(self):
         # d + vis < rad: the circle is beyond reach.
-        assert classify_psi(P(0, 2), 4.0, self.p, []).value == "psi3"
+        assert classify_psi(sight_of(P(0, 2), [], 4.0), self.p).value == "psi3"
 
     def test_inside_exactly_reaches(self):
-        assert classify_psi(P(0, 6), 4.0, self.p, []).value == "psi2"
+        assert classify_psi(sight_of(P(0, 6), [], 4.0), self.p).value == "psi2"
 
     def test_inside_crosses(self):
-        assert classify_psi(P(0, 6), 5.0, self.p, []).value == "psi5"
+        assert classify_psi(sight_of(P(0, 6), [], 5.0), self.p).value == "psi5"
 
     def test_outside_exactly_reaches(self):
-        assert classify_psi(P(0, 14), 4.0, self.p, []).value == "psi6"
+        assert classify_psi(sight_of(P(0, 14), [], 4.0), self.p).value == "psi6"
 
     def test_outside_cannot_reach(self):
-        assert classify_psi(P(0, 16), 4.0, self.p, []).value == "psi7"
+        assert classify_psi(sight_of(P(0, 16), [], 4.0), self.p).value == "psi7"
 
     def test_outside_crosses(self):
-        assert classify_psi(P(0, 12), 4.0, self.p, []).value == "psi8"
+        assert classify_psi(sight_of(P(0, 12), [], 4.0), self.p).value == "psi8"
 
     def test_contention_across_circle(self):
         # Both robots sit on the ray through the top target, one on each
         # side, and see each other: contention beats the crossing classes.
-        cfg = classify_psi(P(0, 6), 8.0, self.p, [P(0, 13)])
+        cfg = classify_psi(sight_of(P(0, 6), [P(0, 13)], 8.0), self.p)
         assert cfg.value == "psi9"
         assert dist(cfg.anchor, P(0, 10)) <= 1e-9
         assert dist(cfg.rival, P(0, 13)) <= 1e-9
 
     def test_no_contention_off_ray(self):
-        assert classify_psi(P(0, 6), 8.0, self.p, [P(1, 13)]).value != "psi9"
+        assert classify_psi(sight_of(P(0, 6), [P(1, 13)], 8.0), self.p).value != "psi9"
 
     @pytest.mark.parametrize(
         "me, vis, others, value",
@@ -158,7 +161,7 @@ class TestClassifyPsi:
     )
     def test_off_circle_anchor_is_the_aligned_target(self, me, vis, others, value):
         # compute_destination reads the aligned target from here only.
-        psi = classify_psi(me, vis, self.p, others)
+        psi = classify_psi(sight_of(me, others, vis), self.p)
         assert psi.value == value
         assert psi.anchor is _aligned_target(angle_of(me, CENTER), self.p)
 
@@ -216,9 +219,10 @@ class TestComputeDestination:
         # The contested target (0, 10) is vacant, but it is the inside
         # robot's: the outside robot keeps its radius, turning or waiting.
         me, others = P(0, 13), [P(0, 5)]
-        psi = classify_psi(me, vis, self.p, others)
+        sight = sight_of(me, others, vis)
+        psi = classify_psi(sight, self.p)
         assert psi.value == "psi9" and psi.rival == P(0, 5)
-        dest = compute_destination(me, vis, self.p, others, psi)
+        dest = compute_destination(sight, self.p, psi)
         assert abs(dist(dest, CENTER) - 13.0) <= 1e-9
 
     def test_moves_satisfy_direction_constraint(self):
@@ -313,11 +317,11 @@ def test_one_measure_from_center_per_activation(monkeypatch):
     real_measure, real_step = local_form.measure, local_form.local_step
     state = {"me": None, "measuring": False}
 
-    def measure(self_pos, others, c):
+    def measure(snapshot, c):
         measures[-1] += 1
         state["measuring"] = True
         try:
-            return real_measure(self_pos, others, c)
+            return real_measure(snapshot, c)
         finally:
             state["measuring"] = False
 

@@ -7,8 +7,9 @@ import random
 import re
 
 import pytest
+from conftest import round_of
 
-from ucircle.geometry import EPS, MotionSegment, Point, dist
+from ucircle.geometry import EPS, MotionSegment, Point, dist, min_separation_during_motion
 from ucircle.harness import (
     curated_local_configs,
     curated_placement,
@@ -34,7 +35,6 @@ from ucircle.simcore import (
     TraceEvent,
     WorldState,
     _decisions,
-    execute_cycle,
     move_to,
     next_activation,
     run,
@@ -153,7 +153,7 @@ class TestSnapshots:
         # A mirrored y-only robot asking to move to local (1, 0) must move
         # to world x - 1.
         w = WorldState((Robot(frame=FRAME_Y_ONLY, chirality=-1),), (P(10, 0),))
-        new, _, _ = execute_cycle(w, [0], lambda s: move_to(P(1, 0)))
+        new, _, _ = round_of(w, [0], lambda s: move_to(P(1, 0)))
         assert dist(new.positions[0], P(9, 0)) < 1e-12
 
 
@@ -210,7 +210,7 @@ class TestNextActivation:
 class TestExecuteCycle:
     def test_stationary_world_unchanged(self):
         w = make_world([P(0, 0), P(5, 0)])
-        new, events, sep = execute_cycle(w, [0, 1], lambda s: Action("stay"))
+        new, events, sep = round_of(w, [0, 1], lambda s: Action("stay"))
         assert new.positions == w.positions
         assert sep == math.inf  # no pair has a mover
         phases = [e.phase for e in events]
@@ -219,7 +219,7 @@ class TestExecuteCycle:
     def test_simple_move(self):
         w = make_world([P(0, 0)])
 
-        new, events, _ = execute_cycle(w, [0], lambda s: move_to(P(3, 4), tag="hop"))
+        new, events, _ = round_of(w, [0], lambda s: move_to(P(3, 4), tag="hop"))
         assert dist(new.positions[0], P(3, 4)) < 1e-12
         move_events = [e for e in events if e.phase == "move"]
         assert len(move_events) == 1
@@ -228,7 +228,7 @@ class TestExecuteCycle:
 
     def test_inactive_robots_do_not_look(self):
         w = make_world([P(0, 0), P(9, 0)])
-        _, events, _ = execute_cycle(w, [1], lambda s: Action("stay"))
+        _, events, _ = round_of(w, [1], lambda s: Action("stay"))
         assert {e.robot for e in events} == {1}
 
     def test_head_on_collision_faults(self):
@@ -239,7 +239,7 @@ class TestExecuteCycle:
             return move_to(snap.others[0])
 
         with pytest.raises(CollisionFault):
-            execute_cycle(w, [0, 1], algo)
+            round_of(w, [0, 1], algo)
 
     def test_moving_past_parked_robot_faults(self):
         w = make_world([P(0, 0), P(5, 1.2)])
@@ -248,7 +248,7 @@ class TestExecuteCycle:
             return move_to(P(10, 0)) if snap.self_pos == P(0, 0) else Action("stay")
 
         with pytest.raises(CollisionFault):
-            execute_cycle(w, [0, 1], algo)
+            round_of(w, [0, 1], algo)
 
     def test_parallel_motion_keeps_separation(self):
         w = make_world([P(0, 0), P(0, 2.5)])
@@ -256,21 +256,21 @@ class TestExecuteCycle:
         def algo(snap: Snapshot):
             return move_to(P(snap.self_pos.x + 8, snap.self_pos.y))
 
-        new, _, sep = execute_cycle(w, [0, 1], algo)
+        new, _, sep = round_of(w, [0, 1], algo)
         assert abs(sep - 2.5) < 1e-12
         assert dist(new.positions[0], P(8, 0)) < 1e-12
 
     def test_unknown_robot_rejected(self):
         w = make_world([P(0, 0)])
         with pytest.raises(KeyError):
-            execute_cycle(w, [7], lambda s: Action("stay"))
+            round_of(w, [7], lambda s: Action("stay"))
 
 
 def _round_outcome(world, active, algo, floor):
     """execute_cycle's answer with `floor`: ("fault", message, separation)
     or ("ok", positions, events, minimum)."""
     try:
-        new, events, sep = execute_cycle(world, active, algo, 0, floor=floor)
+        new, events, sep = round_of(world, active, algo, 0, floor)
     except CollisionFault as exc:
         return "fault", str(exc), exc.separation
     return "ok", new.positions, [ev.to_jsonl() for ev in events], sep
@@ -280,11 +280,63 @@ def _round_outcome(world, active, algo, floor):
 FLOORS = (math.inf, 40.0, 4.0, 2.5, SAFE_SEPARATION, 1.0, 0.0)
 
 
+def _random_round(rng, n=12):
+    """A world of n robots more than 2.1 apart in a 24 x 24 square, and an
+    algorithm that moves one to four of them by up to 3 along each axis."""
+    spots: list[Point] = []
+    while len(spots) < n:
+        p = P(rng.uniform(0, 24), rng.uniform(0, 24))
+        if all(dist(p, q) > 2.1 for q in spots):
+            spots.append(p)
+    steps = {
+        p: P(p.x + rng.uniform(-3, 3), p.y + rng.uniform(-3, 3))
+        for p in rng.sample(spots, rng.randrange(1, 5))
+    }
+
+    def algo(snap: Snapshot):
+        dest = steps.get(snap.self_pos)
+        return Action("stay") if dest is None else move_to(dest)
+
+    return make_world(spots), algo
+
+
+def _brute_round(world, active, algo, cycle):
+    """A round's collision test by its definition, every pair with a mover
+    tested in (a, b) order: ("fault", message, separation) of the first pair
+    closer than SAFE_SEPARATION, else ("ok", the smallest separation)."""
+    positions, t0 = world.positions, world.clock
+    moves = {}
+    for i in active:
+        action = algo(take_snapshot(world, i))
+        if action.kind == "move" and dist(action.dest, positions[i]) > EPS:
+            moves[i] = action.dest
+    t1 = t0 + max((dist(positions[i], d) for i, d in moves.items()), default=1.0)
+
+    def segments(i):
+        p = positions[i]
+        if i not in moves:
+            return [MotionSegment(p, p, t0, t1)]
+        arrive = t0 + dist(p, moves[i])
+        walk = [MotionSegment(p, moves[i], t0, arrive)]
+        return walk + [MotionSegment(moves[i], moves[i], arrive, t1)] if arrive < t1 else walk
+
+    low = math.inf
+    for a in range(len(positions)):
+        for b in range(a + 1, len(positions)):
+            if a not in moves and b not in moves:
+                continue
+            sep = min(min_separation_during_motion(s, q) for s in segments(a) for q in segments(b))
+            if sep < SAFE_SEPARATION:
+                return "fault", f"robots {a} and {b} reach separation {sep:.6g} during cycle {cycle}", sep
+            low = min(low, sep)
+    return "ok", low
+
+
 class TestSyncPruning:
     """A finite `floor` lets a round skip the pairs that cannot come closer
-    than both the floor and the fault threshold: the fault, the new world,
-    the events and the run's minimum (the round's with the floor) stay the
-    same."""
+    than both the floor and the fault threshold: the fault, the new world
+    and the events stay the same, and the round returns the run's minimum,
+    `min(floor, the round's minimum)`."""
 
     def test_fault_is_the_same(self):
         # Pairs (1, 4) and (2, 3) charge head on while robot 0 holds far
@@ -307,22 +359,8 @@ class TestSyncPruning:
         rng = random.Random(19)
         kinds, skipped = set(), 0
         for _ in range(150):
-            spots: list[Point] = []
-            while len(spots) < 12:
-                p = P(rng.uniform(0, 24), rng.uniform(0, 24))
-                if all(dist(p, q) > 2.1 for q in spots):
-                    spots.append(p)
-            steps = {
-                p: P(p.x + rng.uniform(-3, 3), p.y + rng.uniform(-3, 3))
-                for p in rng.sample(spots, rng.randrange(1, 5))
-            }
-
-            def algo(snap: Snapshot):
-                dest = steps.get(snap.self_pos)
-                return Action("stay") if dest is None else move_to(dest)
-
-            w = make_world(spots)
-            active = range(len(spots))
+            w, algo = _random_round(rng)
+            active = range(len(w.robots))
             tested.calls = 0
             free = _round_outcome(w, active, algo, math.inf)
             n_free = tested.calls
@@ -335,11 +373,35 @@ class TestSyncPruning:
                     assert got == free
                     continue
                 assert got[:3] == free[:3]
-                # A skipped pair never sets a round minimum below the
-                # floor-free one, and the run keeps the same minimum.
-                assert got[3] >= free[3]
+                # A skipped pair never lowers the run's minimum: it is the
+                # floor-free round's minimum, or the floor.
+                assert got[3] == min(free[3], floor)
                 assert min(got[3], floor) == min(free[3], floor)
         assert kinds == {"fault", "ok"} and skipped > 0
+
+    def test_round_returns_the_runs_minimum(self):
+        # SSYNC rounds against the brute force, under finite floors below,
+        # at and above each round's minimum: the round returns the run's
+        # minimum, min(floor, brute force), or raises the brute force's fault.
+        rng = random.Random(29)
+        sched = Schedule("SSYNC", seed=29)
+        kinds, floor_kept, floor_lowered = set(), 0, 0
+        for cycle in range(120):
+            w, algo = _random_round(rng)
+            active = next_activation(sched, len(w.robots), cycle)
+            want = _brute_round(w, active, algo, cycle)
+            kinds.add(want[0])
+            low = want[-1]
+            for floor in (*FLOORS[1:], low, low + 1e-9, rng.uniform(0.0, 12.0)):
+                try:
+                    _, _, got = round_of(w, active, algo, cycle, floor)
+                except CollisionFault as exc:
+                    assert want == ("fault", str(exc), exc.separation)
+                    continue
+                assert want[0] == "ok" and got == min(floor, low), (cycle, floor)
+                floor_kept += got == floor < low
+                floor_lowered += got == low < floor
+        assert kinds == {"fault", "ok"} and floor_kept > 0 and floor_lowered > 0
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +843,7 @@ class TestComputeOnce:
         algo = lambda snap: Action("stay", tag=str(snap.others))  # noqa: E731
         robots = (Robot(), Robot())
         w = WorldState(robots, (P(0.0, 0.0), P(5.0, 0.0)))
-        table = _decisions(w, algo)
+        table = _decisions(w, algo, None)
         later = WorldState(robots, w.positions, clock=3.0)
         assert _decisions(later, algo, table) is table
         flipped = WorldState(robots, (P(-0.0, 0.0), w.positions[1]))

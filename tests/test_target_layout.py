@@ -33,6 +33,7 @@ from ucircle.local_form import (
     classify_psi,
     compute_robot_position,
     is_formed_local,
+    measure,
 )
 from ucircle.simcore import Snapshot
 
@@ -106,11 +107,11 @@ def test_seats_and_vacancy_match_the_scans(n, center, walk_agrees):
     rng = random.Random(n)
     # The centre is never seated, so it asks among every probe; then each
     # probe asks beside the centre, and the centre among a few probes.
-    hows = [walk_agrees(Snapshot(center, tuple(probes), math.inf), params, circle)]
-    hows += [walk_agrees(Snapshot(p, (center,), math.inf), params, circle) for p in probes]
+    hows = [walk_agrees([center, *probes], params, circle)]
+    hows += [walk_agrees([p, center], params, circle) for p in probes]
     for _ in range(20):
-        few = tuple(rng.sample(probes, n + 2))
-        hows.append(walk_agrees(Snapshot(center, few, math.inf), params, circle))
+        few = rng.sample(probes, n + 2)
+        hows.append(walk_agrees([center, *few], params, circle))
     assert "seated" in hows and any(h not in ("seated", None) for h in hows)
 
 
@@ -124,7 +125,7 @@ def test_psi1_anchor_matches_the_scan(n, center):
     ]
     hits = 0
     for p in probes:
-        psi = classify_psi(p, 1.0, params, [])
+        psi = classify_psi(measure(Snapshot(p, (), 1.0), center), params)
         want = _scan_near(p, targets, PSI1_TOL)
         assert (psi.anchor if psi.value == "psi1" else None) is want
         hits += want is not None
