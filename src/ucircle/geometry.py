@@ -203,67 +203,87 @@ def _sec_order(n: int) -> tuple[int, ...]:
 def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
     """Minimum-radius circle enclosing all points (incremental construction).
 
-    Runs on plain floats: the enclose test `dist(center, p) <= r + EPS`, the
-    diameter circle of two points and the circumcircle of three are written
-    out with the same expressions as `dist`, `_circle_from_two` and
-    `circumcircle`, so the result is the same to the last bit.
+    The result is bit for bit that of the construction from `dist`,
+    `_circle_from_two` and `circumcircle`. It runs on plain floats, with the
+    enclose test `dist(center, p) <= r + EPS`, the diameter circle of two
+    points and the circumcircle of three written out in the same
+    expressions. Each point's `x*x + y*y` is computed once per call, and a
+    circumcircle's radius only for the two circles that can win.
     """
-    pts = [(p.x, p.y) for p in points]
+    pts = [(p.x, p.y, p.x * p.x + p.y * p.y) for p in points]
     if not pts:
         raise GeometryError("smallest_enclosing_circle: empty point set")
     pts = [pts[k] for k in _sec_order(len(pts))]
     hypot = math.hypot
     cx, cy, r = pts[0][0], pts[0][1], 0.0
-    for i, (px, py) in enumerate(pts):
-        if hypot(cx - px, cy - py) <= r + EPS:
+    reach = r + EPS
+    for i, p in enumerate(pts):
+        px, py, _ = p
+        if hypot(cx - px, cy - py) <= reach:
             continue
         # The smallest circle of pts[: i + 1] with p on its boundary.
         cx, cy, r = px, py, 0.0
+        reach = r + EPS
         for j in range(i + 1):
-            qx, qy = pts[j]
-            if hypot(cx - qx, cy - qy) <= r + EPS:
+            q = pts[j]
+            qx, qy, _ = q
+            if hypot(cx - qx, cy - qy) <= reach:
                 continue
             if r == 0.0:
                 cx, cy, r = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
             else:
-                cx, cy, r = _sec_two_boundary(pts, j + 1, px, py, qx, qy)
+                cx, cy, r = _sec_two_boundary(pts, j + 1, p, q)
+            reach = r + EPS
     return Circle(Point(cx, cy), r)
 
 
 def _sec_two_boundary(
-    pts: Sequence[tuple[float, float]], m: int, px: float, py: float, qx: float, qy: float
+    pts: Sequence[tuple[float, float, float]],
+    m: int,
+    p: tuple[float, float, float],
+    q: tuple[float, float, float],
 ) -> tuple[float, float, float]:
-    """(cx, cy, r) of the smallest circle of pts[:m] with p and q on its boundary."""
+    """(cx, cy, r) of the smallest circle of pts[:m] with p and q on its
+    boundary. Each point is (x, y, x*x + y*y)."""
     hypot = math.hypot
+    px, py, an = p
+    qx, qy, bn = q
     mx, my, mr = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
-    pqx, pqy = qx - px, qy - py
-    an, bn = px * px + py * py, qx * qx + qy * qy
+    pqx, pqy, m_reach = qx - px, qy - py, mr + EPS
     # The circumcircles through p, q and a point left (right) of pq whose
-    # centre lies furthest left (right) of pq: (cx, cy, r, offset).
-    left: tuple[float, float, float, float] | None = None
-    right: tuple[float, float, float, float] | None = None
+    # centre lies furthest left (right) of pq: (offset, cx, cy, x, y) with
+    # (x, y) that third point.
+    left: tuple[float, float, float, float, float] | None = None
+    right: tuple[float, float, float, float, float] | None = None
     for k in range(m):
-        rx, ry = pts[k]
-        if hypot(mx - rx, my - ry) <= mr + EPS:
+        rx, ry, cn = pts[k]
+        if hypot(mx - rx, my - ry) <= m_reach:
             continue
         d = 2.0 * (px * (qy - ry) + qx * (ry - py) + rx * (py - qy))
         if abs(d) < 1e-14:
             continue
-        cn = rx * rx + ry * ry
         ux = (an * (qy - ry) + bn * (ry - py) + cn * (py - qy)) / d
         uy = (an * (rx - qx) + bn * (px - rx) + cn * (qx - px)) / d
-        ur = max(hypot(ux - px, uy - py), hypot(ux - qx, uy - qy), hypot(ux - rx, uy - ry))
         side = pqx * (ry - py) - pqy * (rx - px)
         off = pqx * (uy - py) - pqy * (ux - px)
-        if side > 0.0 and (left is None or off > left[3]):
-            left = (ux, uy, ur, off)
-        elif side < 0.0 and (right is None or off < right[3]):
-            right = (ux, uy, ur, off)
+        if side > 0.0 and (left is None or off > left[0]):
+            left = (off, ux, uy, rx, ry)
+        elif side < 0.0 and (right is None or off < right[0]):
+            right = (off, ux, uy, rx, ry)
+    if left is None:  # at most one winner: call it `left`
+        left, right = right, None
     if left is None:
-        return (mx, my, mr) if right is None else right[:3]
-    if right is None or left[2] <= right[2]:
-        return left[:3]
-    return right[:3]
+        return mx, my, mr
+    # A winner's radius is `circumcircle`'s: the largest distance from its
+    # centre to its three points. `left` wins a tie.
+    _, cx, cy, rx, ry = left
+    r = max(hypot(cx - px, cy - py), hypot(cx - qx, cy - qy), hypot(cx - rx, cy - ry))
+    if right is not None:
+        _, ux, uy, rx, ry = right
+        ur = max(hypot(ux - px, uy - py), hypot(ux - qx, uy - qy), hypot(ux - rx, uy - ry))
+        if not r <= ur:
+            return ux, uy, ur
+    return cx, cy, r
 
 
 def smallest_enclosing_circle_bruteforce(points: Iterable[Point]) -> Circle:

@@ -215,29 +215,37 @@ def sec_expansion(points: Sequence[Point], params: GlobalParams, sec: Circle) ->
 
 
 def _select_mover(
-    target: Point,
+    tx: float,
+    ty: float,
     movers: Sequence[Mover],
     sec: Circle,
     is_top_target: bool,
 ) -> Optional[Mover]:
-    """The mover nearest to target: by arc for a robot on the SEC boundary,
-    by chord otherwise."""
-    a_t = angle_of(target, sec.center)
-    dists = []
+    """The mover nearest to the target at (tx, ty): by arc for a robot on
+    the SEC boundary, by chord otherwise."""
+    cx, cy, r = sec.center.x, sec.center.y, sec.radius
+    a_t = math.atan2(ty - cy, tx - cx)  # `angle_of(target, sec.center)`
+    hypot, full_turn = math.hypot, 2.0 * math.pi
+    # The movers within 1e-9 of the nearest so far, in mover order. A mover
+    # dropped for a nearer one stays out: the nearest only comes closer.
+    best, tied = math.inf, []
     for m in movers:
         p, a_p, on_sec = m
         if on_sec:
             da = abs(a_p - a_t)
-            dists.append((min(da, 2.0 * math.pi - da) * sec.radius, m))
+            d = min(da, full_turn - da) * r
         else:
-            dists.append((dist(p, target), m))
-    best = min(d for d, _ in dists)
-    tied = [m for d, m in dists if d <= best + 1e-9]
+            d = hypot(p.x - tx, p.y - ty)
+        if d <= best + 1e-9:
+            if d < best:
+                best = d
+                tied = [c for c in tied if c[0] <= d + 1e-9]
+            tied.append((d, m))
     if len(tied) == 1:
-        return tied[0]
+        return tied[0][1]
     if is_top_target:
         return None  # contested top target: nobody moves this cycle
-    return max(tied, key=lambda m: (m[0].y, m[0].x))
+    return max((m for _, m in tied), key=lambda m: (m[0].y, m[0].x))
 
 
 def _arc_step(me: Point, a_me: float, target: Point, sec: Circle, others: Sequence[Point]) -> Point:
@@ -271,28 +279,82 @@ def _straight_step(me: Point, target: Point, others: Sequence[Point]) -> Point:
     return me
 
 
-def _target_groups(order: Sequence[Point], points: Sequence[Point]) -> Iterator[list[Point]]:
-    """The untaken targets `order` (highest first) in walk order: groups of
-    vacant targets, then groups of crowded ones, each group the targets of
-    its tier within 1e-9 in y of its first.
+def _target_groups(
+    order: Sequence[tuple[float, float, int, float]], points: Sequence[Point]
+) -> Iterator[list[tuple[int, Point]]]:
+    """The untaken targets `order` (highest first, as `_walk_order` gives
+    them) in walk order: groups of vacant targets, then groups of crowded
+    ones, each group the (index, target) of its tier within 1e-9 in y of
+    its first.
 
-    A target's vacancy is tested only when the walk reaches it. y never
-    rises along `order`, so a vacant group is complete, and yielded, as
-    soon as the next target lies lower than that.
+    A target's Point is built, and its vacancy tested, only when the walk
+    reaches it. y never rises along `order`, so a vacant group is complete,
+    and yielded, as soon as the next target lies lower than that.
     """
-    crowded: list[Point] = []
-    for tier in (order, crowded):
-        group: list[Point] = []
-        for t in tier:
-            if group and abs(t.y - group[0].y) > 1e-9:
+    reached = ((i, Point(x, -neg_y)) for neg_y, _, i, x in order)
+    crowded: list[tuple[int, Point]] = []
+    for tier in (reached, crowded):
+        group: list[tuple[int, Point]] = []
+        for i, t in tier:
+            if group and abs(t.y - group[0][1].y) > 1e-9:
                 yield group
                 group = []
             if tier is crowded or is_vacant_target(t, points):
-                group.append(t)
+                group.append((i, t))
             else:
-                crowded.append(t)
+                crowded.append((i, t))
         if group:
             yield group
+
+
+def _walk_order(sec: Circle, n: int, taken: set[int]) -> list[tuple[float, float, int, float]]:
+    """The untaken targets of the SEC `sec`, highest first, each as
+    (-y, |x - cx|, index, x).
+
+    This is bit for bit the order of `sorted(compute_target_points(n, sec)
+    minus the taken targets, key=(-y, |x - cx|))`: x and y are built from
+    `_target_directions` in the same expressions as those Points, and the
+    index breaks ties as the stable sort does (so x is never compared).
+    """
+    cx, cy, r = sec.center.x, sec.center.y, sec.radius
+    keys = []
+    for i, (c, s) in enumerate(_target_directions(n)):
+        if i not in taken:
+            x = cx + r * c
+            keys.append((-(cy + r * s), abs(x - cx), i, x))
+    keys.sort()
+    return keys
+
+
+def _plan(
+    points: Sequence[Point], sec: Circle, n: int, movers: Sequence[Mover], taken: set[int]
+) -> list[tuple[Point, Point, Point]]:
+    """The moves of the first target group in walk order that chooses any:
+    (target, mover, step) for each of its targets whose chosen mover would
+    move, or [] when no group chooses one.
+
+    `movers` are the robots still to be seated, and `taken` holds the
+    indices of the seated targets. Highest vacant target first, crowded ones
+    after, cascading downward so that a contested or blocked candidate
+    never stalls the whole formation; mirror-tied targets within a tier are
+    considered together. The plan is bit for bit that of the walk over
+    `compute_target_points(n, sec)`: `_walk_order` gives the same order, and
+    each target Point is built in the same expressions, when the walk
+    reaches it.
+    """
+    for group in _target_groups(_walk_order(sec, n, taken), points):
+        chosen: list[tuple[Point, Point, Point]] = []
+        for i, t in group:
+            # Targets lie more than 3 apart, so only target 0 is the top one.
+            mover = _select_mover(t.x, t.y, movers, sec, i == 0)
+            if mover is None:
+                continue
+            step = _move_step(mover, t, points, sec)
+            if dist(step, mover[0]) > EPS:
+                chosen.append((t, mover[0], step))
+        if chosen:
+            return chosen
+    return []
 
 
 def form_ucircle(points: Sequence[Point], params: GlobalParams, sec: Circle) -> Action:
@@ -315,45 +377,26 @@ def form_ucircle(points: Sequence[Point], params: GlobalParams, sec: Circle) -> 
     taken: set[int] = set()
     movers: list[Mover] = []
     for p in points:
-        dx, dy = p.x - cx, p.y - cy
+        px, py = p.x, p.y
+        dx, dy = px - cx, py - cy
         theta = atan2(dy, dx)
         i = round((half_pi - theta) / arc) % n
         c, s = directions[i]
-        if hypot(p.x - (cx + r * c), p.y - (cy + r * s)) > SETTLE_TOL:
+        if hypot(px - (cx + r * c), py - (cy + r * s)) > SETTLE_TOL:
             movers.append((p, theta, abs(hypot(dx, dy) - r) <= on_sec_tol))
         elif p is me:
             return Action("stay", tag=TAG_FORM)
         else:
             taken.add(i)
-    targets = compute_target_points(n, sec)
-    # Highest vacant target first, crowded ones after, cascading downward so
-    # that a contested or blocked candidate never stalls the whole formation.
-    # Mirror-tied targets within a tier are considered together.
-    order = sorted(
-        (t for i, t in enumerate(targets) if i not in taken),
-        key=lambda t: (-t.y, abs(t.x - sec.center.x)),
-    )
-    top = targets[0]
-    for group in _target_groups(order, points):
-        chosen: list[tuple[Point, Point, Point]] = []
-        for t in group:
-            mover = _select_mover(t, movers, sec, dist(t, top) <= 1e-9)
-            if mover is None:
-                continue
-            step = _move_step(mover, t, points, sec)
-            if dist(step, mover[0]) > EPS:
-                chosen.append((t, mover[0], step))
-        if chosen:
-            mine = [(t, step) for t, m, step in chosen if m is me]
-            if not mine:
-                return Action("stay", tag=TAG_FORM)
-            # Nearest to several targets of the group: take the one with the
-            # largest y, then the largest x in the robot's own frame. Mirror
-            # twins' y mostly differ in the last bits, so rounding, not
-            # handedness, picks between them (both choices are safe).
-            _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
-            return move_to(dest, tag=TAG_FORM)
-    return Action("stay", tag=TAG_FORM)
+    mine = [(t, step) for t, m, step in _plan(points, sec, n, movers, taken) if m is me]
+    if not mine:
+        return Action("stay", tag=TAG_FORM)
+    # Nearest to several targets of the group: take the one with the
+    # largest y, then the largest x in the robot's own frame. Mirror
+    # twins' y mostly differ in the last bits, so rounding, not
+    # handedness, picks between them (both choices are safe).
+    _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
+    return move_to(dest, tag=TAG_FORM)
 
 
 def _move_step(mover: Mover, target: Point, points: Sequence[Point], sec: Circle) -> Point:

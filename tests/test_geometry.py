@@ -1,5 +1,6 @@
 """Tests for the planar geometry primitives."""
 
+import collections
 import math
 import random
 
@@ -14,6 +15,8 @@ from ucircle.geometry import (
     GeometryError,
     MotionSegment,
     Point,
+    _sec_order,
+    _sec_two_boundary,
     circumcircle,
     dist,
     is_free_path,
@@ -429,3 +432,161 @@ def test_sec_bits_are_pinned():
         c = smallest_enclosing_circle(pts)
         h.update(f"{c.center.x.hex()} {c.center.y.hex()} {c.radius.hex()}\n".encode())
     assert h.hexdigest() == SEC_CORPUS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The SEC against a reference copy of its construction
+# ---------------------------------------------------------------------------
+
+
+def reference_smallest_enclosing_circle(points, hits):
+    """`smallest_enclosing_circle` as written with a `_sec_two_boundary`
+    helper that squares each point where it needs it and computes the radius
+    of every candidate circumcircle. `hits` counts the nearly collinear
+    triples skipped and the radius ties between a left and a right winner."""
+    pts = [(p.x, p.y) for p in points]
+    pts = [pts[k] for k in _sec_order(len(pts))]
+    hypot = math.hypot
+    cx, cy, r = pts[0][0], pts[0][1], 0.0
+    for i, (px, py) in enumerate(pts):
+        if hypot(cx - px, cy - py) <= r + EPS:
+            continue
+        cx, cy, r = px, py, 0.0
+        for j in range(i + 1):
+            qx, qy = pts[j]
+            if hypot(cx - qx, cy - qy) <= r + EPS:
+                continue
+            if r == 0.0:
+                cx, cy, r = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
+            else:
+                cx, cy, r = _reference_sec_two_boundary(pts, j + 1, px, py, qx, qy, hits)
+    return cx, cy, r
+
+
+def _reference_sec_two_boundary(pts, m, px, py, qx, qy, hits):
+    hypot = math.hypot
+    mx, my, mr = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
+    pqx, pqy = qx - px, qy - py
+    an, bn = px * px + py * py, qx * qx + qy * qy
+    left = right = None
+    for k in range(m):
+        rx, ry = pts[k]
+        if hypot(mx - rx, my - ry) <= mr + EPS:
+            continue
+        d = 2.0 * (px * (qy - ry) + qx * (ry - py) + rx * (py - qy))
+        if abs(d) < 1e-14:
+            hits["collinear"] += 1
+            continue
+        cn = rx * rx + ry * ry
+        ux = (an * (qy - ry) + bn * (ry - py) + cn * (py - qy)) / d
+        uy = (an * (rx - qx) + bn * (px - rx) + cn * (qx - px)) / d
+        ur = max(hypot(ux - px, uy - py), hypot(ux - qx, uy - qy), hypot(ux - rx, uy - ry))
+        side = pqx * (ry - py) - pqy * (rx - px)
+        off = pqx * (uy - py) - pqy * (ux - px)
+        if side > 0.0 and (left is None or off > left[3]):
+            left = (ux, uy, ur, off)
+        elif side < 0.0 and (right is None or off < right[3]):
+            right = (ux, uy, ur, off)
+    if left is None:
+        return (mx, my, mr) if right is None else right[:3]
+    if right is not None and left[2] == right[2]:
+        hits["tie"] += 1
+    if right is None or left[2] <= right[2]:
+        return left[:3]
+    return right[:3]
+
+
+def _formation_looks(rng):
+    """Looks at n robots on or near the n targets of a circle, within 1e-9
+    of them, as robots that share only the y axis see them: each from its
+    own position, and mirrored in x."""
+    looks = []
+    for n in range(3, 21):
+        radius = 3.5 / (2.0 * math.sin(math.pi / n)) * rng.choice((1.0, 1.0, 1.7))
+        c = P(rng.uniform(-100, 100), rng.uniform(-100, 100))
+        jitter = rng.choice((0.0, 1e-12, 1e-9))
+        world = [
+            P(
+                c.x + radius * math.cos(math.pi / 2.0 - 2.0 * math.pi * i / n) + rng.uniform(-jitter, jitter),
+                c.y + radius * math.sin(math.pi / 2.0 - 2.0 * math.pi * i / n) + rng.uniform(-jitter, jitter),
+            )
+            for i in range(n)
+        ]
+        for me in world:
+            for flip in (1.0, -1.0):
+                looks.append([P(flip * (p.x - me.x), p.y - me.y) for p in world])
+    return looks
+
+
+def _sec_reference_cases():
+    rng = random.Random(2021)
+    cases = []
+    for n in range(1, 26):
+        for scale in (1.0, 50.0, 1e3):
+            cases.append([P(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(n)])
+        pool = [P(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(max(1, n // 3))]
+        cases.append([rng.choice(pool) for _ in range(n)])  # duplicates
+    cases += _formation_looks(rng)
+    # Collinear triples: along a line over a few units, and thin triangles
+    # over a few times EPS, whose doubled area falls below the 1e-14 at
+    # which a circumcircle is skipped.
+    for _ in range(300):
+        a, ang = P(rng.uniform(-20, 20), rng.uniform(-20, 20)), rng.uniform(0.0, 2.0 * math.pi)
+        u = P(math.cos(ang), math.sin(ang))
+        for spread, thickness in ((3.0, 0.0), (1e-8, 1e-8), (3e-8, 1e-8)):
+            cases.append(
+                [
+                    a + u.scaled(rng.uniform(-spread, spread)) + P(-u.y, u.x).scaled(rng.uniform(-thickness, thickness))
+                    for _ in range(3)
+                ]
+            )
+    return cases
+
+
+def _two_boundary_cases():
+    """(pts, p, q) for the step that keeps p and q on the boundary: random
+    points, and points mirrored across the line pq, whose left and right
+    circumcircles tie in radius. The incremental construction never meets
+    the second kind, as no circle through p and q holds points outside
+    their diameter circle on both sides of pq."""
+    rng = random.Random(2121)
+    cases = []
+    for _ in range(300):
+        pts = [P(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(rng.randint(2, 8))]
+        cases.append((pts, pts[-1], rng.choice(pts[:-1])))
+    for _ in range(300):
+        half = [(rng.uniform(-12, 12), rng.uniform(0.5, 12)) for _ in range(rng.randint(1, 3))]
+        pts = [P(x, y) for x, y in half] + [P(x, -y) for x, y in half]
+        p, q = P(rng.uniform(-10, -0.5), 0.0), P(rng.uniform(0.5, 10), 0.0)
+        if rng.random() < 0.5:  # mirrored across the y axis instead
+            pts, p, q = [P(t.y, t.x) for t in pts], P(p.y, p.x), P(q.y, q.x)
+        rng.shuffle(pts)
+        cases.append((pts, p, q))
+    return cases
+
+
+class TestSecAgainstReference:
+    """`smallest_enclosing_circle` squares each point once and computes the
+    radius of the winning circumcircles only: it gives the reference's
+    centre and radius to the last bit."""
+
+    def test_two_boundary_step_matches_the_reference(self):
+        def square(t):
+            return (t.x, t.y, t.x * t.x + t.y * t.y)
+
+        hits = collections.Counter()
+        for pts, p, q in _two_boundary_cases():
+            got = _sec_two_boundary([square(t) for t in pts], len(pts), square(p), square(q))
+            want = _reference_sec_two_boundary([(t.x, t.y) for t in pts], len(pts), p.x, p.y, q.x, q.y, hits)
+            assert tuple(v.hex() for v in got) == tuple(v.hex() for v in want), (pts, p, q)
+        # Radius ties come up, so the rule that `left` wins one is compared.
+        assert hits["tie"] > 0
+
+    def test_bits_match_the_reference(self):
+        hits = collections.Counter()
+        for pts in _sec_reference_cases():
+            c = smallest_enclosing_circle(pts)
+            want = reference_smallest_enclosing_circle(pts, hits)
+            assert (c.center.x.hex(), c.center.y.hex(), c.radius.hex()) == tuple(v.hex() for v in want), pts
+        # The nearly collinear skip is reached, so that branch is compared too.
+        assert hits["collinear"] > 0

@@ -5,7 +5,8 @@ test on it. The reference scans every target and takes the first that
 passes. Both must name the same Point object, since callers compare targets
 by identity, and the formed check must give the verdict of the old
 first-free-target matching. The formation walk, which seats robots the same
-way, must act as the reference walk that scans every target.
+way, must act as the reference walk that scans every target, and its
+float-keyed walk order must be the sort of the target Points.
 """
 
 import math
@@ -22,7 +23,7 @@ from ucircle.geometry import (
     fills_targets,
     target_index,
 )
-from ucircle.global_form import SETTLE_TOL, GlobalParams, compute_radius
+from ucircle.global_form import SETTLE_TOL, GlobalParams, _walk_order, compute_radius
 from ucircle.harness import TERMINATION_TOL
 from ucircle.local_form import (
     ALIGN_TOL,
@@ -182,3 +183,33 @@ def test_target_index_inverts_the_layout(n):
         assert target_index(a + half, n) == i
         assert target_index(a - half, n) == i
         assert target_index(math.remainder(a, 2.0 * math.pi), n) == i
+
+
+def test_walk_order_is_the_sort_of_the_target_points():
+    # The formation walk sorted the untaken target Points by (-y, |x - cx|),
+    # stably; `_walk_order` sorts float keys built without the Points, and
+    # the walk builds each Point from its key's x and -(-y). Mirror twins
+    # whose y round equal, and those whose y differ in the last bits, both
+    # come up, so both the key and the index tie-break are exercised.
+    rng = random.Random(21)
+    equal_y, unequal_y = 0, 0
+    for n in range(3, 51):
+        for center in (P(0.0, 0.0), P(1e6, -1e6), P(-1e6, 1e6)):
+            for radius in (compute_radius(3.5, n), rng.uniform(1.0, 80.0)):
+                sec = Circle(center, radius)
+                targets = compute_target_points(n, sec)
+                for share in (0.0, 0.3, 0.8):
+                    taken = {i for i in range(n) if rng.random() < share}
+                    untaken = [(i, t) for i, t in enumerate(targets) if i not in taken]
+                    untaken.sort(key=lambda it: (-it[1].y, abs(it[1].x - center.x)))
+                    order = _walk_order(sec, n, taken)
+                    assert [key[2] for key in order] == [i for i, _ in untaken]
+                    for neg_y, _, i, x in order:
+                        t = targets[i]
+                        assert (x.hex(), (-neg_y).hex()) == (t.x.hex(), t.y.hex())
+                for i in range(1, (n + 1) // 2):
+                    if targets[i].y == targets[n - i].y:
+                        equal_y += 1
+                    else:
+                        unequal_y += 1
+    assert equal_y > 0 and unequal_y > 0
