@@ -36,10 +36,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .geometry import smallest_enclosing_circle_bruteforce
 from .harness import (
+    EXIT_CODES,
     ConfigError,
     InfeasibleScenario,
     build_algorithm,
-    exit_code_for,
     load_config,
     parse_point,
     run_scenario,
@@ -155,7 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
     print(summary.to_json_line())
-    return exit_code_for(trace)
+    return EXIT_CODES[trace.outcome]
 
 
 def _batch_one(job: tuple[str, str]) -> tuple[str, str, int, str]:
@@ -174,7 +174,7 @@ def _batch_one(job: tuple[str, str]) -> tuple[str, str, int, str]:
         _write_outputs(config, trace, summary, f"{out}.trace.jsonl", f"{out}.summary.json")
     except OSError as exc:
         return name, f"cannot write output: {exc}", 1, warning
-    return name, summary.outcome, exit_code_for(trace), warning
+    return name, summary.outcome, EXIT_CODES[trace.outcome], warning
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:

@@ -38,7 +38,7 @@ from .geometry import (
     smallest_enclosing_circle,
     unit_toward,
 )
-from .simcore import Action, Snapshot, move_to
+from .simcore import Action, Snapshot
 
 ON_SEC_EPS = 1e-9
 # Targets recomputed in different local frames agree only to ~1e-9 (SEC
@@ -210,7 +210,7 @@ def sec_expansion(points: Sequence[Point], params: GlobalParams, sec: Circle) ->
     for leader in sym.leaders:
         mover, dest = _expansion_move(points, leader, sec, params)
         if dist(mover, me) <= tol and dist(dest, me) > EPS:
-            return move_to(dest, tag=TAG_EXPAND)
+            return Action("move", dest, TAG_EXPAND)
     return Action("stay", tag=TAG_EXPAND)
 
 
@@ -396,7 +396,7 @@ def form_ucircle(points: Sequence[Point], params: GlobalParams, sec: Circle) -> 
     # twins' y mostly differ in the last bits, so rounding, not
     # handedness, picks between them (both choices are safe).
     _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
-    return move_to(dest, tag=TAG_FORM)
+    return Action("move", dest, TAG_FORM)
 
 
 def _move_step(mover: Mover, target: Point, points: Sequence[Point], sec: Circle) -> Point:

@@ -23,6 +23,7 @@ from .simcore import (
     OUTCOME_CONVERGED,
     OUTCOME_FAULT,
     OUTCOME_STALL,
+    SCHEDULERS,
     Robot,
     Schedule,
     Trace,
@@ -31,10 +32,12 @@ from .simcore import (
 )
 
 PLACEMENT_CLEARANCE = 2.1
+# The largest magnitude of a coordinate, 'a', 'rad' or 'vis' in a config: far
+# beyond any scene, and small enough that no distance or square overflows.
+MAX_LENGTH = 1e6
 TERMINATION_TOL = 1e-6
 
 ALGORITHMS = ("global", "local", "local-nonuniform")
-SCHEDULERS = ("FSYNC", "SSYNC", "ASYNC")
 
 EXIT_CODES = {
     OUTCOME_CONVERGED: 0,
@@ -90,20 +93,20 @@ _KNOWN_KEYS = {
 }
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number. Booleans, NaN and the infinities are not."""
+def _is_length(value) -> bool:
+    """A JSON number of magnitude at most MAX_LENGTH. Booleans, NaN and the
+    infinities are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
+    return abs(value) <= MAX_LENGTH
 
 
 def parse_point(item) -> Point:
-    """An [x, y] pair of finite JSON numbers, as a Point."""
-    if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_number, item))):
-        raise ConfigError(f"points must be [x, y] pairs of finite numbers, got {item!r}")
+    """An [x, y] pair of JSON numbers of magnitude at most MAX_LENGTH, as a Point."""
+    if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_length, item))):
+        raise ConfigError(
+            f"points must be [x, y] pairs of numbers within ±{MAX_LENGTH:g}, got {item!r}"
+        )
     return Point(float(item[0]), float(item[1]))
 
 
@@ -143,30 +146,31 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if algorithm == "global":
         if a is None:
             raise ConfigError("global algorithm requires 'a'")
-        if not _is_number(a) or a <= 3:
-            raise ConfigError(f"'a' must be a finite number > 3, got {a!r}")
+        if not _is_length(a) or a <= 3:
+            raise ConfigError(f"'a' must be a number > 3 and <= {MAX_LENGTH:g}, got {a!r}")
         if rad is not None or vis is not None:
             raise ConfigError("'rad'/'vis' apply to the local algorithms only")
     else:
         if a is not None:
             raise ConfigError("'a' applies to the global algorithm only")
-        if not _is_number(rad) or rad <= 0:
-            raise ConfigError(f"local algorithms require a finite positive 'rad', got {rad!r}")
+        if not _is_length(rad) or rad <= 0:
+            raise ConfigError(
+                f"local algorithms require a 'rad' > 0 and <= {MAX_LENGTH:g}, got {rad!r}"
+            )
         try:
             LocalParams.make(n, rad)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if vis is None:
             raise ConfigError("local algorithms require 'vis'")
-        if _is_number(vis):
-            if vis <= 0:
-                raise ConfigError(f"'vis' must be positive, got {vis!r}")
-        elif isinstance(vis, (list, tuple)):
-            if len(vis) != n or not all(_is_number(v) and v > 0 for v in vis):
-                raise ConfigError("'vis' list needs one positive value per robot")
+        if isinstance(vis, (list, tuple)):
+            if len(vis) != n or not all(_is_length(v) and v > 0 for v in vis):
+                raise ConfigError(f"'vis' list needs one value > 0 and <= {MAX_LENGTH:g} per robot")
             vis = tuple(float(v) for v in vis)
-        else:
-            raise ConfigError(f"'vis' must be a number or list, got {vis!r}")
+        elif not _is_length(vis) or vis <= 0:
+            raise ConfigError(
+                f"'vis' must be a number > 0 and <= {MAX_LENGTH:g}, or a list, got {vis!r}"
+            )
 
     placement = raw["placement"]
     if isinstance(placement, str):
@@ -196,7 +200,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         placement=placement,
         a=float(a) if a is not None else None,
         rad=float(rad) if rad is not None else None,
-        vis=float(vis) if _is_number(vis) else vis,
+        vis=float(vis) if isinstance(vis, (int, float)) else vis,
         max_cycles=max_cycles,
         fairness_bound=fairness,
     )
@@ -363,10 +367,6 @@ def run_scenario(config: ScenarioConfig) -> tuple[Trace, RunSummary]:
         trace.diagnosis = (trace.diagnosis + ";" if trace.diagnosis else "") + "one-sided-psi9"
     summary = compute_metrics(trace, config, params)
     return trace, summary
-
-
-def exit_code_for(trace: Trace) -> int:
-    return EXIT_CODES[trace.outcome]
 
 
 # ---------------------------------------------------------------------------

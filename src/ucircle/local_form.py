@@ -39,7 +39,7 @@ from .geometry import (
     target_index,
     unit_toward,
 )
-from .simcore import Action, Snapshot, move_to
+from .simcore import Action, Snapshot
 
 POS_EPS = 1e-9
 ALIGN_TOL = 1e-7  # radians; "on the same ray" test
@@ -322,7 +322,7 @@ def local_step(snapshot: Snapshot, params: LocalParams) -> Action:
     dest = compute_destination(sight, params, psi)
     if dist(dest, sight.me) <= EPS:
         return Action("stay", tag=psi.value)
-    return move_to(dest, tag=psi.value)
+    return Action("move", dest, psi.value)
 
 
 def make_local_algorithm(params: LocalParams):

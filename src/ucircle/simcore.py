@@ -42,6 +42,8 @@ SAFE_SEPARATION = 2.0 - 1e-9
 FRAME_Y_ONLY = "y-only"
 FRAME_FULL_AXES = "full-axes"
 
+SCHEDULERS = ("FSYNC", "SSYNC", "ASYNC")
+
 
 class SimulationFault(RuntimeError):
     pass
@@ -91,18 +93,14 @@ class Action:
     tag: str = ""
 
 
-def move_to(dest: Point, tag: str = "") -> Action:
-    return Action("move", dest, tag)
-
-
 @dataclass(frozen=True, slots=True)
 class Schedule:
-    kind: str  # "FSYNC" | "SSYNC" | "ASYNC"
+    kind: str  # one of SCHEDULERS
     seed: int = 0
     fairness_bound: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("FSYNC", "SSYNC", "ASYNC"):
+        if self.kind not in SCHEDULERS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
         if self.fairness_bound < 1:
             raise ValueError("fairness_bound must be >= 1")

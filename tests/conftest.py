@@ -1,8 +1,10 @@
 """Shared test fixtures and helpers.
 
-`walk_agrees` checks `global_form.form_ucircle` against an eager reference
-walk: every seat and every vacancy decided by a scan of all targets before
-the walk starts, both tiers sorted and grouped, then walked.
+`reference_plan` is an eager reference of `global_form._plan`: every seat
+and every vacancy decided by a scan of all targets before the walk starts,
+both tiers sorted and grouped, then walked over a given pool of movers.
+`walk_agrees` checks `global_form.form_ucircle` against the reference walk
+over every unseated robot.
 
 `sight_of` builds the view a local activation reads, and `round_of` runs one
 sync round of an algorithm with a fresh decision table.
@@ -16,7 +18,7 @@ import pytest
 from ucircle.geometry import EPS, ORIGIN, angle_of, compute_target_points, dist, is_vacant_target
 from ucircle.global_form import SETTLE_TOL, TAG_FORM, _arc_step, _on_sec, _straight_step, form_ucircle
 from ucircle.local_form import measure
-from ucircle.simcore import Action, Snapshot, _decisions, execute_cycle, move_to
+from ucircle.simcore import Action, Snapshot, _decisions, execute_cycle
 
 
 def sight_of(me, others, vis):
@@ -45,16 +47,17 @@ def _step(mover, target, points, sec):
     return dest
 
 
-def reference_form_ucircle(points, params, sec):
-    """(action, how) of the robot at `points[0]`: `how` is "seated" when it
-    sits on a target, else the tier ("vacant" or "crowded") and the group
-    the move was chosen from, or None when no group chose a move."""
-    me = points[0]
-    targets = compute_target_points(params.n, sec)
-    seats = [next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None) for p in points]
-    if seats[0] is not None:
-        return Action("stay", tag=TAG_FORM), "seated"
-    movers = [p for p, seat in zip(points, seats) if seat is None]
+def _seats(points, targets):
+    """Each point's seat: the index of the target within SETTLE_TOL of it, or None."""
+    return [next((i for i, t in enumerate(targets) if dist(p, t) <= SETTLE_TOL), None) for p in points]
+
+
+def _reference_walk(points, sec, n, pool):
+    """(plan, how) of the eager walk over the movers `pool`: the plan and the
+    tier ("vacant" or "crowded") and group of the first group that chooses a
+    move, or ([], None) when none does."""
+    targets = compute_target_points(n, sec)
+    seats = _seats(points, targets)
     vacant = [t for t in targets if is_vacant_target(t, points)]
     crowded = [t for i, t in enumerate(targets) if i not in seats and t not in vacant]
     groups = []
@@ -68,7 +71,7 @@ def reference_form_ucircle(points, params, sec):
     for name, group in groups:
         chosen = []
         for t in group:
-            metric = [(_approach(r, t, sec), r) for r in movers]
+            metric = [(_approach(r, t, sec), r) for r in pool]
             best = min(d for d, _ in metric)
             tied = [r for d, r in metric if d <= best + 1e-9]
             if len(tied) > 1 and dist(t, targets[0]) <= 1e-9:
@@ -78,12 +81,31 @@ def reference_form_ucircle(points, params, sec):
             if dist(step, mover) > EPS:
                 chosen.append((t, mover, step))
         if chosen:
-            mine = [(t, step) for t, m, step in chosen if m is me]
-            if not mine:
-                return Action("stay", tag=TAG_FORM), (name, group)
-            _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
-            return move_to(dest, tag=TAG_FORM), (name, group)
-    return Action("stay", tag=TAG_FORM), None
+            return chosen, (name, group)
+    return [], None
+
+
+def reference_plan(points, sec, n, pool):
+    """The eager walk's plan when only the robots in `pool` may move: the
+    (target, mover, step) list of the first group that chooses a move, or []."""
+    return _reference_walk(points, sec, n, pool)[0]
+
+
+def reference_form_ucircle(points, params, sec):
+    """(action, how) of the robot at `points[0]`: `how` is "seated" when it
+    sits on a target, else the tier ("vacant" or "crowded") and the group
+    the move was chosen from, or None when no group chose a move."""
+    me = points[0]
+    seats = _seats(points, compute_target_points(params.n, sec))
+    if seats[0] is not None:
+        return Action("stay", tag=TAG_FORM), "seated"
+    pool = [p for p, seat in zip(points, seats) if seat is None]
+    plan, how = _reference_walk(points, sec, params.n, pool)
+    mine = [(t, step) for t, m, step in plan if m is me]
+    if not mine:
+        return Action("stay", tag=TAG_FORM), how
+    _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
+    return Action("move", dest, TAG_FORM), how
 
 
 def action_bits(action):

@@ -21,8 +21,8 @@ from ucircle.geometry import (
 )
 from ucircle.global_form import compute_radius
 from ucircle.harness import (
+    EXIT_CODES,
     curated_local_configs,
-    exit_code_for,
     generate_scenario,
     nonuniform_variant,
     parse_config,
@@ -75,7 +75,7 @@ def global_grid_results(safety_minima):
                 safety_minima["min_seps"].append(trace.min_separation)
                 if summary.outcome == "fault":
                     safety_minima["faults"] += 1
-                results.append((n, a, seed, summary, exit_code_for(trace)))
+                results.append((n, a, seed, summary, EXIT_CODES[trace.outcome]))
     return {"elapsed": time.perf_counter() - started, "results": results}
 
 
@@ -108,7 +108,7 @@ def nonuniform_suite_results(safety_minima):
         safety_minima["min_seps"].append(trace.min_separation)
         if summary.outcome == "fault":
             safety_minima["faults"] += 1
-        results.append((var, summary, exit_code_for(trace)))
+        results.append((var, summary, EXIT_CODES[trace.outcome]))
     return results
 
 

@@ -2,9 +2,10 @@
 
 import math
 import random
+import struct
 
 import pytest
-from conftest import round_of
+from conftest import reference_plan, round_of
 
 from ucircle import global_form
 from ucircle.geometry import (
@@ -12,14 +13,18 @@ from ucircle.geometry import (
     VACANCY_CLEARANCE,
     Circle,
     Point,
+    angle_of,
     compute_target_points,
     dist,
     smallest_enclosing_circle,
+    target_index,
 )
 from ucircle.global_form import (
     SETTLE_TOL,
     GlobalParams,
     _expansion_move,
+    _on_sec,
+    _plan,
     compute_radius,
     detect_symmetry,
     form_ucircle,
@@ -327,6 +332,11 @@ def window_probes(n, a, offset):
     return sec, targets, probes
 
 
+def plan_bits(plan):
+    """The bits of each (target, mover, step) of a plan."""
+    return [struct.pack("<6d", t.x, t.y, m.x, m.y, q.x, q.y) for t, m, q in plan]
+
+
 class TestSeatsAndVacancy:
     """The formation walk seats each robot by `target_index` and tests a
     target's vacancy only when the walk reaches it; it must act as the
@@ -360,6 +370,33 @@ class TestSeatsAndVacancy:
         reach = VACANCY_CLEARANCE + EPS
         assert any(d <= SETTLE_TOL for d in near) and any(SETTLE_TOL < d < 2e-7 for d in near)
         assert any(reach - 2e-12 < d <= reach for d in near) and any(reach < d < reach + 2e-12 for d in near)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 8, 12, 20])
+    @pytest.mark.parametrize("a", [1.0, 3.5])
+    def test_plan_matches_the_reference_plan(self, n, a):
+        """`_plan` returns the reference walk's plan bit for bit, over the
+        full pool of unseated robots and over a strict subset of it."""
+        sec, targets, probes = window_probes(n, a, 0.0)
+        far = P(sec.center.x, sec.center.y - sec.radius - 50.0)
+        rng = random.Random(n)
+        looks = [[far, p] for p in probes] + [rng.sample(probes, min(len(probes), 2 * n)) for _ in range(20)]
+        plans = 0
+        for points in looks:
+            # The seat pass of `form_ucircle`, from the functions it writes out.
+            movers, taken = [], set()
+            for p in points:
+                theta = angle_of(p, sec.center)
+                i = target_index(theta, n)
+                if dist(p, targets[i]) <= SETTLE_TOL:
+                    taken.add(i)
+                else:
+                    movers.append((p, theta, _on_sec(p, sec)))
+            for pool in (movers, movers[::2]) if len(movers) > 1 else (movers,):
+                got = _plan(points, sec, n, pool, taken)
+                want = reference_plan(points, sec, n, [m[0] for m in pool])
+                assert plan_bits(got) == plan_bits(want), (points, len(pool))
+                plans += bool(got)
+        assert plans > 0
 
 
 SEC6 = Circle(P(0.0, 0.0), 5.0)

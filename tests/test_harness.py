@@ -12,6 +12,7 @@ from ucircle.geometry import Point, dist
 from ucircle.harness import (
     ALGORITHMS,
     EXIT_CODES,
+    MAX_LENGTH,
     SCHEDULERS,
     ConfigError,
     InfeasibleScenario,
@@ -21,7 +22,6 @@ from ucircle.harness import (
     curated_local_configs,
     curated_placement,
     curated_rad,
-    exit_code_for,
     generate_scenario,
     nonuniform_variant,
     parse_config,
@@ -188,6 +188,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(make(bad))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: base_global(a=x),
+            lambda x: base_local(rad=x),
+            lambda x: base_local(vis=x),
+            lambda x: base_local(vis=[8.0, 9.0, x, 11.0]),
+            lambda x: base_local(placement=[[0, 0], [5, 0], [x, 5], [5, 5]]),
+            lambda x: base_global(placement=[[0, 0], [5, 0], [0, 5], [5, -x]]),
+        ],
+    )
+    def test_lengths_are_bounded(self, make):
+        parse_config(make(MAX_LENGTH))
+        parse_config(make(int(MAX_LENGTH)))
+        for beyond in (math.nextafter(MAX_LENGTH, math.inf), 1e300, 10**400):
+            with pytest.raises(ConfigError, match="1e\\+06"):
+                parse_config(make(beyond))
+
     def test_placement_coordinates_must_be_numbers(self):
         for item in (["0", 5], [None, 5], [10**400, 5]):
             with pytest.raises(ConfigError):
@@ -336,7 +354,7 @@ class TestRunScenario:
         assert summary.uniformity_error < 1e-6
         assert summary.spacing_min >= 4.0 - 1e-6
         assert summary.min_pairwise_dist >= 2.0 - 1e-9
-        assert exit_code_for(trace) == 0
+        assert EXIT_CODES[trace.outcome] == 0
 
     def test_local_run_converges(self):
         cfg = parse_config(base_local(seed=5, max_cycles=800, fairness_bound=12))
@@ -677,7 +695,7 @@ class TestCli:
         cfg = self.write_config(tmp_path, raw)
         out_trace, out_summary = tmp_path / "t.jsonl", tmp_path / "s.json"
         code = main(["run", "--config", cfg, "--trace", str(out_trace), "--summary", str(out_summary)])
-        assert code == exit_code_for(trace)
+        assert code == EXIT_CODES[trace.outcome]
         printed = capsys.readouterr()
         err = printed.err.splitlines()
         assert len(err) == 1 and "ASYNC" in err[0] and "SSYNC" in err[0]
@@ -744,3 +762,23 @@ class TestCli:
         pts.write_text(text)
         assert main(["oracle", "sec", "--points", str(pts)]) == 1
         assert capsys.readouterr().err.startswith("invalid points file")
+
+    # Each crashed or printed Infinity before lengths were bounded: a NaN
+    # seat index in the formation look, an overflowing summary, an infinite
+    # oracle radius.
+    @pytest.mark.parametrize(
+        "command, body, prefix",
+        [
+            ("run", base_global(n=3, placement=[[1e308, 0], [-1e308, 0], [0, 5]]), "invalid config:"),
+            ("run", base_local(n=3, rad=1e300, vis=1e300, scheduler="SSYNC"), "invalid config:"),
+            ("oracle", [[1e308, 0], [-1e308, 0]], "invalid points file:"),
+        ],
+        ids=["global-placement", "local-rad-vis", "oracle-points"],
+    )
+    def test_lengths_beyond_the_bound_are_invalid_input(self, tmp_path, capsys, command, body, prefix):
+        path = self.write_config(tmp_path, body)
+        argv = ["run", "--config", path] if command == "run" else ["oracle", "sec", "--points", path]
+        assert main(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(prefix) and printed.err.count("\n") == 1

@@ -2,9 +2,9 @@
 
 Every module-level function, class and constant in `src/ucircle/`, and
 every public method, must be referenced by name somewhere in
-`src/ucircle/` or `perfbench/` outside its own definition. Imports,
-including the re-exports in `__init__`, do not count as references, and
-neither does a reference from code that is itself dead.
+`src/ucircle/` or `perfbench/` outside its own definition. Imports do not
+count as references, and neither does a reference from code that is
+itself dead.
 """
 
 import ast

@@ -35,7 +35,6 @@ from ucircle.simcore import (
     TraceEvent,
     WorldState,
     _decisions,
-    move_to,
     next_activation,
     run,
     take_snapshot,
@@ -153,7 +152,7 @@ class TestSnapshots:
         # A mirrored y-only robot asking to move to local (1, 0) must move
         # to world x - 1.
         w = WorldState((Robot(frame=FRAME_Y_ONLY, chirality=-1),), (P(10, 0),))
-        new, _, _ = round_of(w, [0], lambda s: move_to(P(1, 0)))
+        new, _, _ = round_of(w, [0], lambda s: Action("move", P(1, 0)))
         assert dist(new.positions[0], P(9, 0)) < 1e-12
 
 
@@ -219,7 +218,7 @@ class TestExecuteCycle:
     def test_simple_move(self):
         w = make_world([P(0, 0)])
 
-        new, events, _ = round_of(w, [0], lambda s: move_to(P(3, 4), tag="hop"))
+        new, events, _ = round_of(w, [0], lambda s: Action("move", P(3, 4), "hop"))
         assert dist(new.positions[0], P(3, 4)) < 1e-12
         move_events = [e for e in events if e.phase == "move"]
         assert len(move_events) == 1
@@ -236,7 +235,7 @@ class TestExecuteCycle:
 
         def algo(snap: Snapshot):
             # Both robots charge at the other one.
-            return move_to(snap.others[0])
+            return Action("move", snap.others[0])
 
         with pytest.raises(CollisionFault):
             round_of(w, [0, 1], algo)
@@ -245,7 +244,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0), P(5, 1.2)])
 
         def algo(snap: Snapshot):
-            return move_to(P(10, 0)) if snap.self_pos == P(0, 0) else Action("stay")
+            return Action("move", P(10, 0)) if snap.self_pos == P(0, 0) else Action("stay")
 
         with pytest.raises(CollisionFault):
             round_of(w, [0, 1], algo)
@@ -254,7 +253,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0), P(0, 2.5)])
 
         def algo(snap: Snapshot):
-            return move_to(P(snap.self_pos.x + 8, snap.self_pos.y))
+            return Action("move", P(snap.self_pos.x + 8, snap.self_pos.y))
 
         new, _, sep = round_of(w, [0, 1], algo)
         assert abs(sep - 2.5) < 1e-12
@@ -295,7 +294,7 @@ def _random_round(rng, n=12):
 
     def algo(snap: Snapshot):
         dest = steps.get(snap.self_pos)
-        return Action("stay") if dest is None else move_to(dest)
+        return Action("stay") if dest is None else Action("move", dest)
 
     return make_world(spots), algo
 
@@ -346,7 +345,7 @@ class TestSyncPruning:
 
         def algo(snap: Snapshot):
             me = snap.self_pos
-            return Action("stay") if me.x > 50 else move_to(P(3, me.y))
+            return Action("stay") if me.x > 50 else Action("move", P(3, me.y))
 
         outcomes = {_round_outcome(w, range(5), algo, floor) for floor in FLOORS}
         assert outcomes == {("fault", "robots 1 and 4 reach separation 0 during cycle 0", 0.0)}
@@ -563,7 +562,7 @@ def gather_at_x(target_x):
     def algo(snap: Snapshot):
         if abs(snap.self_pos.x - target_x) <= 1e-12:
             return Action("stay")
-        return move_to(P(target_x, snap.self_pos.y), tag="walk")
+        return Action("move", P(target_x, snap.self_pos.y), "walk")
 
     return algo
 
@@ -591,7 +590,7 @@ class TestRun:
         def wander(snap: Snapshot):
             # Never settles: keeps hopping between two columns.
             x = 0.0 if snap.self_pos.x > 0.5 else 1.0
-            return move_to(P(x, snap.self_pos.y))
+            return Action("move", P(x, snap.self_pos.y))
 
         trace = run(w, wander, Schedule("FSYNC"), lambda w_: False, max_cycles=10)
         assert trace.outcome == OUTCOME_BUDGET
@@ -622,7 +621,7 @@ class TestRun:
         w = make_world([P(0, 0), P(6, 0)])
 
         def charge(snap: Snapshot):
-            return move_to(snap.others[0]) if snap.others else Action("stay")
+            return Action("move", snap.others[0]) if snap.others else Action("stay")
 
         trace = run(w, charge, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_FAULT
@@ -689,7 +688,7 @@ def step_to_x(target_x, step=2.0):
         dx = target_x - snap.self_pos.x
         if abs(dx) <= 1e-12:
             return Action("stay")
-        return move_to(P(snap.self_pos.x + max(-step, min(step, dx)), snap.self_pos.y))
+        return Action("move", P(snap.self_pos.x + max(-step, min(step, dx)), snap.self_pos.y))
 
     return algo
 
@@ -733,9 +732,9 @@ class TestComputeOnce:
         # robot ends on a zero-length move, which also counts as staying.
         def algo(snap: Snapshot):
             if abs(snap.self_pos.x - 1.0) > 1e-12:
-                return move_to(P(1.0, snap.self_pos.y), tag="walk")
+                return Action("move", P(1.0, snap.self_pos.y), "walk")
             if snap.self_pos.y == 0:
-                return move_to(snap.self_pos, tag="hold")
+                return Action("move", snap.self_pos, "hold")
             return Action("stay", tag="row")
 
         w = make_world([P(0, 0), P(5, 4), P(-3, 8)])
@@ -892,7 +891,7 @@ class TestBadDestination:
         def algo(snap: Snapshot):
             if snap.self_pos.x == 9:
                 return Action("move", bad)
-            return move_to(P(snap.self_pos.x, snap.self_pos.y + 1.0))
+            return Action("move", P(snap.self_pos.x, snap.self_pos.y + 1.0))
 
         w = make_world([P(0, 0), P(9, 0)])
         sched = Schedule("SSYNC", seed=1, fairness_bound=6)
@@ -925,7 +924,7 @@ class TestAsyncLooks:
 
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return move_to(P(40, 0), tag="long")
+                return Action("move", P(40, 0), "long")
             if snap.self_pos == P(20, 10):
                 seen.append(snap.others[0])
             return Action("stay")
@@ -956,7 +955,7 @@ class TestAsyncCollisions:
     def test_move_through_a_robot_that_never_moved(self):
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return move_to(P(10, 0), tag="cross")
+                return Action("move", P(10, 0), "cross")
             return Action("stay")
 
         w = make_world([P(0, 0), P(5, 0.5)])
@@ -970,9 +969,9 @@ class TestAsyncCollisions:
         # sees robot 0 arrived, then crosses half a unit above its hold.
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return move_to(P(0, 6), tag="up")
+                return Action("move", P(0, 6), "up")
             if snap.self_pos == P(10, 6.5) and P(0, 6) in snap.others:
-                return move_to(P(-10, 6.5), tag="cross")
+                return Action("move", P(-10, 6.5), "cross")
             return Action("stay")
 
         w = make_world([P(0, 0), P(10, 6.5)])
@@ -988,7 +987,7 @@ class TestAsyncCollisions:
         # the threshold and must be tested even though it stays above 1.5.
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return move_to(P(-0.2, 0), tag="away")
+                return Action("move", P(-0.2, 0), "away")
             return Action("stay")
 
         w = make_world([P(0, 0), P(1.8, 0), P(0, 50), P(1.5, 50)])
