@@ -42,6 +42,7 @@ from .harness import (
     build_algorithm,
     load_config,
     parse_point,
+    read_json,
     run_scenario,
 )
 from .svgrender import render_frames
@@ -208,9 +209,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_sec(args: argparse.Namespace) -> int:
     try:
-        with open(args.points, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        pts = [parse_point(item) for item in raw]
+        pts = [parse_point(item) for item in read_json(args.points)]
     except (OSError, ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(f"invalid points file: {exc}", file=sys.stderr)
         return 1

@@ -59,10 +59,6 @@ def dot(p: Point, q: Point) -> float:
     return p.x * q.x + p.y * q.y
 
 
-def cross(p: Point, q: Point) -> float:
-    return p.x * q.y - p.y * q.x
-
-
 def unit_toward(src: Point, dst: Point) -> Point:
     d = dist(src, dst)
     if d <= 1e-15:

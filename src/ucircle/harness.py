@@ -35,6 +35,9 @@ PLACEMENT_CLEARANCE = 2.1
 # The largest magnitude of a coordinate, 'a', 'rad' or 'vis' in a config: far
 # beyond any scene, and small enough that no distance or square overflows.
 MAX_LENGTH = 1e6
+# The largest n or fairness_bound in a config: far beyond any scene, and
+# small enough to convert to a float.
+MAX_COUNT = 10**6
 TERMINATION_TOL = 1e-6
 
 ALGORITHMS = ("global", "local", "local-nonuniform")
@@ -125,8 +128,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     n = raw["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 1:
-        raise ConfigError(f"n must be an integer > 1, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 < n <= MAX_COUNT:
+        raise ConfigError(f"n must be an integer > 1 and <= {MAX_COUNT}, got {n!r}")
     scheduler = raw["scheduler"]
     if scheduler not in SCHEDULERS:
         raise ConfigError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
@@ -137,8 +140,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if max_cycles is not None and not _is_count(max_cycles):
         raise ConfigError(f"max_cycles must be a positive integer, got {max_cycles!r}")
     fairness = raw.get("fairness_bound")
-    if fairness is not None and not _is_count(fairness):
-        raise ConfigError(f"fairness_bound must be a positive integer, got {fairness!r}")
+    if fairness is not None and not (_is_count(fairness) and fairness <= MAX_COUNT):
+        raise ConfigError(
+            f"fairness_bound must be a positive integer <= {MAX_COUNT}, got {fairness!r}"
+        )
 
     a = raw.get("a")
     rad = raw.get("rad")
@@ -206,12 +211,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path: str) -> ScenarioConfig:
+def read_json(path: str):
+    """The JSON value in the file at `path`. Malformed JSON, bytes that are
+    not UTF-8 and nesting too deep to parse raise ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            return json.load(fh)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        except RecursionError:
+            raise ConfigError("JSON nested too deeply to read") from None
+
+
+def load_config(path: str) -> ScenarioConfig:
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must hold a single JSON object")
     return parse_config(raw)

@@ -30,7 +30,6 @@ from .geometry import (
     Point,
     angle_of,
     compute_target_points,
-    cross,
     dist,
     fills_targets,
     is_free_path,
@@ -330,30 +329,6 @@ def make_local_algorithm(params: LocalParams):
         return local_step(snapshot, params)
 
     return algo
-
-
-def satisfies_direction_constraint(
-    src: Point, dst: Point, center: Point, tol: float = 1e-9
-) -> bool:
-    """True when the displacement is radial or a rightward rotation.
-
-    Radial means colinear with the ray from the center through the source
-    (within tol of angular deviation); rightward means the radius from the
-    center is preserved and the turn is clockwise.
-    """
-    v = dst - src
-    if v.norm() <= EPS:
-        return True
-    r1 = dist(src, center)
-    r2 = dist(dst, center)
-    if r1 <= POS_EPS:
-        return True  # any departure from the center is radial
-    u = src - center
-    if abs(cross(u, v)) <= tol * r1 * v.norm():
-        return True
-    if abs(r1 - r2) <= tol * max(1.0, r1) and cross(u, dst - center) < 0.0:
-        return True
-    return False
 
 
 def is_formed_local(positions: Sequence[Point], params: LocalParams, tol: float = 1e-6) -> bool:

@@ -8,6 +8,8 @@ over every unseated robot.
 
 `sight_of` builds the view a local activation reads, and `round_of` runs one
 sync round of an algorithm with a fresh decision table.
+`satisfies_direction_constraint` checks the paper's move rule for `local`:
+every move is radial or a clockwise turn about the target circle's center.
 """
 
 import math
@@ -17,7 +19,7 @@ import pytest
 
 from ucircle.geometry import EPS, ORIGIN, angle_of, compute_target_points, dist, is_vacant_target
 from ucircle.global_form import SETTLE_TOL, TAG_FORM, _arc_step, _on_sec, _straight_step, form_ucircle
-from ucircle.local_form import measure
+from ucircle.local_form import POS_EPS, measure
 from ucircle.simcore import Action, Snapshot, _decisions, execute_cycle
 
 
@@ -29,6 +31,30 @@ def sight_of(me, others, vis):
 def round_of(world, active, algo, cycle=0, floor=math.inf):
     """`execute_cycle` over a fresh decision table of `algo` in `world`."""
     return execute_cycle(world, active, _decisions(world, algo, None), cycle, floor)
+
+
+def _cross(p, q):
+    return p.x * q.y - p.y * q.x
+
+
+def satisfies_direction_constraint(src, dst, center, tol=1e-9):
+    """True when the displacement is radial or a rightward rotation.
+
+    Radial means colinear with the ray from the center through the source
+    (within tol of angular deviation); rightward means the radius from the
+    center is preserved and the turn is clockwise.
+    """
+    v = dst - src
+    if v.norm() <= EPS:
+        return True
+    r1 = dist(src, center)
+    r2 = dist(dst, center)
+    if r1 <= POS_EPS:
+        return True  # any departure from the center is radial
+    u = src - center
+    if abs(_cross(u, v)) <= tol * r1 * v.norm():
+        return True
+    return abs(r1 - r2) <= tol * max(1.0, r1) and _cross(u, dst - center) < 0.0
 
 
 def _approach(r, t, sec):

@@ -10,7 +10,7 @@ import random
 import time
 
 import pytest
-from conftest import round_of, sight_of
+from conftest import round_of, satisfies_direction_constraint, sight_of
 
 from ucircle.geometry import (
     EPS,
@@ -28,12 +28,7 @@ from ucircle.harness import (
     parse_config,
     run_scenario,
 )
-from ucircle.local_form import (
-    LocalParams,
-    eligible_to_move,
-    local_step,
-    satisfies_direction_constraint,
-)
+from ucircle.local_form import LocalParams, eligible_to_move, local_step
 from ucircle.simcore import Snapshot
 
 P = Point

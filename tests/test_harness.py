@@ -12,6 +12,7 @@ from ucircle.geometry import Point, dist
 from ucircle.harness import (
     ALGORITHMS,
     EXIT_CODES,
+    MAX_COUNT,
     MAX_LENGTH,
     SCHEDULERS,
     ConfigError,
@@ -205,6 +206,14 @@ class TestParseConfig:
         for beyond in (math.nextafter(MAX_LENGTH, math.inf), 1e300, 10**400):
             with pytest.raises(ConfigError, match="1e\\+06"):
                 parse_config(make(beyond))
+
+    def test_counts_are_bounded(self):
+        parse_config(base_global(n=MAX_COUNT, fairness_bound=MAX_COUNT))
+        parse_config(base_global(max_cycles=10**400))  # a budget never becomes a float
+        for raw in (base_global(n=MAX_COUNT + 1), base_local(n=10**400),
+                    base_global(fairness_bound=MAX_COUNT + 1)):
+            with pytest.raises(ConfigError, match="<= 1000000"):
+                parse_config(raw)
 
     def test_placement_coordinates_must_be_numbers(self):
         for item in (["0", 5], [None, 5], [10**400, 5]):
@@ -782,3 +791,52 @@ class TestCli:
         printed = capsys.readouterr()
         assert printed.out == ""
         assert printed.err.startswith(prefix) and printed.err.count("\n") == 1
+
+    # Each ended in `OverflowError: int too large to convert to float`
+    # before counts were bounded.
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            base_local(n=10**400),
+            base_global(n=10**400),
+            base_global(scheduler="ASYNC", fairness_bound=10**400),
+        ],
+        ids=["local-n", "global-n", "async-fairness-bound"],
+    )
+    def test_counts_beyond_the_bound_are_invalid_input(self, tmp_path, capsys, raw):
+        assert main(["run", "--config", self.write_config(tmp_path, raw)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("invalid config:") and printed.err.count("\n") == 1
+
+    # `json.load` raised RecursionError on this file: a traceback.
+    NESTED = "[" * 1000 + "]" * 1000
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [(["run", "--config"], "invalid config:"), (["oracle", "sec", "--points"], "invalid points file:")],
+        ids=["run", "oracle"],
+    )
+    def test_nested_json_is_invalid_input(self, tmp_path, capsys, argv, prefix):
+        path = tmp_path / "nested.json"
+        path.write_text(self.NESTED)
+        assert main(argv + [str(path)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(prefix) and printed.err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_runs_past_nested_json_and_huge_counts(self, tmp_path, capsys, jobs):
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        (confs / "a.json").write_text(self.NESTED)
+        (confs / "b.json").write_text(json.dumps(base_global(n=10**400)))
+        (confs / "c.json").write_text(json.dumps(base_global(seed=5)))
+        out = tmp_path / "out"
+        code = main(["batch", "--configs", str(confs), "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert sorted(p.name for p in out.iterdir()) == ["c.summary.json", "c.trace.jsonl"]
+        printed = capsys.readouterr()
+        assert printed.out == "c: converged\n"
+        err = printed.err.splitlines()
+        assert [line.split(":")[:2] for line in err] == [["a", " invalid-config"], ["b", " invalid-config"]]

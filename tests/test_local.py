@@ -4,7 +4,7 @@ import collections
 import math
 
 import pytest
-from conftest import sight_of
+from conftest import satisfies_direction_constraint, sight_of
 
 from ucircle import local_form
 from ucircle.geometry import Circle, Point, angle_of, dist
@@ -19,7 +19,6 @@ from ucircle.local_form import (
     is_formed_local,
     local_step,
     make_local_algorithm,
-    satisfies_direction_constraint,
 )
 from ucircle.simcore import (
     FRAME_FULL_AXES,

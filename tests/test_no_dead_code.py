@@ -14,14 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ucircle"
 USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Name -> why it stays although the program never calls it.
-ALLOWED = {
-    "satisfies_direction_constraint": (
-        "the acceptance tests check the paper's move rule with it: every "
-        "`local` move is radial or a clockwise turn"
-    ),
-}
-
 
 def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     found: list[tuple[str, ast.AST]] = []
@@ -66,7 +58,6 @@ def unreferenced() -> list[str]:
         (path, name, node)
         for path in sorted(PACKAGE.glob("*.py"))
         for name, node in _definitions(trees[path])
-        if name not in ALLOWED
     ]
     dead: list[tuple[Path, str, ast.AST]] = []
     grew = True
@@ -89,12 +80,3 @@ def unreferenced() -> list[str]:
 
 def test_every_definition_is_used_by_the_program():
     assert unreferenced() == []
-
-
-def test_allowlist_names_exist():
-    defined = {
-        name
-        for path in PACKAGE.glob("*.py")
-        for name, _ in _definitions(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert set(ALLOWED) <= defined

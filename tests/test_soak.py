@@ -1,5 +1,6 @@
-"""Soak tier: the outcome tables of three sweeps far beyond the acceptance
-seeds, pinned as they stand, defects included.
+"""Soak tier: the outcome tables of four sweeps far beyond the acceptance
+seeds, pinned as they stand, defects included, and the benchmark at every
+seed from 1 to 10.
 
 These are the gates that the behaviour fixes for local collisions and
 stalls and for global livelocks will move: a fix updates the table it
@@ -12,18 +13,26 @@ sweep runs on 2 worker processes, as `ucircle batch --jobs 2` does, and
 takes between a few seconds and about half a minute.
 """
 
+import functools
+import json
 import multiprocessing
 import random
+import subprocess
+import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from ucircle.harness import parse_config, run_scenario
+from ucircle.harness import nonuniform_variant, parse_config, run_scenario
 
 pytestmark = pytest.mark.soak
 
 WORKERS = 2
+ROOT = Path(__file__).resolve().parent.parent
+# One benchmark run takes 2-5 s.
+BENCH_TIMEOUT_S = 300
 
 
 def _outcome(raw):
@@ -95,6 +104,36 @@ def test_local_sweep():
     ]
 
 
+def test_nonuniform_sweep():
+    """`nonuniform_variant` (radii drawn from [rad/3, rad]) of `local`
+    scenes with rad = 6n, n in {8, 16}, `random-disc` and `random-annulus`,
+    SSYNC and ASYNC, seeds 0..19: 160 runs. With equal radii
+    `one-sided-psi9` cannot fire, as two robots then both see each other or
+    neither does; here, where it could, no stall carries it."""
+    keys = [
+        (n, placement, scheduler, seed)
+        for n in (8, 16)
+        for placement in ("random-disc", "random-annulus")
+        for scheduler in ("SSYNC", "ASYNC")
+        for seed in range(20)
+    ]
+    raws = [
+        nonuniform_variant(dict(algorithm="local", n=n, rad=6.0 * n, vis=3.0 * n,
+                                scheduler=scheduler, seed=seed, placement=placement))
+        for n, placement, scheduler, seed in keys
+    ]
+    results = _run_all(raws)
+    assert Counter(outcome for outcome, _ in results) == {
+        "converged": 104,
+        "diagnosed-stall": 55,
+        "fault": 1,
+    }
+    stalls = Counter(diagnosis for outcome, diagnosis in results if outcome == "diagnosed-stall")
+    assert stalls == {"psi1,psi3,psi5": 18, "psi1,psi5": 16, "psi1,psi8": 16, "psi1,psi5,psi8": 5}
+    faults = [key for key, (outcome, _) in zip(keys, results) if outcome == "fault"]
+    assert faults == [(8, "random-annulus", "ASYNC", 6)]
+
+
 def wide_grid():
     """600 small `local` scenes drawn from one `random.Random(2026)`, each
     as (vis kind, config dict), the draws in this order per scene: n, rad,
@@ -124,3 +163,23 @@ def test_wide_grid():
     }
     faults = Counter(kind for (kind, _), (outcome, _) in zip(scenes, results) if outcome == "fault")
     assert faults == {"6": 24, "rad/2": 12, "rad": 3, "3rad": 1}
+
+
+def _bench(workload, seed):
+    """One untimed `perfbench/run.py` run from the checkout."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", "0", "--trace", "0"]
+    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=BENCH_TIMEOUT_S)
+
+
+@pytest.mark.parametrize("workload", ["global-ssync", "local-async", "small-sweep"])
+def test_benchmark_passes_at_seeds_1_to_10(workload):
+    """Every seed from 1 to 10 builds a corpus that runs without a failed
+    operation: each run exits 0, and its last line reports it correct."""
+    seeds = range(1, 11)
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        runs = list(pool.map(functools.partial(_bench, workload), seeds))
+    for seed, run in zip(seeds, runs):
+        assert run.returncode == 0, (workload, seed, run.stderr[-2000:])
+        report = json.loads(run.stdout.splitlines()[-1])
+        assert (report["correct"], report["failed"]) == (True, 0), (workload, seed)
