@@ -10,7 +10,10 @@ append-only trace. Both loops share one look path (`_look`), one move rule
 An algorithm must be a pure function of its Snapshot, and a termination
 test a function of the positions: the engine keeps one decision table per
 static world (`_decisions`) and reuses it, and a sync round its verdict, for
-as long as every robot stands on the same Point object.
+as long as every robot stands on the same Point object. Across worlds a
+robot decides again only when its view changes: the Point it stands on, or
+the tuple of Points it sees. Both reuses are sound only because a decision
+is a pure function of the Snapshot, which those Points determine.
 
 A robot's handle is its index into `WorldState.robots` (what it is:
 visibility and frame, fixed for the run) and `WorldState.positions` (where
@@ -170,20 +173,29 @@ def _to_world(observer: Robot, at: Point, local: Point) -> Point:
     return Point(at.x + local.x * observer.chirality, at.y + local.y)
 
 
-def take_snapshot(world: WorldState, i: int) -> Snapshot:
-    obs = world.robots[i]
-    at = world.positions[i]
-    vis = obs.vis_radius
-    seen = world.positions[:i] + world.positions[i + 1 :]
-    if vis != math.inf:
-        # `dist(p, at) <= vis + EPS`, written out.
-        hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
-        seen = tuple([p for p in seen if hypot(p.x - ax, p.y - ay) <= reach])
-    if obs.frame == FRAME_FULL_AXES:
+def visible(world: WorldState, i: int) -> tuple[Point, ...]:
+    """The world Points robot i sees, in index order: every other robot
+    within its visibility radius, the boundary (plus EPS) included."""
+    positions = world.positions
+    vis = world.robots[i].vis_radius
+    seen = positions[:i] + positions[i + 1 :]
+    if vis == math.inf:
+        return seen
+    # `dist(p, at) <= vis + EPS`, written out.
+    at = positions[i]
+    hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
+    return tuple([p for p in seen if hypot(p.x - ax, p.y - ay) <= reach])
+
+
+def take_snapshot(observer: Robot, at: Point, seen: tuple[Point, ...]) -> Snapshot:
+    """What `observer`, standing at `at`, perceives of the world Points
+    `seen` (see `visible`): the same points in its local frame."""
+    vis = observer.vis_radius
+    if observer.frame == FRAME_FULL_AXES:
         return Snapshot(self_pos=at, others=seen, vis_radius=vis)
     # A y-only robot sees each point relative to itself, X mirrored when its
     # chirality is -1; its own position is the origin, zeros signed so.
-    ax, ay, chi = at.x, at.y, obs.chirality
+    ax, ay, chi = at.x, at.y, observer.chirality
     others = tuple([Point((p.x - ax) * chi, p.y - ay) for p in seen])
     return Snapshot(self_pos=Point((ax - ax) * chi, ay - ay), others=others, vis_radius=vis)
 
@@ -226,21 +238,46 @@ def _check_action(action: Action) -> None:
 
 class _Decisions:
     """The decision table of one static world: `table(i)` is robot i's
-    decision in `world`, made the first time it is asked. Each robot is
-    snapshotted once, and mirror twins with equal snapshots decide apart,
-    since each robot has its own entry."""
+    decision in `world`, made the first time it is asked.
 
-    __slots__ = ("world", "algorithm", "made")
+    `views[i]` is robot i's last view in the run and the decision made from
+    it: (the Point it stood on, the tuple of Points it saw, the Action). The
+    tables of one run share the list, so a robot whose view holds the same
+    Point objects in a new world reuses its decision, and only a changed
+    view is snapshotted. Each robot has its own entry, so mirror twins with
+    equal snapshots decide apart."""
 
-    def __init__(self, world: WorldState, algorithm: Callable[[Snapshot], Action]):
+    __slots__ = ("world", "algorithm", "made", "views")
+
+    def __init__(
+        self,
+        world: WorldState,
+        algorithm: Callable[[Snapshot], Action],
+        views: Optional[list] = None,
+    ):
         self.world = world
         self.algorithm = algorithm
         self.made: list[Optional[Action]] = [None] * len(world.robots)
+        self.views = [None] * len(world.robots) if views is None else views
 
     def __call__(self, i: int) -> Action:
         action = self.made[i]
         if action is None:
-            action = self.made[i] = self.algorithm(take_snapshot(self.world, i))
+            world = self.world
+            at = world.positions[i]
+            seen = visible(world, i)
+            view = self.views[i]
+            if (
+                view is not None
+                and view[0] is at
+                and len(view[1]) == len(seen)
+                and all(map(operator.is_, view[1], seen))
+            ):
+                action = view[2]
+            else:
+                action = self.algorithm(take_snapshot(world.robots[i], at, seen))
+                self.views[i] = (at, seen, action)
+            self.made[i] = action
         return action
 
 
@@ -248,20 +285,21 @@ def _decisions(
     world: WorldState, algorithm: Callable[[Snapshot], Action], last: Optional[_Decisions]
 ) -> _Decisions:
     """The decision table of `world`: `last` while every robot still stands
-    on the same Point object as in its world, else a fresh one.
+    on the same Point object as in its world, else a fresh table that starts
+    from `last`'s views, so a robot decides again only when its view changes.
 
-    Algorithms must be pure functions of the Snapshot, which carries no
-    clock; Points are immutable, so the same Points give the same snapshots
-    and the same decisions, whatever the clock. The test is identity, not
-    equality: 0.0 == -0.0, yet a robot can see the sign of a zero.
+    This is sound only because an algorithm is a pure function of its
+    Snapshot, which carries no clock: Points are immutable, so the same
+    Points give the same snapshot and the same decision, whatever the clock
+    and whatever the robots out of sight do. The test is identity, not
+    equality: 0.0 == -0.0, yet a robot can see the sign of a zero. Views
+    live for one run: a table of other robots starts with none.
     """
-    if (
-        last is not None
-        and last.world.robots is world.robots
-        and all(map(operator.is_, world.positions, last.world.positions))
-    ):
+    if last is None or last.world.robots is not world.robots:
+        return _Decisions(world, algorithm)
+    if all(map(operator.is_, world.positions, last.world.positions)):
         return last
-    return _Decisions(world, algorithm)
+    return _Decisions(world, algorithm, last.views)
 
 
 def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
@@ -434,8 +472,9 @@ def run(
 
     Both loops append to `events` and return how the run ended: (outcome,
     final world, cycles used, minimum separation, diagnosis). `algorithm`
-    must be a pure function of its Snapshot and `termination` a function of
-    the positions, since both are asked once per static world.
+    must be a pure function of its Snapshot, since a robot is asked again
+    only when its view changes, and `termination` a function of the
+    positions, since it is asked once per static world.
     """
     if max_cycles < 1:
         raise ValueError("max_cycles must be >= 1")

@@ -11,6 +11,7 @@ from conftest import round_of
 
 from ucircle.geometry import EPS, MotionSegment, Point, dist, min_separation_during_motion
 from ucircle.harness import (
+    build_algorithm,
     curated_local_configs,
     curated_placement,
     curated_rad,
@@ -35,9 +36,11 @@ from ucircle.simcore import (
     TraceEvent,
     WorldState,
     _decisions,
+    _destination,
     next_activation,
     run,
     take_snapshot,
+    visible,
 )
 
 P = Point
@@ -50,6 +53,12 @@ def make_world(positions, **kw):
 # ---------------------------------------------------------------------------
 # Snapshots and frames
 # ---------------------------------------------------------------------------
+
+
+def snapshot_of(world, i):
+    """Robot i's snapshot as the engine takes it: the world-level filter,
+    then the frame step."""
+    return take_snapshot(world.robots[i], world.positions[i], visible(world, i))
 
 
 def reference_snapshot(world, i):
@@ -77,29 +86,29 @@ def snapshot_bits(snap):
 class TestSnapshots:
     def test_full_axes_sees_world_coordinates(self):
         w = make_world([P(1, 2), P(4, 6)], frame=FRAME_FULL_AXES)
-        snap = take_snapshot(w, 0)
+        snap = snapshot_of(w, 0)
         assert snap.self_pos == P(1, 2)
         assert snap.others == (P(4, 6),)
 
     def test_y_only_translates_to_self(self):
         w = make_world([P(1, 2), P(4, 6)], frame=FRAME_Y_ONLY)
-        snap = take_snapshot(w, 0)
+        snap = snapshot_of(w, 0)
         assert snap.self_pos == P(0, 0)
         assert snap.others == (P(3, 4),)
 
     def test_y_only_mirrors_x_with_chirality(self):
         w = WorldState((Robot(frame=FRAME_Y_ONLY, chirality=-1), Robot()), (P(1, 2), P(4, 6)))
-        snap = take_snapshot(w, 0)
+        snap = snapshot_of(w, 0)
         assert snap.others == (P(-3, 4),)
 
     def test_visibility_filter(self):
         w = make_world([P(0, 0), P(3, 0), P(30, 0)], vis_radius=5.0)
-        snap = take_snapshot(w, 0)
+        snap = snapshot_of(w, 0)
         assert snap.others == (P(3, 0),)
 
     def test_visibility_boundary_inclusive(self):
         w = make_world([P(0, 0), P(5, 0)], vis_radius=5.0)
-        assert take_snapshot(w, 0).others == (P(5, 0),)
+        assert snapshot_of(w, 0).others == (P(5, 0),)
 
     @pytest.mark.parametrize("vis", [math.inf, 7.5])
     @pytest.mark.parametrize("frame", [FRAME_FULL_AXES, FRAME_Y_ONLY])
@@ -118,7 +127,7 @@ class TestSnapshots:
             robots = tuple(Robot(vis, chirality, frame) for _ in points)
             w = WorldState(robots, tuple(points))
             for i in range(len(points)):
-                assert snapshot_bits(take_snapshot(w, i)) == snapshot_bits(reference_snapshot(w, i))
+                assert snapshot_bits(snapshot_of(w, i)) == snapshot_bits(reference_snapshot(w, i))
 
     @pytest.mark.parametrize("frame, chirality", [(FRAME_FULL_AXES, 1), (FRAME_Y_ONLY, -1)])
     def test_visibility_is_the_reference_rule(self, frame, chirality):
@@ -142,7 +151,7 @@ class TestSnapshots:
         w = WorldState(tuple(Robot(vis, chirality, frame) for _ in points), tuple(points))
         seen = [p for p in points[1:] if dist(p, at) <= vis + EPS]
         assert 3 < len(seen) < len(points) - 4
-        snap = take_snapshot(w, 0)
+        snap = snapshot_of(w, 0)
         assert len(snap.others) == len(seen)
         assert snapshot_bits(snap) == snapshot_bits(reference_snapshot(w, 0))
         if frame == FRAME_FULL_AXES:
@@ -306,7 +315,7 @@ def _brute_round(world, active, algo, cycle):
     positions, t0 = world.positions, world.clock
     moves = {}
     for i in active:
-        action = algo(take_snapshot(world, i))
+        action = algo(snapshot_of(world, i))
         if action.kind == "move" and dist(action.dest, positions[i]) > EPS:
             moves[i] = action.dest
     t1 = t0 + max((dist(positions[i], d) for i, d in moves.items()), default=1.0)
@@ -839,7 +848,7 @@ class TestComputeOnce:
     def test_a_table_holds_only_for_the_same_points(self):
         # Equal points are not enough: 0.0 == -0.0, yet robot 1 sees the
         # sign of robot 0's x.
-        algo = lambda snap: Action("stay", tag=str(snap.others))  # noqa: E731
+        algo = Counted(lambda snap: Action("stay", tag=str(snap.others)))
         robots = (Robot(), Robot())
         w = WorldState(robots, (P(0.0, 0.0), P(5.0, 0.0)))
         table = _decisions(w, algo, None)
@@ -850,6 +859,65 @@ class TestComputeOnce:
         fresh = _decisions(flipped, algo, table)
         assert fresh is not table
         assert fresh(1).tag != table(1).tag
+        assert algo.calls == 2
+        # Views live for one run: other robots on the same Points start
+        # with no views, so robot 1 is asked again.
+        other_run = _decisions(WorldState((Robot(), Robot()), w.positions), algo, table)
+        assert other_run(1).tag == table(1).tag
+        assert algo.calls == 3
+
+    def test_async_look_decides_once_per_view(self, monkeypatch):
+        # Robot 0 (vis 5) sees only robot 1, parked beside it, while robot 2
+        # walks out of its sight in steps; robot 0 keeps looking with robot
+        # 2 in flight. Its view never changes, so it is asked once.
+        import ucircle.simcore as simcore
+
+        snapshots = Counted(simcore.take_snapshot)
+        monkeypatch.setattr(simcore, "take_snapshot", snapshots)
+        parked = (P(0, 0), P(3, 0))
+        w = make_world([*parked, P(30, 20)], vis_radius=5.0)
+        views = {p: [] for p in parked}
+
+        def algo(snap: Snapshot):
+            if snap.self_pos in views:
+                views[snap.self_pos].append(snap.others)
+                return Action("stay", tag="parked")
+            return step_to_x(40.0)(snap)
+
+        counted = Counted(algo)
+        trace = run(w, counted, Schedule("ASYNC", seed=3, fairness_bound=2), all_at_x(40.0), 400)
+        assert trace.outcome == OUTCOME_STALL
+        walks = [e for e in trace.events if e.phase == "move"]
+        assert len(walks) == 5 and {e.robot for e in walks} == {2}
+        t_end = max(e.clock + dist(e.pos, e.dest) for e in walks)
+        looks = [e for e in trace.events if e.phase == "look" and e.robot == 0]
+        assert sum(1 for e in looks if e.clock < t_end) >= 5
+        assert views == {P(0, 0): [(P(3, 0),)], P(3, 0): [(P(0, 0),)]}
+        assert snapshots.calls == counted.calls
+
+    def test_a_robot_entering_sight_as_another_leaves_is_a_new_view(self):
+        # In round 0 robot 1 walks out of robot 0's sight and robot 2 into
+        # it, so robot 0 sees one robot at both of its looks: a different
+        # one, and it decides afresh (here in the stall check of round 1).
+        views = []
+
+        def algo(snap: Snapshot):
+            if snap.self_pos == P(4, 0):
+                return Action("move", P(9, 0), "out")
+            if snap.self_pos == P(0, 9):
+                return Action("move", P(0, 4), "in")
+            if snap.self_pos == P(0, 0):
+                views.append(snap.others)
+            return Action("stay", tag="still")
+
+        counted = Counted(algo)
+        w = make_world([P(0, 0), P(4, 0), P(0, 9)], vis_radius=5.0)
+        trace = run(w, counted, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_STALL and trace.cycles_used == 1
+        assert views == [(P(4, 0),), (P(0, 4),)]
+        # Round 0 asks all three; round 1 asks robot 0 and the two movers
+        # at their new positions.
+        assert counted.calls == 6
 
     def test_mirror_twins_decide_apart(self):
         # Mirrored y-only twins see equal snapshots whose zeros differ in
@@ -858,7 +926,7 @@ class TestComputeOnce:
             (Robot(frame=FRAME_Y_ONLY, chirality=-1), Robot(frame=FRAME_Y_ONLY, chirality=1)),
             (P(-1.0, 0.0), P(1.0, 0.0)),
         )
-        assert take_snapshot(w, 0) == take_snapshot(w, 1)
+        assert snapshot_of(w, 0) == snapshot_of(w, 1)
 
         def algo(snap: Snapshot):
             return Action("stay", tag="neg" if math.copysign(1.0, snap.self_pos.x) < 0 else "pos")
@@ -1046,6 +1114,20 @@ def _local_async(n, kind, seed):
     )
 
 
+def _local(n, rad, vis, scheduler, seed, placement="random-disc"):
+    return dict(
+        algorithm="local", n=n, rad=rad, vis=vis, scheduler=scheduler, seed=seed,
+        placement=placement,
+    )
+
+
+# Radii drawn for seed 6 over the seed-4 scenario: golden
+# `local-nonuniform-async-stall`.
+_NONUNIFORM_STALL = dict(
+    nonuniform_variant(dict(curated_local_configs(seeds=(4,))[13], seed=6)), seed=4
+)
+
+
 def _global(n, seed, scheduler="ASYNC", a=4.0):
     return dict(
         algorithm="global", n=n, a=a, scheduler=scheduler, seed=seed, placement="random-disc"
@@ -1065,8 +1147,7 @@ class TestAsyncMinSeparation:
             _local_async(16, "center", 1),
             _local_async(16, "center", 3),
             _local_async(24, "contention", 1),
-            # Radii drawn for seed 6 over the seed-4 scenario.
-            dict(nonuniform_variant(dict(curated_local_configs(seeds=(4,))[13], seed=6)), seed=4),
+            _NONUNIFORM_STALL,
             _global(4, 1),
             _global(5, 0),
             _global(5, 3),
@@ -1078,10 +1159,7 @@ class TestAsyncMinSeparation:
             _global(16, 3, "SSYNC", a=5.0),
             _global(16, 4, "SSYNC", a=5.0),
             _global(20, 4, "SSYNC", a=5.0),
-            dict(
-                algorithm="local", n=16, rad=96.0, vis=48.0, scheduler="SSYNC", seed=2,
-                placement="random-disc",
-            ),
+            _local(16, 96.0, 48.0, "SSYNC", 2),
         ],
         ids=[
             "local-16-center-1",
@@ -1104,3 +1182,68 @@ class TestAsyncMinSeparation:
         assert trace.outcome in (OUTCOME_CONVERGED, OUTCOME_STALL)
         assert any(e.phase == "move" for e in trace.events)
         assert trace.min_separation == pytest.approx(brute_force_min_separation(trace), abs=1e-9)
+
+
+class TestLookReplay:
+    """Every look of a run with limited sight is the decision a fresh
+    algorithm makes from the world at that look's clock, however many looks
+    the engine answered from a robot's last view. The world is rebuilt from
+    the trace alone: a robot stands where its last started move has got to,
+    which `MotionSegment.position_at` gives to the engine's bits."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            _local(8, 24.0, 12.0, "ASYNC", 2),
+            _local_async(16, "center", 3),
+            _local(16, 96.0, 48.0, "SSYNC", 2),
+            _local(8, 48.0, 16.0, "SSYNC", 5, "random-annulus"),
+            _NONUNIFORM_STALL,
+        ],
+        ids=[
+            "local-async-n8",
+            "local-async-16-center-3",
+            "local-ssync-16-stall",
+            "local-ssync-8-annulus",
+            "local-nonuniform-async-stall",
+        ],
+    )
+    def test_each_look_is_the_decision_of_its_world(self, raw):
+        config = parse_config(raw)
+        trace, _ = run_scenario(config)
+        algo, _ = build_algorithm(config)
+        start = trace.initial
+        walks = [[] for _ in start.robots]
+        for e in trace.events:
+            if e.phase == "move":
+                end = e.clock + dist(e.pos, e.dest)
+                walks[e.robot].append(MotionSegment(e.pos, e.dest, e.clock, end))
+
+        def world_at(t):
+            positions = []
+            for i, p in enumerate(start.positions):
+                started = [seg for seg in walks[i] if seg.t0 <= t]
+                positions.append(started[-1].position_at(t) if started else p)
+            return WorldState(start.robots, tuple(positions), t)
+
+        def bits(p):
+            return None if p is None else (p.x.hex(), p.y.hex())
+
+        resting = set(start.positions) | {seg.end for w in walks for seg in w}
+        looks = sees_a_walk = 0
+        for k, e in enumerate(trace.events):
+            if e.phase != "look":
+                continue
+            world = world_at(e.clock)
+            assert bits(world.positions[e.robot]) == bits(e.pos)
+            snap = snapshot_of(world, e.robot)
+            action = algo(snap)
+            assert e.tag == action.tag, e
+            after = next((f for f in trace.events[k + 1 :] if f.robot == e.robot), None)
+            moved = after.dest if after is not None and after.phase == "move" else None
+            assert bits(moved) == bits(_destination(world, e.robot, action)), e
+            looks += 1
+            sees_a_walk += any(q not in resting for q in snap.others)
+        assert looks > 50 and sum(map(len, walks)) > 40
+        # Under ASYNC some looks see a robot part way along its walk.
+        assert (sees_a_walk > 0) == (config.scheduler == "ASYNC")
