@@ -205,13 +205,13 @@ def sec_expansion(points: Sequence[Point], params: GlobalParams, sec: Circle) ->
     me = points[0]
     sym = detect_symmetry([p for p in points if _on_sec(p, sec)], sec)
     if sym.kind == "no-leader":
-        return Action("stay", tag=TAG_NO_LEADER)
+        return Action(tag=TAG_NO_LEADER)
     tol = max(1e-9, 1e-9 * sec.radius)
     for leader in sym.leaders:
         mover, dest = _expansion_move(points, leader, sec, params)
         if dist(mover, me) <= tol and dist(dest, me) > EPS:
-            return Action("move", dest, TAG_EXPAND)
-    return Action("stay", tag=TAG_EXPAND)
+            return Action(dest, TAG_EXPAND)
+    return Action(tag=TAG_EXPAND)
 
 
 def _select_mover(
@@ -385,18 +385,18 @@ def form_ucircle(points: Sequence[Point], params: GlobalParams, sec: Circle) -> 
         if hypot(px - (cx + r * c), py - (cy + r * s)) > SETTLE_TOL:
             movers.append((p, theta, abs(hypot(dx, dy) - r) <= on_sec_tol))
         elif p is me:
-            return Action("stay", tag=TAG_FORM)
+            return Action(tag=TAG_FORM)
         else:
             taken.add(i)
     mine = [(t, step) for t, m, step in _plan(points, sec, n, movers, taken) if m is me]
     if not mine:
-        return Action("stay", tag=TAG_FORM)
+        return Action(tag=TAG_FORM)
     # Nearest to several targets of the group: take the one with the
     # largest y, then the largest x in the robot's own frame. Mirror
     # twins' y mostly differ in the last bits, so rounding, not
     # handedness, picks between them (both choices are safe).
     _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
-    return Action("move", dest, TAG_FORM)
+    return Action(dest, TAG_FORM)
 
 
 def _move_step(mover: Mover, target: Point, points: Sequence[Point], sec: Circle) -> Point:

@@ -29,6 +29,7 @@ from .simcore import (
     Trace,
     WorldState,
     run,
+    visible,
 )
 
 PLACEMENT_CLEARANCE = 2.1
@@ -348,15 +349,10 @@ def _one_sided_psi9(world: WorldState, rad: float, center: Point) -> bool:
     pts = world.positions
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
-            if i == j:
+            if not (dist(a, center) < rad - 1e-9 and dist(b, center) > rad + 1e-9):
                 continue
-            da = dist(a, center)
-            db = dist(b, center)
-            if not (da < rad - 1e-9 and db > rad + 1e-9):
-                continue
-            gap = dist(a, b)
-            sees_ab = gap <= world.robots[i].vis_radius + 1e-9
-            sees_ba = gap <= world.robots[j].vis_radius + 1e-9
+            sees_ab = any(p is b for p in visible(world, i))
+            sees_ba = any(p is a for p in visible(world, j))
             if sees_ab == sees_ba:
                 continue
             ta = math.atan2(a.y - center.y, a.x - center.x)

@@ -317,11 +317,11 @@ def local_step(snapshot: Snapshot, params: LocalParams) -> Action:
     sight = measure(snapshot, params.cir.center)
     psi = classify_psi(sight, params)
     if not eligible_to_move(sight, params.cir.radius):
-        return Action("stay", tag=psi.value)
+        return Action(tag=psi.value)
     dest = compute_destination(sight, params, psi)
     if dist(dest, sight.me) <= EPS:
-        return Action("stay", tag=psi.value)
-    return Action("move", dest, psi.value)
+        return Action(tag=psi.value)
+    return Action(dest, psi.value)
 
 
 def make_local_algorithm(params: LocalParams):

@@ -4,8 +4,9 @@ The engine runs oblivious compute functions (Snapshot -> Action) under
 FSYNC/SSYNC round schedulers or an event-driven ASYNC scheduler, with
 rigid unit-speed motion, continuous collision monitoring, and an
 append-only trace. Both loops share one look path (`_look`), one move rule
-(`_destination`) and one ending path: each returns how the run ended and
-`run` builds the Trace. An invalid move is a fault under every scheduler.
+(`_destination`), the run's one event list and one ending path: each returns
+how the run ended and `run` builds the Trace. An invalid move is a fault
+under every scheduler.
 
 An algorithm must be a pure function of its Snapshot, and a termination
 test a function of the positions: the engine keeps one decision table per
@@ -91,8 +92,9 @@ class Snapshot:
 
 @dataclass(frozen=True, slots=True)
 class Action:
-    kind: str  # "stay" | "move"
-    dest: Optional[Point] = None  # local frame
+    """A decision: a destination in the local frame, or None to stay; a tag."""
+
+    dest: Optional[Point] = None
     tag: str = ""
 
 
@@ -231,11 +233,6 @@ def next_activation(schedule: Schedule, n_robots: int, round_index: int) -> tupl
 # ---------------------------------------------------------------------------
 
 
-def _check_action(action: Action) -> None:
-    if action.kind == "move" and (action.dest is None or not action.dest.is_finite()):
-        raise InvalidActionFault(f"non-finite move destination {action.dest}")
-
-
 class _Decisions:
     """The decision table of one static world: `table(i)` is robot i's
     decision in `world`, made the first time it is asked.
@@ -303,10 +300,12 @@ def _decisions(
 
 
 def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
-    """Robot i looks and decides at clock t. Its look event, tagged with the
-    decision, is appended only once the action is valid (else InvalidActionFault)."""
+    """Robot i looks and decides at clock t, and its look event, tagged with
+    the decision, is appended to `events`. A NaN or infinite destination
+    raises InvalidActionFault instead, with no event appended."""
     action = decide(i)
-    _check_action(action)
+    if action.dest is not None and not action.dest.is_finite():
+        raise InvalidActionFault(f"non-finite move destination {action.dest}")
     events.append(TraceEvent(t, cycle, i, "look", world.positions[i], tag=action.tag))
     return action
 
@@ -314,7 +313,7 @@ def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list)
 def _destination(world: WorldState, i: int, action: Action) -> Optional[Point]:
     """Where `action` sends robot i in world coordinates, or None if it stays.
     A missing destination, a NaN one, or one within EPS of the robot is none."""
-    if action.kind != "move" or action.dest is None:
+    if action.dest is None:
         return None
     pos = world.positions[i]
     dest = _to_world(world.robots[i], pos, action.dest)
@@ -340,16 +339,18 @@ def execute_cycle(
     decide: Callable[[int], Action],
     cycle: int,
     floor: float,
-) -> tuple[WorldState, list[TraceEvent], float]:
+    events: list[TraceEvent],
+) -> tuple[WorldState, float]:
     """One FSYNC/SSYNC round: active robots look together, then move together.
 
     `decide` is the table of decisions of `world` (see `_decisions`), and
-    `floor` the run's minimum separation before the round. Returns (new
-    world, trace events, the run's minimum separation after the round:
-    `floor`, or less if a pair with a mover comes closer). A still pair's
-    distance counts at the start of the next round that moves either robot,
-    or else in the final world. Raises CollisionFault when motions come
-    closer than two units.
+    `floor` the run's minimum separation before the round. Each look and
+    move is appended to the run's `events` as it is made, so a round that
+    faults leaves them in the trace. Returns (new world, the run's minimum
+    separation after the round: `floor`, or less if a pair with a mover
+    comes closer). A still pair's distance counts at the start of the next
+    round that moves either robot, or else in the final world. Raises
+    CollisionFault when motions come closer than two units.
     """
     robots, positions = world.robots, world.positions
     n = len(robots)
@@ -358,7 +359,6 @@ def execute_cycle(
             raise KeyError(f"activation of unknown robot handle {rid}")
 
     t0 = world.clock
-    events: list[TraceEvent] = []
     decisions = {rid: _look(world, rid, decide, t0, cycle, events) for rid in sorted(active)}
     moves: dict[int, Point] = {}
     for rid, action in decisions.items():
@@ -415,7 +415,7 @@ def execute_cycle(
                 )
 
     new_positions = tuple(moves.get(i, pos) for i, pos in enumerate(positions))
-    return WorldState(robots, new_positions, t1), events, min_sep
+    return WorldState(robots, new_positions, t1), min_sep
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,8 @@ def _all_would_stay(
 ) -> bool:
     """True when no robot would move. Robots in `first` are asked first.
 
-    A move to a missing or NaN destination counts as staying here; a robot
-    that asks for it faults when it looks in a round or an ASYNC cycle.
+    A NaN destination counts as staying here; a robot that asks for it
+    faults when it looks in a round or an ASYNC cycle.
     """
     ahead = set(first)
     for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
@@ -500,12 +500,11 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
                 outcome, diagnosis = verdict
                 return outcome, world, cycle, min_sep, diagnosis
         try:
-            world, evs, min_sep = execute_cycle(world, active, decide, cycle, min_sep)
+            world, min_sep = execute_cycle(world, active, decide, cycle, min_sep, events)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
             return OUTCOME_FAULT, world, cycle, min_sep, str(exc)
-        events.extend(evs)
     outcome = OUTCOME_CONVERGED if termination(world) else OUTCOME_BUDGET
     return outcome, world, max_cycles, min_sep, ""
 

@@ -29,8 +29,11 @@ def sight_of(me, others, vis):
 
 
 def round_of(world, active, algo, cycle=0, floor=math.inf):
-    """`execute_cycle` over a fresh decision table of `algo` in `world`."""
-    return execute_cycle(world, active, _decisions(world, algo, None), cycle, floor)
+    """`execute_cycle` over a fresh decision table of `algo` in `world`:
+    (new world, the round's events, the run's minimum separation)."""
+    events = []
+    new, min_sep = execute_cycle(world, active, _decisions(world, algo, None), cycle, floor, events)
+    return new, events, min_sep
 
 
 def _cross(p, q):
@@ -124,20 +127,20 @@ def reference_form_ucircle(points, params, sec):
     me = points[0]
     seats = _seats(points, compute_target_points(params.n, sec))
     if seats[0] is not None:
-        return Action("stay", tag=TAG_FORM), "seated"
+        return Action(tag=TAG_FORM), "seated"
     pool = [p for p, seat in zip(points, seats) if seat is None]
     plan, how = _reference_walk(points, sec, params.n, pool)
     mine = [(t, step) for t, m, step in plan if m is me]
     if not mine:
-        return Action("stay", tag=TAG_FORM), how
+        return Action(tag=TAG_FORM), how
     _, dest = max(mine, key=lambda c: (c[0].y, c[0].x))
-    return Action("move", dest, TAG_FORM), how
+    return Action(dest, TAG_FORM), how
 
 
 def action_bits(action):
-    """An Action's kind, the bits of its destination, and its tag."""
+    """The bits of an Action's destination, and its tag."""
     dest = None if action.dest is None else struct.pack("<dd", action.dest.x, action.dest.y)
-    return action.kind, dest, action.tag
+    return dest, action.tag
 
 
 @pytest.fixture

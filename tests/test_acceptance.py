@@ -272,7 +272,7 @@ def test_criterion_7_micro_scene_eligibility():
             )
             eligible = eligible_to_move(sight_of(me, others, vis), params.cir.radius)
             action = local_step(Snapshot(me, others, vis), params)
-            moved = action.kind == "move"
+            moved = action.dest is not None
             assert moved == eligible, (vis, [(p.x, p.y) for p in pts], i, action.tag)
             if moved:
                 assert satisfies_direction_constraint(

@@ -204,20 +204,20 @@ class TestSecExpansion:
 
     def test_interior_robot_stays(self):
         action = with_sec(sec_expansion, [P(0, 0), *self.boundary], self.params)
-        assert action.kind == "stay"
+        assert action.dest is None
         assert action.tag == "expand"
 
     def test_leader_moves_outward(self):
         others = [P(-4, 3), P(0, -5), P(0, 0)]
         action = with_sec(sec_expansion, [P(3, 4), *others], self.params)
-        assert action.kind == "move"
+        assert action.dest is not None
         # Destination lies outside the current SEC.
         assert dist(action.dest, P(0, 0)) > 5.0 + 1e-9
 
     def test_non_leader_boundary_robot_stays(self):
         others = [P(3, 4), P(0, -5), P(0, 0)]
         action = with_sec(sec_expansion, [P(-4, 3), *others], self.params)
-        assert action.kind == "stay"
+        assert action.dest is None
 
     def test_occupied_antipode_radial_rule(self):
         # [DERIVED] leader at (0,5) with its antipode occupied advances
@@ -243,7 +243,7 @@ class TestSecExpansion:
 
     def test_leaderless_configuration_stays_tagged(self):
         action = with_sec(sec_expansion, [P(0, 5), P(0, -5)], self.params)
-        assert action.kind == "stay"
+        assert action.dest is None
         assert action.tag == "no-leader"
 
 
@@ -268,14 +268,14 @@ class TestFormUcircle:
         for i, me in enumerate(pts):
             others = [p for j, p in enumerate(pts) if j != i]
             action = with_sec(form_ucircle, [me, *others], params)
-            assert action.kind == "stay", f"robot at {me} moved"
+            assert action.dest is None, f"robot at {me} moved"
 
     def test_single_vacant_target_filled_by_nearest(self):
         params = square_params()
         r = params.rad_req
         pts = [P(0, r), P(r, 0), P(0, -r), P(-1, 0)]
         action = with_sec(form_ucircle, [P(-1, 0), *pts[:3]], params)
-        assert action.kind == "move"
+        assert action.dest is not None
         assert dist(action.dest, P(-r, 0)) <= 1e-7
 
     def test_settled_robots_wait_for_mover(self):
@@ -284,7 +284,7 @@ class TestFormUcircle:
         me = P(0, r)
         others = [P(r, 0), P(0, -r), P(-1, 0)]
         action = with_sec(form_ucircle, [me, *others], params)
-        assert action.kind == "stay"
+        assert action.dest is None
 
     def test_phase_dispatch(self):
         # Small SEC -> expansion; SEC at required radius -> formation.
@@ -425,9 +425,9 @@ class TestFormationWalk:
         # The larger y wins, and rounding decides it: T6[5] (left) lies at
         # y = 2.5000000000000004, its mirror T6[1] (right) at y = 2.5.
         assert T6[5].y > T6[1].y and T6[5].x < T6[1].x
-        assert action.kind == "move" and action.dest == T6[5]
+        assert action.dest == T6[5]
         action, how = self.look(walk_agrees, b, [a, *seats])
-        assert action.kind == "stay" and set(how[1]) == {T6[1], T6[5]}
+        assert action.dest is None and set(how[1]) == {T6[1], T6[5]}
 
     def test_mirror_pair_split_across_tiers(self, walk_agrees):
         # T6[1] is vacant, its mirror T6[5] crowded by a: they are walked as
@@ -435,9 +435,9 @@ class TestFormationWalk:
         seats = [T6[0], T6[2], T6[3], T6[4]]
         a, b = P(-3.5, 2.0), P(1.0, -0.5)
         action, how = self.look(walk_agrees, a, [b, *seats])
-        assert action.kind == "stay" and how == ("vacant", [T6[1]])
+        assert action.dest is None and how == ("vacant", [T6[1]])
         action, how = self.look(walk_agrees, b, [a, *seats])
-        assert action.kind == "move" and action.dest == T6[1]
+        assert action.dest == T6[1]
 
     def test_contested_top_target(self, walk_agrees):
         # Two robots tie for the vacant top target, so nobody takes it; the
@@ -446,9 +446,9 @@ class TestFormationWalk:
         a, b = P(1.5, 0.0), P(-1.5, 0.0)
         action, how = self.look(walk_agrees, a, [b, *seats])
         assert how == ("vacant", [T6[3]])
-        assert action.kind == "move" and action.dest == T6[3]
+        assert action.dest == T6[3]
         action, how = self.look(walk_agrees, b, [a, *seats])
-        assert action.kind == "stay" and how == ("vacant", [T6[3]])
+        assert action.dest is None and how == ("vacant", [T6[3]])
 
     def test_crowded_only(self, walk_agrees):
         # Each untaken target has a robot within its clearance: the walk
@@ -457,9 +457,9 @@ class TestFormationWalk:
         a, b = P(0.0, 4.0), P(0.0, -3.0)
         action, how = self.look(walk_agrees, a, [b, *seats])
         assert how == ("crowded", [T6[0]])
-        assert action.kind == "move" and action.dest == T6[0]
+        assert action.dest == T6[0]
         action, how = self.look(walk_agrees, b, [a, *seats])
-        assert action.kind == "stay" and how == ("crowded", [T6[0]])
+        assert action.dest is None and how == ("crowded", [T6[0]])
 
     def test_every_group_blocked(self, walk_agrees):
         # Both robots are wedged between seated ones at the top, and no
@@ -468,7 +468,7 @@ class TestFormationWalk:
         a, b = P(2.3, 2.6), P(-2.7, 3.8)
         for me, other in ((a, b), (b, a)):
             action, how = self.look(walk_agrees, me, [other, *seats])
-            assert action.kind == "stay" and how is None
+            assert action.dest is None and how is None
 
 
 def test_formation_look_tests_only_what_it_reaches(monkeypatch, walk_agrees):

@@ -15,9 +15,11 @@ To print the digests of the current code:
 import collections
 import functools
 import hashlib
+import re
 
 import pytest
 
+from ucircle.geometry import MotionSegment, dist, min_separation_during_motion
 from ucircle.harness import (
     curated_local_configs,
     nonuniform_variant,
@@ -104,9 +106,11 @@ CORPUS = {
         [_global(3, 10.0, "SSYNC", 1, placement=_VERTICAL_LINE)],
         "1b1aa9e736df294b6fb40678984726256b7531b823cc44fe79d90adaf0a8bbe6",
     ),
+    # Robots 2 and 3 reach separation 0 in cycle 0: the trace is that
+    # round's looks and moves, 14 lines.
     "global-ssync-mirror-fault": (
         [_global(5, 6.0, "SSYNC", 1, placement=_MIRROR_PAIRS)],
-        "aa39858b7f4c0fd8a858a8a2497872fe86e273f693fdfd5cc61d758e6331ee7e",
+        "fca1c71b9b515f7a08143851e4a68aa1abc2d07a4383461628c745c273443d15",
     ),
     # The mirror tie: `diagnosed-stall` with diagnosis `form` in cycle 1.
     "global-fsync-square-tie-stall": (
@@ -116,7 +120,7 @@ CORPUS = {
     # The mirror tie: robots 1 and 2 reach separation 0 during cycle 1.
     "global-fsync-square-tie-fault": (
         [_global(4, 4.0, "FSYNC", 8, placement=_SQUARE)],
-        "597fcd8972657c4d29b5f8f69c36d1e59f779f9a8597e286b4422e4f6a5f7d70",
+        "44182c8ee80e2040a6c0c0d0f034f8f6a32edf07b0266fdae421cd8740a999cb",
     ),
     "global-async-n4": (
         [_global(4, 4.0, "ASYNC", 1)],
@@ -168,7 +172,7 @@ CORPUS = {
     # round under the run's finite minimum so far.
     "local-fsync-random-fault": (
         [_local(16, 96.0, 48.0, "FSYNC", 1, "random-disc")],
-        "5d5a0ac1ca12ae10ed84bd88615f66887c51ead1dcdf0e45a1a633abcd13b620",
+        "f1924f6d23b977a1ba54f9835d7bb43ff4f5e6ccd9f8d98210b97ff0073d7529",
     ),
     # Robots 20 and 12 meet at separation 1.04259 in cycle 10. Most pairs
     # tested at the faulting arrival are far apart: the fault is found among
@@ -188,7 +192,7 @@ CORPUS = {
     ),
     "local-random-12": (
         LOCAL_RANDOM,
-        "b646b80852194e3f9ccf511599e00a6a1f4c531b157edf33d760d9c7ea11bd76",
+        "3a7395b0cfc81286cefe14fe1da7c2439cb701f91677b918ce5a0a09e7ca55b3",
     ),
 }
 
@@ -235,6 +239,37 @@ def test_local_random_corpus_outcomes():
     outcomes = collections.Counter(summary.outcome for _, summary in runs)
     assert outcomes == {"converged": 6, "fault": 2, "diagnosed-stall": 4}
     assert any(ev.phase == "move" and ev.tag == "psi9" for trace, _ in runs for ev in trace.events)
+
+
+@pytest.mark.parametrize(
+    "name", ["global-ssync-mirror-fault", "global-fsync-square-tie-fault", "local-fsync-random-fault"]
+)
+def test_sync_fault_trace_shows_the_moves_that_met(name):
+    """A sync fault's trace ends with the round that faulted: the diagnosed
+    pair's motion, rebuilt from that round's move events and the world the
+    round began in, reaches the diagnosed separation."""
+    ((trace, _),) = entry_digest(name)[1]
+    found = re.fullmatch(r"robots (\d+) and (\d+) reach separation (\S+) during cycle (\d+)",
+                         trace.diagnosis)
+    a, b, sep, cycle = found.groups()
+    assert trace.events[-1].cycle == trace.cycles_used == int(cycle)
+    moves = {e.robot: e for e in trace.events if e.cycle == trace.cycles_used and e.phase == "move"}
+    start = trace.final
+    end = start.clock + max(dist(e.pos, e.dest) for e in moves.values())
+
+    def pieces(i):
+        """Robot i's motion over the round: its move, then a hold to the end."""
+        at = start.positions[i]
+        move = moves.get(i)
+        if move is None:
+            return [MotionSegment(at, at, start.clock, end)]
+        assert move.pos == at and move.clock == start.clock
+        arrive = move.clock + dist(move.pos, move.dest)
+        return [MotionSegment(at, move.dest, move.clock, arrive),
+                MotionSegment(move.dest, move.dest, arrive, end)]
+
+    got = min(min_separation_during_motion(p, q) for p in pieces(int(a)) for q in pieces(int(b)))
+    assert f"{got:.6g}" == sep
 
 
 if __name__ == "__main__":

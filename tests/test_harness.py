@@ -28,7 +28,7 @@ from ucircle.harness import (
     parse_config,
     run_scenario,
 )
-from ucircle.simcore import Robot, WorldState
+from ucircle.simcore import Robot, WorldState, visible
 
 P = Point
 
@@ -402,6 +402,19 @@ class TestOneSidedPsi9:
 
     def test_robots_off_the_same_ray(self):
         assert not self.diagnosed(turn=2e-3, vis_outside=3.0)
+
+    def test_sight_is_the_engines(self, monkeypatch):
+        # Both robots see 10 units, so neither is hidden by distance. When
+        # the engine's sight rule hides the outside robot from the inside
+        # one, the diagnosis follows it.
+        import ucircle.harness as harness
+
+        def hide_outside(world, i):
+            return () if i == 0 else visible(world, i)
+
+        assert not self.diagnosed(turn=5e-4, vis_outside=10.0)
+        monkeypatch.setattr(harness, "visible", hide_outside)
+        assert self.diagnosed(turn=5e-4, vis_outside=10.0)
 
 
 # ---------------------------------------------------------------------------

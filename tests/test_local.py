@@ -268,17 +268,17 @@ class TestLocalStep:
 
     def test_ineligible_robot_waits_with_tag(self):
         action = local_step(snap(P(0, 2), [P(0, 3)], 4.0), self.p)
-        assert action.kind == "stay"
+        assert action.dest is None
         assert action.tag.startswith("psi")
 
     def test_lone_inside_robot_hops(self):
         action = local_step(snap(P(0, 2), [], 1.0), self.p)
-        assert action.kind == "move"
+        assert action.dest is not None
         assert action.tag == "psi3"
 
     def test_on_target_stays(self):
         action = local_step(snap(P(0, 10), [], 4.0), self.p)
-        assert action.kind == "stay"
+        assert action.dest is None
         assert action.tag == "psi1"
 
 
@@ -386,7 +386,7 @@ def test_formation_is_fixed_point():
                 q for j, q in enumerate(p.targets) if j != i and dist(q, me) <= vis
             ]
             action = local_step(snap(me, others, vis), p)
-            assert action.kind == "stay"
+            assert action.dest is None
 
 
 def test_end_to_end_async_convergence():

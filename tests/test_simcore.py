@@ -161,7 +161,7 @@ class TestSnapshots:
         # A mirrored y-only robot asking to move to local (1, 0) must move
         # to world x - 1.
         w = WorldState((Robot(frame=FRAME_Y_ONLY, chirality=-1),), (P(10, 0),))
-        new, _, _ = round_of(w, [0], lambda s: Action("move", P(1, 0)))
+        new, _, _ = round_of(w, [0], lambda s: Action(P(1, 0)))
         assert dist(new.positions[0], P(9, 0)) < 1e-12
 
 
@@ -218,7 +218,7 @@ class TestNextActivation:
 class TestExecuteCycle:
     def test_stationary_world_unchanged(self):
         w = make_world([P(0, 0), P(5, 0)])
-        new, events, sep = round_of(w, [0, 1], lambda s: Action("stay"))
+        new, events, sep = round_of(w, [0, 1], lambda s: Action())
         assert new.positions == w.positions
         assert sep == math.inf  # no pair has a mover
         phases = [e.phase for e in events]
@@ -227,7 +227,7 @@ class TestExecuteCycle:
     def test_simple_move(self):
         w = make_world([P(0, 0)])
 
-        new, events, _ = round_of(w, [0], lambda s: Action("move", P(3, 4), "hop"))
+        new, events, _ = round_of(w, [0], lambda s: Action(P(3, 4), "hop"))
         assert dist(new.positions[0], P(3, 4)) < 1e-12
         move_events = [e for e in events if e.phase == "move"]
         assert len(move_events) == 1
@@ -236,7 +236,7 @@ class TestExecuteCycle:
 
     def test_inactive_robots_do_not_look(self):
         w = make_world([P(0, 0), P(9, 0)])
-        _, events, _ = round_of(w, [1], lambda s: Action("stay"))
+        _, events, _ = round_of(w, [1], lambda s: Action())
         assert {e.robot for e in events} == {1}
 
     def test_head_on_collision_faults(self):
@@ -244,7 +244,7 @@ class TestExecuteCycle:
 
         def algo(snap: Snapshot):
             # Both robots charge at the other one.
-            return Action("move", snap.others[0])
+            return Action(snap.others[0])
 
         with pytest.raises(CollisionFault):
             round_of(w, [0, 1], algo)
@@ -253,7 +253,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0), P(5, 1.2)])
 
         def algo(snap: Snapshot):
-            return Action("move", P(10, 0)) if snap.self_pos == P(0, 0) else Action("stay")
+            return Action(P(10, 0)) if snap.self_pos == P(0, 0) else Action()
 
         with pytest.raises(CollisionFault):
             round_of(w, [0, 1], algo)
@@ -262,7 +262,7 @@ class TestExecuteCycle:
         w = make_world([P(0, 0), P(0, 2.5)])
 
         def algo(snap: Snapshot):
-            return Action("move", P(snap.self_pos.x + 8, snap.self_pos.y))
+            return Action(P(snap.self_pos.x + 8, snap.self_pos.y))
 
         new, _, sep = round_of(w, [0, 1], algo)
         assert abs(sep - 2.5) < 1e-12
@@ -271,7 +271,7 @@ class TestExecuteCycle:
     def test_unknown_robot_rejected(self):
         w = make_world([P(0, 0)])
         with pytest.raises(KeyError):
-            round_of(w, [7], lambda s: Action("stay"))
+            round_of(w, [7], lambda s: Action())
 
 
 def _round_outcome(world, active, algo, floor):
@@ -303,7 +303,7 @@ def _random_round(rng, n=12):
 
     def algo(snap: Snapshot):
         dest = steps.get(snap.self_pos)
-        return Action("stay") if dest is None else Action("move", dest)
+        return Action() if dest is None else Action(dest)
 
     return make_world(spots), algo
 
@@ -316,7 +316,7 @@ def _brute_round(world, active, algo, cycle):
     moves = {}
     for i in active:
         action = algo(snapshot_of(world, i))
-        if action.kind == "move" and dist(action.dest, positions[i]) > EPS:
+        if action.dest is not None and dist(action.dest, positions[i]) > EPS:
             moves[i] = action.dest
     t1 = t0 + max((dist(positions[i], d) for i, d in moves.items()), default=1.0)
 
@@ -354,7 +354,7 @@ class TestSyncPruning:
 
         def algo(snap: Snapshot):
             me = snap.self_pos
-            return Action("stay") if me.x > 50 else Action("move", P(3, me.y))
+            return Action() if me.x > 50 else Action(P(3, me.y))
 
         outcomes = {_round_outcome(w, range(5), algo, floor) for floor in FLOORS}
         assert outcomes == {("fault", "robots 1 and 4 reach separation 0 during cycle 0", 0.0)}
@@ -570,8 +570,8 @@ def gather_at_x(target_x):
 
     def algo(snap: Snapshot):
         if abs(snap.self_pos.x - target_x) <= 1e-12:
-            return Action("stay")
-        return Action("move", P(target_x, snap.self_pos.y), "walk")
+            return Action()
+        return Action(P(target_x, snap.self_pos.y), "walk")
 
     return algo
 
@@ -599,7 +599,7 @@ class TestRun:
         def wander(snap: Snapshot):
             # Never settles: keeps hopping between two columns.
             x = 0.0 if snap.self_pos.x > 0.5 else 1.0
-            return Action("move", P(x, snap.self_pos.y))
+            return Action(P(x, snap.self_pos.y))
 
         trace = run(w, wander, Schedule("FSYNC"), lambda w_: False, max_cycles=10)
         assert trace.outcome == OUTCOME_BUDGET
@@ -611,7 +611,7 @@ class TestRun:
         w = make_world([P(0, 0), P(9, 0)])
 
         def tagged_stay(snap: Snapshot):
-            return Action("stay", tag="blocked")
+            return Action(tag="blocked")
 
         trace = run(w, tagged_stay, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
@@ -620,7 +620,7 @@ class TestRun:
     @pytest.mark.parametrize("kind", ["FSYNC", "SSYNC", "ASYNC"])
     def test_stall_before_any_move_reports_the_initial_separation(self, kind):
         w = make_world([P(0, 0), P(9, 0), P(0, 4)])
-        stay = lambda snap: Action("stay", tag="blocked")  # noqa: E731
+        stay = lambda snap: Action(tag="blocked")  # noqa: E731
         trace = run(w, stay, Schedule(kind, seed=1), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
         assert not any(e.phase == "move" for e in trace.events)
@@ -630,7 +630,7 @@ class TestRun:
         w = make_world([P(0, 0), P(6, 0)])
 
         def charge(snap: Snapshot):
-            return Action("move", snap.others[0]) if snap.others else Action("stay")
+            return Action(snap.others[0]) if snap.others else Action()
 
         trace = run(w, charge, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_FAULT
@@ -670,7 +670,7 @@ class TestRun:
     def test_bad_budget_rejected(self):
         w = make_world([P(0, 0)])
         with pytest.raises(ValueError):
-            run(w, lambda s: Action("stay"), Schedule("FSYNC"), lambda w_: True, max_cycles=0)
+            run(w, lambda s: Action(), Schedule("FSYNC"), lambda w_: True, max_cycles=0)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +696,8 @@ def step_to_x(target_x, step=2.0):
     def algo(snap: Snapshot):
         dx = target_x - snap.self_pos.x
         if abs(dx) <= 1e-12:
-            return Action("stay")
-        return Action("move", P(snap.self_pos.x + max(-step, min(step, dx)), snap.self_pos.y))
+            return Action()
+        return Action(P(snap.self_pos.x + max(-step, min(step, dx)), snap.self_pos.y))
 
     return algo
 
@@ -729,7 +729,7 @@ class TestComputeOnce:
 
     def test_stall_diagnosis_reuses_the_stall_check(self):
         w = make_world([P(0, 0), P(9, 0), P(0, 9)])
-        algo = Counted(lambda snap: Action("stay", tag=f"x{snap.self_pos.x:g}"))
+        algo = Counted(lambda snap: Action(tag=f"x{snap.self_pos.x:g}"))
         trace = run(w, algo, Schedule("SSYNC", seed=1), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
         assert trace.diagnosis == "x0,x9"
@@ -741,10 +741,10 @@ class TestComputeOnce:
         # robot ends on a zero-length move, which also counts as staying.
         def algo(snap: Snapshot):
             if abs(snap.self_pos.x - 1.0) > 1e-12:
-                return Action("move", P(1.0, snap.self_pos.y), "walk")
+                return Action(P(1.0, snap.self_pos.y), "walk")
             if snap.self_pos.y == 0:
-                return Action("move", snap.self_pos, "hold")
-            return Action("stay", tag="row")
+                return Action(snap.self_pos, "hold")
+            return Action(tag="row")
 
         w = make_world([P(0, 0), P(5, 4), P(-3, 8)])
         sched = Schedule(kind, seed=5, fairness_bound=3)
@@ -791,7 +791,7 @@ class TestComputeOnce:
 
     def test_async_stall_verdict_asks_each_robot_once(self):
         w = make_world([P(0, 0), P(9, 0), P(0, 9)])
-        algo = Counted(lambda snap: Action("stay", tag="blocked"))
+        algo = Counted(lambda snap: Action(tag="blocked"))
         trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
         # The first look's decision is reused by the verdict, which asks
@@ -822,7 +822,7 @@ class TestComputeOnce:
         def algo(snap: Snapshot):
             walker = next(p for p in (snap.self_pos, *snap.others) if p.y == 0)
             action = step_to_x(1.0)(snap)
-            return Action(action.kind, action.dest, tag=f"{walker.x:.17g}")
+            return Action(action.dest, tag=f"{walker.x:.17g}")
 
         counted = Counted(algo)
         w = make_world([P(-19, 0), P(1, 5), P(1, 10), P(1, 15)])
@@ -848,7 +848,7 @@ class TestComputeOnce:
     def test_a_table_holds_only_for_the_same_points(self):
         # Equal points are not enough: 0.0 == -0.0, yet robot 1 sees the
         # sign of robot 0's x.
-        algo = Counted(lambda snap: Action("stay", tag=str(snap.others)))
+        algo = Counted(lambda snap: Action(tag=str(snap.others)))
         robots = (Robot(), Robot())
         w = WorldState(robots, (P(0.0, 0.0), P(5.0, 0.0)))
         table = _decisions(w, algo, None)
@@ -881,7 +881,7 @@ class TestComputeOnce:
         def algo(snap: Snapshot):
             if snap.self_pos in views:
                 views[snap.self_pos].append(snap.others)
-                return Action("stay", tag="parked")
+                return Action(tag="parked")
             return step_to_x(40.0)(snap)
 
         counted = Counted(algo)
@@ -903,12 +903,12 @@ class TestComputeOnce:
 
         def algo(snap: Snapshot):
             if snap.self_pos == P(4, 0):
-                return Action("move", P(9, 0), "out")
+                return Action(P(9, 0), "out")
             if snap.self_pos == P(0, 9):
-                return Action("move", P(0, 4), "in")
+                return Action(P(0, 4), "in")
             if snap.self_pos == P(0, 0):
                 views.append(snap.others)
-            return Action("stay", tag="still")
+            return Action(tag="still")
 
         counted = Counted(algo)
         w = make_world([P(0, 0), P(4, 0), P(0, 9)], vis_radius=5.0)
@@ -929,37 +929,37 @@ class TestComputeOnce:
         assert snapshot_of(w, 0) == snapshot_of(w, 1)
 
         def algo(snap: Snapshot):
-            return Action("stay", tag="neg" if math.copysign(1.0, snap.self_pos.x) < 0 else "pos")
+            return Action(tag="neg" if math.copysign(1.0, snap.self_pos.x) < 0 else "pos")
 
         trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.diagnosis == "neg,pos"
 
 
 class TestBadDestination:
-    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), None])
+    @pytest.mark.parametrize("bad", [P(math.nan, 0.0)])
     def test_counts_as_stay_in_the_stall_verdict(self, bad):
         w = make_world([P(0, 0), P(9, 0)])
-        algo = lambda snap: Action("move", bad, tag="bad")  # noqa: E731
+        algo = lambda snap: Action(bad, tag="bad")  # noqa: E731
         trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_STALL
         assert trace.diagnosis == "bad"
 
     def test_infinite_destination_counts_as_a_move(self):
         w = make_world([P(0, 0), P(9, 0)])
-        algo = lambda snap: Action("move", P(math.inf, 1.0))  # noqa: E731
+        algo = lambda snap: Action(P(math.inf, 1.0))  # noqa: E731
         trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_FAULT
         assert trace.cycles_used == 0
 
-    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), None])
+    @pytest.mark.parametrize("bad", [P(math.nan, 0.0)])
     def test_faults_only_in_an_executed_round(self, bad):
         # Robot 1 asks for a bad move; robot 0 keeps walking up, so the
         # world never stalls. The fault comes in the first round that
         # activates robot 1.
         def algo(snap: Snapshot):
             if snap.self_pos.x == 9:
-                return Action("move", bad)
-            return Action("move", P(snap.self_pos.x, snap.self_pos.y + 1.0))
+                return Action(bad)
+            return Action(P(snap.self_pos.x, snap.self_pos.y + 1.0))
 
         w = make_world([P(0, 0), P(9, 0)])
         sched = Schedule("SSYNC", seed=1, fairness_bound=6)
@@ -969,13 +969,30 @@ class TestBadDestination:
         assert trace.outcome == OUTCOME_FAULT
         assert trace.cycles_used == first
         assert "non-finite move destination" in trace.diagnosis
+        # Robot 1 is the only robot active in the faulting round, and its
+        # look raised the fault: the trace ends with the round before.
+        last = trace.events[-1]
+        assert (last.cycle, last.robot, last.phase) == (first - 1, 0, "move")
 
-    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), None, P(math.inf, 1.0)])
+    def test_a_faulting_round_keeps_its_earlier_looks(self):
+        # Robot 0 looks first and would walk up; robot 1's look asks for a
+        # NaN move. The trace ends with robot 0's look in the faulting round.
+        def algo(snap: Snapshot):
+            if snap.self_pos.x == 9:
+                return Action(P(math.nan, 0.0))
+            return Action(P(snap.self_pos.x, snap.self_pos.y + 1.0), "up")
+
+        w = make_world([P(0, 0), P(9, 0)])
+        trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
+        assert trace.outcome == OUTCOME_FAULT and trace.cycles_used == 0
+        assert trace.events == [TraceEvent(0.0, 0, 0, "look", P(0, 0), tag="up")]
+
+    @pytest.mark.parametrize("bad", [P(math.nan, 0.0), P(math.inf, 1.0)])
     def test_async_invalid_move_ends_in_fault(self, bad):
         # The first look asks for the bad move: the run ends there, with no
-        # events for that look, as a sync round drops its own.
+        # event for that look, as a sync round's faulting look has none.
         w = make_world([P(0, 0), P(9, 0)])
-        algo = lambda snap: Action("move", bad, tag="bad")  # noqa: E731
+        algo = lambda snap: Action(bad, tag="bad")  # noqa: E731
         trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=5)
         assert trace.outcome == OUTCOME_FAULT
         assert "non-finite move destination" in trace.diagnosis
@@ -992,10 +1009,10 @@ class TestAsyncLooks:
 
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return Action("move", P(40, 0), "long")
+                return Action(P(40, 0), "long")
             if snap.self_pos == P(20, 10):
                 seen.append(snap.others[0])
-            return Action("stay")
+            return Action()
 
         w = make_world([P(0, 0), P(20, 10)])
         trace = run(w, algo, Schedule("ASYNC", seed=3), lambda w_: False, max_cycles=200)
@@ -1023,8 +1040,8 @@ class TestAsyncCollisions:
     def test_move_through_a_robot_that_never_moved(self):
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return Action("move", P(10, 0), "cross")
-            return Action("stay")
+                return Action(P(10, 0), "cross")
+            return Action()
 
         w = make_world([P(0, 0), P(5, 0.5)])
         trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=10)
@@ -1037,10 +1054,10 @@ class TestAsyncCollisions:
         # sees robot 0 arrived, then crosses half a unit above its hold.
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return Action("move", P(0, 6), "up")
+                return Action(P(0, 6), "up")
             if snap.self_pos == P(10, 6.5) and P(0, 6) in snap.others:
-                return Action("move", P(-10, 6.5), "cross")
-            return Action("stay")
+                return Action(P(-10, 6.5), "cross")
+            return Action()
 
         w = make_world([P(0, 0), P(10, 6.5)])
         trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=20)
@@ -1055,8 +1072,8 @@ class TestAsyncCollisions:
         # the threshold and must be tested even though it stays above 1.5.
         def algo(snap: Snapshot):
             if snap.self_pos == P(0, 0):
-                return Action("move", P(-0.2, 0), "away")
-            return Action("stay")
+                return Action(P(-0.2, 0), "away")
+            return Action()
 
         w = make_world([P(0, 0), P(1.8, 0), P(0, 50), P(1.5, 50)])
         trace = run(w, algo, Schedule("ASYNC", seed=1), lambda w_: False, max_cycles=10)

@@ -1,6 +1,6 @@
 """Soak tier: the outcome tables of four sweeps far beyond the acceptance
-seeds, pinned as they stand, defects included, and the benchmark at every
-seed from 1 to 10.
+seeds and of three symmetric variants of the global soak, pinned as they
+stand, defects included, and the benchmark at every seed from 1 to 10.
 
 These are the gates that the behaviour fixes for local collisions and
 stalls and for global livelocks will move: a fix updates the table it
@@ -25,7 +25,16 @@ from pathlib import Path
 
 import pytest
 
-from ucircle.harness import nonuniform_variant, parse_config, run_scenario
+from ucircle.geometry import Point
+from ucircle.harness import (
+    build_algorithm,
+    build_termination,
+    generate_scenario,
+    nonuniform_variant,
+    parse_config,
+    run_scenario,
+)
+from ucircle.simcore import Schedule, WorldState, run
 
 pytestmark = pytest.mark.soak
 
@@ -41,10 +50,10 @@ def _outcome(raw):
     return summary.outcome, summary.diagnosis
 
 
-def _run_all(raws):
+def _run_all(raws, outcome=_outcome):
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=WORKERS, mp_context=spawn) as pool:
-        return list(pool.map(_outcome, raws, chunksize=8))
+        return list(pool.map(outcome, raws, chunksize=8))
 
 
 def test_global_soak():
@@ -64,6 +73,78 @@ def test_global_soak():
         (6, 49), (13, 22), (15, 33), (15, 39), (15, 43), (15, 52), (16, 20),
         (16, 33), (16, 39), (16, 42), (16, 44), (16, 45), (16, 52), (16, 56),
     ]
+
+
+# The model fixes neither chirality nor the order of SSYNC activations, so
+# each of these transformed worlds is as valid an input as the original.
+SYMMETRIES = {
+    # x -> -x, each robot keeping its chirality: the original with every
+    # chirality flipped.
+    "mirror": lambda robots, points: (robots, tuple(Point(-p.x, p.y) for p in points)),
+    # Another seeded fair SSYNC schedule of the same robots.
+    "reversed": lambda robots, points: (robots[::-1], points[::-1]),
+    "translated": lambda robots, points: (
+        robots, tuple(Point(p.x + 37.25, p.y - 11.5) for p in points)
+    ),
+}
+
+
+def _symmetric_outcome(job):
+    """(outcome, diagnosis) of one scenario dict, run from its generated
+    world transformed by the named symmetry."""
+    symmetry, raw = job
+    config = parse_config(raw)
+    start = generate_scenario(config)
+    world = WorldState(*SYMMETRIES[symmetry](start.robots, start.positions))
+    algo, params = build_algorithm(config)
+    schedule = Schedule(config.scheduler, config.seed, config.fairness)
+    trace = run(world, algo, schedule, build_termination(config, params), config.cycle_budget)
+    return trace.outcome, trace.diagnosis
+
+
+# Each variant's outcome table, and the (n, seed) of its runs that did not
+# converge: those out of budget, then the `form` stalls.
+SYMMETRY_TABLES = {
+    "mirror": (
+        {"converged": 545, "budget-exhausted": 14, "diagnosed-stall": 1},
+        [(6, 49), (13, 22), (15, 20), (15, 33), (15, 39), (15, 43), (16, 33), (16, 39),
+         (16, 42), (16, 44), (16, 52), (16, 54), (16, 55), (16, 56)],
+        [(16, 26)],
+    ),
+    "reversed": (
+        {"converged": 546, "budget-exhausted": 12, "diagnosed-stall": 2},
+        [(6, 49), (13, 22), (15, 33), (15, 39), (16, 20), (16, 21), (16, 33), (16, 39),
+         (16, 44), (16, 45), (16, 52), (16, 56)],
+        [(12, 50), (13, 51)],
+    ),
+    "translated": (
+        {"converged": 546, "budget-exhausted": 14},
+        [(6, 49), (13, 22), (15, 33), (15, 39), (15, 43), (15, 52), (16, 20), (16, 33),
+         (16, 39), (16, 42), (16, 44), (16, 45), (16, 52), (16, 56)],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRY_TABLES))
+def test_global_symmetry_soak(symmetry):
+    """`global`, SSYNC, `random-disc`, a = 5.0, n = 3..16, seeds 20..59:
+    560 placements, each run from its world mirrored, in reversed index
+    order, or translated. Against the original runs (`test_global_soak`),
+    the mirror changes 7 outcomes, among them a `form` stall, the reversal
+    changes 6, among them two `form` stalls, and translation changes none."""
+    keys = [(n, seed) for n in range(3, 17) for seed in range(20, 60)]
+    jobs = [
+        (symmetry, dict(algorithm="global", n=n, a=5.0, scheduler="SSYNC", seed=seed,
+                        placement="random-disc"))
+        for n, seed in keys
+    ]
+    results = _run_all(jobs, _symmetric_outcome)
+    outcomes, budget, stalls = SYMMETRY_TABLES[symmetry]
+    assert Counter(outcome for outcome, _ in results) == outcomes
+    ending = dict(zip(keys, results))
+    assert [key for key in keys if ending[key][0] == "budget-exhausted"] == budget
+    assert [key for key in keys if ending[key] == ("diagnosed-stall", "form")] == stalls
 
 
 def test_local_sweep():
