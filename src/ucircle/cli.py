@@ -6,8 +6,10 @@
     ucircle oracle sec --points points.json
 
 `run --every k` writes an SVG frame after every k-th cycle, besides the
-initial and the final frame. `k` and `batch --jobs m` must be positive
-integers; anything else is an argument error before anything runs.
+initial and the final frame. A sync round that faults gets no frame of its
+own: the final frame shows the world it began in. `k` and `batch --jobs m`
+must be positive integers; anything else is an argument error before
+anything runs.
 
 Exit codes, one per outcome: 0 converged, 1 invalid input (an argument
 error, a bad config, or a path that cannot be read or written),
@@ -124,10 +126,11 @@ def _write_outputs(
                 os.makedirs(frames)
                 made.append(frames)
             _, params = build_algorithm(config)
+            sync = config.scheduler != "ASYNC"
             if config.algorithm == "global":
-                docs = render_frames(trace, every)
+                docs = render_frames(trace, every, sync=sync)
             else:
-                docs = render_frames(trace, every, circle=params.cir, targets=params.targets)
+                docs = render_frames(trace, every, params.cir, params.targets, sync)
             for name, doc in sorted(docs.items()):
                 write(os.path.join(frames, name), doc)
     except OSError:

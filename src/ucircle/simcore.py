@@ -9,12 +9,12 @@ how the run ended and `run` builds the Trace. An invalid move is a fault
 under every scheduler.
 
 An algorithm must be a pure function of its Snapshot, and a termination
-test a function of the positions: the engine keeps one decision table per
-static world (`_decisions`) and reuses it, and a sync round its verdict, for
-as long as every robot stands on the same Point object. Across worlds a
-robot decides again only when its view changes: the Point it stands on, or
-the tuple of Points it sees. Both reuses are sound only because a decision
-is a pure function of the Snapshot, which those Points determine.
+test a function of the positions: a run keeps one decision memo
+(`_decider`), and a robot decides again only when its view changes: the
+Point it stands on, or the tuple of Points it sees. A sync run asks for a
+verdict again only after a round that moved somebody. Both reuses are
+sound only because a decision is a pure function of the Snapshot, which
+those Points determine.
 
 A robot's handle is its index into `WorldState.robots` (what it is:
 visibility and frame, fixed for the run) and `WorldState.positions` (where
@@ -233,77 +233,44 @@ def next_activation(schedule: Schedule, n_robots: int, round_index: int) -> tupl
 # ---------------------------------------------------------------------------
 
 
-class _Decisions:
-    """The decision table of one static world: `table(i)` is robot i's
-    decision in `world`, made the first time it is asked.
+def _decider(
+    algorithm: Callable[[Snapshot], Action], n: int
+) -> Callable[[WorldState, int], Action]:
+    """The decision memo of one run of n robots: `decide(world, i)` is robot
+    i's Action in `world`.
 
-    `views[i]` is robot i's last view in the run and the decision made from
-    it: (the Point it stood on, the tuple of Points it saw, the Action). The
-    tables of one run share the list, so a robot whose view holds the same
-    Point objects in a new world reuses its decision, and only a changed
-    view is snapshotted. Each robot has its own entry, so mirror twins with
-    equal snapshots decide apart."""
+    Each robot keeps one entry: the world it was last asked in, the Point it
+    stood on, the tuple of Points it saw (see `visible`) and the Action made
+    from them. Asked again in that world, or in another one where its view
+    holds the same Point objects, it reuses the Action; only a changed view
+    is snapshotted and decided. This is sound only because an algorithm is
+    a pure function of its Snapshot, which carries no clock. The test is
+    identity, not equality: 0.0 == -0.0, yet a robot can see the sign of a
+    zero. Mirror twins with equal snapshots decide apart, and a new run
+    starts with no views.
+    """
+    memo = [(None, None, (), None)] * n
 
-    __slots__ = ("world", "algorithm", "made", "views")
-
-    def __init__(
-        self,
-        world: WorldState,
-        algorithm: Callable[[Snapshot], Action],
-        views: Optional[list] = None,
-    ):
-        self.world = world
-        self.algorithm = algorithm
-        self.made: list[Optional[Action]] = [None] * len(world.robots)
-        self.views = [None] * len(world.robots) if views is None else views
-
-    def __call__(self, i: int) -> Action:
-        action = self.made[i]
-        if action is None:
-            world = self.world
-            at = world.positions[i]
-            seen = visible(world, i)
-            view = self.views[i]
-            if (
-                view is not None
-                and view[0] is at
-                and len(view[1]) == len(seen)
-                and all(map(operator.is_, view[1], seen))
-            ):
-                action = view[2]
-            else:
-                action = self.algorithm(take_snapshot(world.robots[i], at, seen))
-                self.views[i] = (at, seen, action)
-            self.made[i] = action
+    def decide(world: WorldState, i: int) -> Action:
+        last_world, last_at, last_seen, action = memo[i]
+        if last_world is world:
+            return action
+        at = world.positions[i]
+        seen = visible(world, i)
+        same_view = last_at is at and len(last_seen) == len(seen)
+        if not (same_view and all(map(operator.is_, last_seen, seen))):
+            action = algorithm(take_snapshot(world.robots[i], at, seen))
+        memo[i] = (world, at, seen, action)
         return action
 
-
-def _decisions(
-    world: WorldState, algorithm: Callable[[Snapshot], Action], last: Optional[_Decisions]
-) -> _Decisions:
-    """The decision table of `world`: `last` while every robot still stands
-    on the same Point object as in its world, else a fresh table that starts
-    from `last`'s views, so a robot decides again only when its view changes.
-
-    This is sound only because an algorithm is a pure function of its
-    Snapshot, which carries no clock: Points are immutable, so the same
-    Points give the same snapshot and the same decision, whatever the clock
-    and whatever the robots out of sight do. The test is identity, not
-    equality: 0.0 == -0.0, yet a robot can see the sign of a zero. Views
-    live for one run: a table of other robots starts with none.
-    """
-    if last is None or last.world.robots is not world.robots:
-        return _Decisions(world, algorithm)
-    if all(map(operator.is_, world.positions, last.world.positions)):
-        return last
-    return _Decisions(world, algorithm, last.views)
+    return decide
 
 
 def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
     """Robot i looks and decides at clock t, and its look event, tagged with
     the decision, is appended to `events`. A NaN or infinite destination
     raises InvalidActionFault instead, with no event appended."""
-    action = decide(i)
+    action = decide(world, i)
     if action.dest is not None and not action.dest.is_finite():
         raise InvalidActionFault(f"non-finite move destination {action.dest}")
     events.append(TraceEvent(t, cycle, i, "look", world.positions[i], tag=action.tag))
@@ -336,17 +303,17 @@ def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionS
 def execute_cycle(
     world: WorldState,
     active: Sequence[int],
-    decide: Callable[[int], Action],
+    decide: Callable[[WorldState, int], Action],
     cycle: int,
     floor: float,
     events: list[TraceEvent],
 ) -> tuple[WorldState, float]:
     """One FSYNC/SSYNC round: active robots look together, then move together.
 
-    `decide` is the table of decisions of `world` (see `_decisions`), and
-    `floor` the run's minimum separation before the round. Each look and
-    move is appended to the run's `events` as it is made, so a round that
-    faults leaves them in the trace. Returns (new world, the run's minimum
+    `decide` is the run's `decide(world, i)` (see `_decider`), and `floor`
+    the run's minimum separation before the round. Each look and move is
+    appended to the run's `events` as it is made, so a round that faults
+    leaves them in the trace. Returns (new world, the run's minimum
     separation after the round: `floor`, or less if a pair with a mover
     comes closer). A still pair's distance counts at the start of the next
     round that moves either robot, or else in the final world. Raises
@@ -425,7 +392,7 @@ def execute_cycle(
 
 def _all_would_stay(
     world: WorldState,
-    decide: Callable[[int], Action],
+    decide: Callable[[WorldState, int], Action],
     first: Sequence[int] = (),
 ) -> bool:
     """True when no robot would move. Robots in `first` are asked first.
@@ -435,14 +402,14 @@ def _all_would_stay(
     """
     ahead = set(first)
     for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
-        if _destination(world, i, decide(i)) is not None:
+        if _destination(world, i, decide(world, i)) is not None:
             return False
     return True
 
 
 def _verdict(
     world: WorldState,
-    decide: Callable[[int], Action],
+    decide: Callable[[WorldState, int], Action],
     termination: Callable[[WorldState], bool],
     first: Sequence[int] = (),
 ) -> Optional[tuple[str, str]]:
@@ -456,7 +423,7 @@ def _verdict(
         return OUTCOME_CONVERGED, ""
     if not _all_would_stay(world, decide, first):
         return None
-    decided = {decide(i).tag for i in range(len(world.robots))}
+    decided = {decide(world, i).tag for i in range(len(world.robots))}
     tags = sorted(decided - {""})
     return OUTCOME_STALL, ",".join(tags) or "fixed-point"
 
@@ -487,24 +454,25 @@ def run(
 def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
     min_sep = min_pairwise_distance(world.positions)
     n = len(world.robots)
-    decide = None
+    decide = _decider(algorithm, n)
+    moved = True
     for cycle in range(max_cycles):
-        # One snapshot and one decision per robot per static world: the
-        # stall check, its diagnosis and every round until someone moves
-        # share them. A carried table's world has had its verdict (None).
+        # One verdict per static world: after a round that moved nobody,
+        # every robot stands on the same Point and the verdict (None) holds.
         active = next_activation(schedule, n, cycle)
-        last, decide = decide, _decisions(world, algorithm, decide)
-        if decide is not last:
+        if moved:
             verdict = _verdict(world, decide, termination, active)
             if verdict is not None:
                 outcome, diagnosis = verdict
                 return outcome, world, cycle, min_sep, diagnosis
         try:
-            world, min_sep = execute_cycle(world, active, decide, cycle, min_sep, events)
+            new, min_sep = execute_cycle(world, active, decide, cycle, min_sep, events)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
             return OUTCOME_FAULT, world, cycle, min_sep, str(exc)
+        moved = not all(map(operator.is_, new.positions, world.positions))
+        world = new
     outcome = OUTCOME_CONVERGED if termination(world) else OUTCOME_BUDGET
     return outcome, world, max_cycles, min_sep, ""
 
@@ -543,7 +511,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     heap = [(world.clock + delay(), rid, "look") for rid in range(n)]
     heapq.heapify(heap)
     looks = 0
-    table = None  # the decisions of the last static world looked at
+    decide = _decider(algorithm, n)
     try:
         while True:
             t, rid, kind = heapq.heappop(heap)
@@ -582,8 +550,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 looks += 1
                 cycle = (looks - 1) // n
                 now = world_at(t)
-                table = _decisions(now, algorithm, table)
-                action = _look(now, rid, table, t, cycle, events)
+                action = _look(now, rid, decide, t, cycle, events)
                 dest = _destination(now, rid, action)
                 start = t + delay()
                 if dest is None:
@@ -601,8 +568,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 # Nobody else is in flight, so `now` is the static world.
                 # One decision per robot: the stall check, its tags and the
                 # looks until a robot leaves its position share it.
-                table = _decisions(now, algorithm, table)
-                verdict = _verdict(now, table, termination)
+                verdict = _verdict(now, decide, termination)
                 if verdict is not None:
                     outcome, diagnosis = verdict
                     return outcome, now, (looks + n - 1) // n, min_sep, diagnosis

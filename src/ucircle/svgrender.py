@@ -70,8 +70,14 @@ def render_frames(
     every_k: int,
     circle: Optional[Circle] = None,
     targets: Sequence[Point] = (),
+    sync: bool = False,
 ) -> dict[str, str]:
-    """Initial frame, every k-th cycle boundary, and the final state."""
+    """Initial frame, every k-th cycle boundary, and the final state.
+
+    With `sync` (an FSYNC/SSYNC trace) a boundary is the world a round
+    begins in. A round that faults leaves that world as the final state, so
+    its boundary gets no frame of its own: the final frame shows it.
+    """
     if every_k < 1:
         raise ValueError("every_k must be >= 1")
     vis = [r.vis_radius for r in trace.initial.robots]
@@ -82,11 +88,13 @@ def render_frames(
         frames[name] = _svg_document(positions, circle, targets, vis, caption)
 
     snap("frame-initial.svg", "initial configuration")
+    # Only a faulting round's events carry cycle `cycles_used` in a sync trace.
+    end = trace.cycles_used if sync else math.inf
     last_cycle = 0
     for ev in trace.events:
         if ev.cycle > last_cycle:
             for c in range(last_cycle + 1, ev.cycle + 1):
-                if c % every_k == 0:
+                if c % every_k == 0 and c < end:
                     snap(f"frame-cycle-{c:05d}.svg", f"after cycle {c}")
             last_cycle = ev.cycle
         if ev.phase == "move" and ev.dest is not None:

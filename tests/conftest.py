@@ -7,7 +7,7 @@ both tiers sorted and grouped, then walked over a given pool of movers.
 over every unseated robot.
 
 `sight_of` builds the view a local activation reads, and `round_of` runs one
-sync round of an algorithm with a fresh decision table.
+sync round of an algorithm with a fresh decision memo.
 `satisfies_direction_constraint` checks the paper's move rule for `local`:
 every move is radial or a clockwise turn about the target circle's center.
 """
@@ -20,7 +20,7 @@ import pytest
 from ucircle.geometry import EPS, ORIGIN, angle_of, compute_target_points, dist, is_vacant_target
 from ucircle.global_form import SETTLE_TOL, TAG_FORM, _arc_step, _on_sec, _straight_step, form_ucircle
 from ucircle.local_form import POS_EPS, measure
-from ucircle.simcore import Action, Snapshot, _decisions, execute_cycle
+from ucircle.simcore import Action, Snapshot, _decider, execute_cycle
 
 
 def sight_of(me, others, vis):
@@ -29,10 +29,11 @@ def sight_of(me, others, vis):
 
 
 def round_of(world, active, algo, cycle=0, floor=math.inf):
-    """`execute_cycle` over a fresh decision table of `algo` in `world`:
+    """`execute_cycle` over a fresh decision memo of `algo` in `world`:
     (new world, the round's events, the run's minimum separation)."""
     events = []
-    new, min_sep = execute_cycle(world, active, _decisions(world, algo, None), cycle, floor, events)
+    decide = _decider(algo, len(world.robots))
+    new, min_sep = execute_cycle(world, active, decide, cycle, floor, events)
     return new, events, min_sep
 
 

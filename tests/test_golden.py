@@ -19,6 +19,8 @@ import re
 
 import pytest
 
+import ucircle.harness as harness
+import ucircle.simcore as simcore
 from ucircle.geometry import MotionSegment, dist, min_separation_during_motion
 from ucircle.harness import (
     curated_local_configs,
@@ -93,7 +95,7 @@ CORPUS = {
         "ed59ce14d65b9f5b3e1c3a3e01c1fc916daa1ea98d41f0fa570e96a3ed7402e9",
     ),
     # Rounds 6-8 move nobody: the only robot that would move sits them out,
-    # so the engine carries one world's decisions across rounds.
+    # so the engine reuses each robot's decision and its verdict across rounds.
     "global-ssync-idle": (
         [_global(5, 4.0, "SSYNC", 3, fairness_bound=4)],
         "c8c6c094a2f2832d0a58fe0b013325012729c06b86a1c4b0c20837ca6f9cf3cb",
@@ -270,6 +272,44 @@ def test_sync_fault_trace_shows_the_moves_that_met(name):
 
     got = min(min_separation_during_motion(p, q) for p in pieces(int(a)) for q in pieces(int(b)))
     assert f"{got:.6g}" == sep
+
+
+@pytest.mark.parametrize(
+    "name, work",
+    [
+        ("local-fsync-random-fault", (330, 330, 26, 26)),
+        ("global-ssync-idle", (23, 23, 7, 8)),
+        ("local-async-n8", (218, 218, 60, 61)),
+    ],
+)
+def test_engine_work_on_golden_scenes(name, work, monkeypatch):
+    """The engine's exact work on one golden scene per scheduler: (algorithm
+    calls, `take_snapshot` calls, stall checks, termination calls). A robot
+    decides again only when its view changes, and a static world gets one
+    verdict; asking more often changes no byte, only these counts."""
+    ((golden, _),) = entry_digest(name)[1]
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(simcore, "take_snapshot", counted("snapshot", simcore.take_snapshot))
+    monkeypatch.setattr(simcore, "_all_would_stay", counted("stall", simcore._all_would_stay))
+    run = harness.run
+
+    def counted_run(world, algorithm, schedule, termination, max_cycles):
+        algorithm, termination = counted("algorithm", algorithm), counted("term", termination)
+        return run(world, algorithm, schedule, termination, max_cycles)
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    (raw,), _ = CORPUS[name]
+    trace, _ = run_scenario(parse_config(raw))
+    assert trace.to_jsonl() == golden.to_jsonl()
+    assert (counts["algorithm"], counts["snapshot"], counts["stall"], counts["term"]) == work
 
 
 if __name__ == "__main__":

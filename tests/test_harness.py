@@ -539,6 +539,19 @@ class TestCli:
             body = (frames / name).read_text()
             assert "<svg" in body and body.rstrip().endswith("</svg>")
 
+    def test_sync_fault_frames_end_with_the_final_frame(self, tmp_path, capsys):
+        # The golden `local-fsync-random-fault`: robots 0 and 8 meet in
+        # round 25. That round begins in the final world, which only
+        # frame-final.svg shows.
+        raw = dict(algorithm="local", n=16, rad=96.0, vis=48.0, scheduler="FSYNC", seed=1,
+                   placement="random-disc")
+        frames = tmp_path / "frames"
+        argv = ["run", "--config", self.write_config(tmp_path, raw), "--frames", str(frames)]
+        assert main(argv + ["--every", "1"]) == 3
+        names = sorted(p.name for p in frames.iterdir())
+        assert len(names) == 26 and "frame-final.svg" in names
+        assert max(name for name in names if "cycle" in name) == "frame-cycle-00024.svg"
+
     @pytest.mark.parametrize("algorithm", ["global", "local", "local-nonuniform"])
     def test_run_frames_draw_each_robots_visibility(self, tmp_path, capsys, algorithm):
         # Global robots see everything: no visibility circle. Local robots

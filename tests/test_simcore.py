@@ -35,7 +35,7 @@ from ucircle.simcore import (
     Trace,
     TraceEvent,
     WorldState,
-    _decisions,
+    _decider,
     _destination,
     next_activation,
     run,
@@ -845,25 +845,24 @@ class TestComputeOnce:
         # Looks with nobody in motion shared decisions.
         assert counted.calls < len(looks)
 
-    def test_a_table_holds_only_for_the_same_points(self):
+    def test_the_memo_reuses_a_decision_only_for_the_same_points(self):
         # Equal points are not enough: 0.0 == -0.0, yet robot 1 sees the
         # sign of robot 0's x.
         algo = Counted(lambda snap: Action(tag=str(snap.others)))
         robots = (Robot(), Robot())
         w = WorldState(robots, (P(0.0, 0.0), P(5.0, 0.0)))
-        table = _decisions(w, algo, None)
+        decide = _decider(algo, 2)
+        first = decide(w, 1)
+        assert decide(w, 1) is first and algo.calls == 1
+        # Another world on the same Points, at another clock: the same view.
         later = WorldState(robots, w.positions, clock=3.0)
-        assert _decisions(later, algo, table) is table
+        assert decide(later, 1) is first and algo.calls == 1
         flipped = WorldState(robots, (P(-0.0, 0.0), w.positions[1]))
         assert flipped.positions == w.positions
-        fresh = _decisions(flipped, algo, table)
-        assert fresh is not table
-        assert fresh(1).tag != table(1).tag
+        assert decide(flipped, 1).tag != first.tag
         assert algo.calls == 2
-        # Views live for one run: other robots on the same Points start
-        # with no views, so robot 1 is asked again.
-        other_run = _decisions(WorldState((Robot(), Robot()), w.positions), algo, table)
-        assert other_run(1).tag == table(1).tag
+        # A new run starts with no views, so robot 1 is asked again.
+        assert _decider(algo, 2)(w, 1).tag == first.tag
         assert algo.calls == 3
 
     def test_async_look_decides_once_per_view(self, monkeypatch):
