@@ -6,8 +6,9 @@
     ucircle oracle sec --points points.json
 
 `run --every k` writes an SVG frame after every k-th cycle, besides the
-initial and the final frame. A sync round that faults gets no frame of its
-own: the final frame shows the world it began in. `k` and `batch --jobs m`
+initial and the final frame. Cycle frame c is the world at cycle c's first
+look, a robot in flight drawn part way along its move; a boundary at the
+final clock (a sync round that faults) gets no frame. `k` and `batch --jobs m`
 must be positive integers; anything else is an argument error before
 anything runs.
 
@@ -126,11 +127,10 @@ def _write_outputs(
                 os.makedirs(frames)
                 made.append(frames)
             _, params = build_algorithm(config)
-            sync = config.scheduler != "ASYNC"
             if config.algorithm == "global":
-                docs = render_frames(trace, every, sync=sync)
+                docs = render_frames(trace, every)
             else:
-                docs = render_frames(trace, every, params.cir, params.targets, sync)
+                docs = render_frames(trace, every, params.cir, params.targets)
             for name, doc in sorted(docs.items()):
                 write(os.path.join(frames, name), doc)
     except OSError:

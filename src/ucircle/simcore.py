@@ -497,14 +497,12 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     def delay() -> float:
         return 0.05 + rng.random() * window
 
-    def positions_at(t: float) -> list[Point]:
+    def world_at(t: float) -> WorldState:
+        """Each robot where its latest move begun by t has got to."""
         positions = here.copy()
         for i in flying:
             positions[i] = tracks[i][-1].position_at(t)
-        return positions
-
-    def world_at(t: float) -> WorldState:
-        return WorldState(world.robots, tuple(positions_at(t)), t)
+        return WorldState(world.robots, tuple(positions), t)
 
     # Event queue of (time, robot, kind), kind "look" or "arrive". Each robot
     # has exactly one pending event, so (time, robot) orders it alone.
@@ -515,6 +513,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     try:
         while True:
             t, rid, kind = heapq.heappop(heap)
+            now = world_at(t)
             track = tracks[rid]
             if kind == "arrive":
                 seg = track[-1]
@@ -528,7 +527,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 reach = 2.0 * (seg.t1 - seg.t0)
                 clear = max(min_sep, SAFE_SEPARATION) + 1e-6
                 ex, ey = seg.end.x, seg.end.y  # `dist(seg.end, q)`, written out
-                for other, q in enumerate(positions_at(t)):
+                for other, q in enumerate(now.positions):
                     if other == rid or math.hypot(ex - q.x, ey - q.y) - reach >= clear:
                         continue
                     for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
@@ -541,36 +540,34 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 here[rid] = seg.end
                 flying.remove(rid)
                 heapq.heappush(heap, (t + delay(), rid, "look"))
-                quiescent = not flying  # only an arrival changes the static world
-                if quiescent:
-                    now = world_at(t)
+                if flying:
+                    continue
             else:
                 if looks >= max_cycles * n:
-                    return OUTCOME_BUDGET, world_at(t), max_cycles, min_sep, ""
+                    return OUTCOME_BUDGET, now, max_cycles, min_sep, ""
                 looks += 1
                 cycle = (looks - 1) // n
-                now = world_at(t)
                 action = _look(now, rid, decide, t, cycle, events)
                 dest = _destination(now, rid, action)
                 start = t + delay()
-                if dest is None:
-                    heapq.heappush(heap, (start + delay(), rid, "look"))
-                else:
+                if dest is not None:
                     cur = now.positions[rid]
                     track.append(MotionSegment(cur, cur, track[-1].t1, start))
                     track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))
                     flying.add(rid)
                     events.append(TraceEvent(start, cycle, rid, "move", cur, dest, action.tag))
                     heapq.heappush(heap, (track[-1].t1, rid, "arrive"))
+                    continue
+                heapq.heappush(heap, (start + delay(), rid, "look"))
                 # The initial world is checked once, if the first look stays.
-                quiescent = looks == 1 and dest is None
-            if quiescent:
-                # Nobody else is in flight, so `now` is the static world.
-                # One decision per robot: the stall check, its tags and the
-                # looks until a robot leaves its position share it.
-                verdict = _verdict(now, decide, termination)
-                if verdict is not None:
-                    outcome, diagnosis = verdict
-                    return outcome, now, (looks + n - 1) // n, min_sep, diagnosis
+                if looks > 1:
+                    continue
+            # Nobody is in flight, so `now` is the static world. One decision
+            # per robot: the stall check, its tags and the looks until a
+            # robot leaves its position share it.
+            verdict = _verdict(now, decide, termination)
+            if verdict is not None:
+                outcome, diagnosis = verdict
+                return outcome, now, (looks + n - 1) // n, min_sep, diagnosis
     except SimulationFault as exc:
-        return OUTCOME_FAULT, world_at(t), looks // n, min_sep, str(exc)
+        return OUTCOME_FAULT, now, looks // n, min_sep, str(exc)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .geometry import Circle, Point
-from .simcore import Trace
+from .geometry import Circle, MotionSegment, Point, dist
+from .simcore import Trace, TraceEvent
 
 
 def _fmt(x: float) -> str:
@@ -70,35 +70,36 @@ def render_frames(
     every_k: int,
     circle: Optional[Circle] = None,
     targets: Sequence[Point] = (),
-    sync: bool = False,
 ) -> dict[str, str]:
     """Initial frame, every k-th cycle boundary, and the final state.
 
-    With `sync` (an FSYNC/SSYNC trace) a boundary is the world a round
-    begins in. A round that faults leaves that world as the final state, so
-    its boundary gets no frame of its own: the final frame shows it.
+    Cycle frame c is the world at cycle c's first look: each robot stands
+    where its latest move begun by then has got to, part way along it if it
+    is in flight. A boundary at the final clock (a sync round that faulted)
+    gets no frame: the final frame shows that world.
     """
     if every_k < 1:
         raise ValueError("every_k must be >= 1")
     vis = [r.vis_radius for r in trace.initial.robots]
-    positions = list(trace.initial.positions)
+    moves: dict[int, TraceEvent] = {}  # each robot's latest move event
     frames: dict[str, str] = {}
 
-    def snap(name: str, caption: str) -> None:
+    def snap(name: str, caption: str, positions: Sequence[Point]) -> None:
         frames[name] = _svg_document(positions, circle, targets, vis, caption)
 
-    snap("frame-initial.svg", "initial configuration")
-    # Only a faulting round's events carry cycle `cycles_used` in a sync trace.
-    end = trace.cycles_used if sync else math.inf
+    snap("frame-initial.svg", "initial configuration", trace.initial.positions)
     last_cycle = 0
     for ev in trace.events:
-        if ev.cycle > last_cycle:
-            for c in range(last_cycle + 1, ev.cycle + 1):
-                if c % every_k == 0 and c < end:
-                    snap(f"frame-cycle-{c:05d}.svg", f"after cycle {c}")
-            last_cycle = ev.cycle
-        if ev.phase == "move" and ev.dest is not None:
-            positions[ev.robot] = ev.dest
-    positions = trace.final.positions
-    snap("frame-final.svg", f"final state ({trace.outcome})")
+        c, t = ev.cycle, ev.clock
+        if c > last_cycle:
+            last_cycle = c
+            if c % every_k == 0 and t < trace.final.clock:
+                positions = list(trace.initial.positions)
+                for i, m in moves.items():
+                    arrive = m.clock + dist(m.pos, m.dest)
+                    positions[i] = MotionSegment(m.pos, m.dest, m.clock, arrive).position_at(t)
+                snap(f"frame-cycle-{c:05d}.svg", f"after cycle {c}", positions)
+        if ev.phase == "move":
+            moves[ev.robot] = ev
+    snap("frame-final.svg", f"final state ({trace.outcome})", trace.final.positions)
     return frames

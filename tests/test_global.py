@@ -37,6 +37,7 @@ from ucircle.harness import parse_config, run_scenario
 from ucircle.simcore import (
     FRAME_Y_ONLY,
     OUTCOME_CONVERGED,
+    Action,
     Robot,
     Schedule,
     Snapshot,
@@ -240,6 +241,23 @@ class TestSecExpansion:
             key=lambda p: dist(p, P(3, 4)),
         )
         assert close(dist(dest, far), 2.0 * self.params.rad_req, 1e-9)
+
+    def test_boxed_in_leader_waits(self):
+        # The golden `global-ssync-boxed-in-stall`: the SEC (radius 4.168)
+        # is below rad_req (4.253), and two robots sit within
+        # ENDPOINT_CLEARANCE of the leader's goal q, so no robot has a free
+        # path there. Every robot waits: a deadlock at cycle 0.
+        params = GlobalParams.make(5, 5.0)
+        pts = [P(0.3, 3.6), P(-3.5, -1.0), P(-2.5, 2.7), P(0.9, 6.0), P(2.5, 4.7)]
+        sec = smallest_enclosing_circle(pts)
+        assert sec.radius < params.rad_req
+        (leader,) = detect_symmetry([p for p in pts if _on_sec(p, sec)], sec).leaders
+        assert leader is pts[3]
+        mover, dest = _expansion_move(pts, leader, sec, params)
+        assert mover is leader and dest is leader
+        for i in range(len(pts)):
+            action = with_sec(sec_expansion, pts[i:] + pts[:i], params)
+            assert action == Action(tag="expand")
 
     def test_leaderless_configuration_stays_tagged(self):
         action = with_sec(sec_expansion, [P(0, 5), P(0, -5)], self.params)

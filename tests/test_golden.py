@@ -15,12 +15,14 @@ To print the digests of the current code:
 import collections
 import functools
 import hashlib
+import json
 import re
 
 import pytest
 
 import ucircle.harness as harness
 import ucircle.simcore as simcore
+from ucircle.cli import main
 from ucircle.geometry import MotionSegment, dist, min_separation_during_motion
 from ucircle.harness import (
     curated_local_configs,
@@ -41,6 +43,10 @@ _MIRROR_PAIRS = [[-1.5, 0.0], [1.5, 0.0], [-2.5, 3.0], [2.5, 3.0], [0.0, -5.0]]
 # target once round 0 has seated the upper two: `_select_mover` reads each
 # robot's own x, so both wait (stall) or both go (fault), by seed.
 _SQUARE = [[5, 5], [-5, -5], [5, -5], [-5, 5]]
+# The SEC is below the required radius, and two robots sit within
+# ENDPOINT_CLEARANCE of the leader's expansion goal: `_expansion_move` finds
+# no robot with a free path ("fully boxed in; wait"), so every robot waits.
+_BOXED_IN = [[0.3, 3.6], [-3.5, -1.0], [-2.5, 2.7], [0.9, 6.0], [2.5, 4.7]]
 
 
 def _global(n, a, scheduler, seed, placement="random-disc", **extra):
@@ -113,6 +119,12 @@ CORPUS = {
     "global-ssync-mirror-fault": (
         [_global(5, 6.0, "SSYNC", 1, placement=_MIRROR_PAIRS)],
         "fca1c71b9b515f7a08143851e4a68aa1abc2d07a4383461628c745c273443d15",
+    ),
+    # The boxed-in expansion deadlock: `diagnosed-stall` with diagnosis
+    # `expand` in cycle 0, under FSYNC and SSYNC alike.
+    "global-ssync-boxed-in-stall": (
+        [_global(5, 5.0, "SSYNC", 1, placement=_BOXED_IN)],
+        "3adcdd5f0637afb2673f9a1650424a902bc8a18e7853bc07d3365457cc1d959f",
     ),
     # The mirror tie: `diagnosed-stall` with diagnosis `form` in cycle 1.
     "global-fsync-square-tie-stall": (
@@ -272,6 +284,47 @@ def test_sync_fault_trace_shows_the_moves_that_met(name):
 
     got = min(min_separation_during_motion(p, q) for p in pieces(int(a)) for q in pieces(int(b)))
     assert f"{got:.6g}" == sep
+
+
+@pytest.mark.parametrize("name", ["local-async-random-fault", "local-async-n8", "global-async-n4"])
+def test_async_cycle_frames_draw_robots_where_they_are(name, tmp_path, capsys):
+    """Each ASYNC cycle frame written by `ucircle run --every 1` draws every
+    robot where a replay of the trace puts it at the clock of the cycle's
+    first look: an arrived move at its destination, a move under way part
+    way along it, a move not yet begun at its start."""
+    ((trace, _),) = entry_digest(name)[1]
+    (raw,), _ = CORPUS[name]
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(raw))
+    frames = tmp_path / "frames"
+    main(["run", "--config", str(config), "--frames", str(frames), "--every", "1"])
+    capsys.readouterr()
+
+    def replay(t):
+        where = [(p.x, p.y) for p in trace.initial.positions]
+        for e in trace.events:
+            if e.phase == "move" and e.clock <= t:
+                f = min(1.0, (t - e.clock) / dist(e.pos, e.dest))
+                where[e.robot] = (e.pos.x + f * (e.dest.x - e.pos.x),
+                                  e.pos.y + f * (e.dest.y - e.pos.y))
+        return where
+
+    first_looks = {}
+    for e in trace.events:
+        first_looks.setdefault(e.cycle, e.clock)
+    in_flight = 0
+    for cycle, clock in sorted(first_looks.items())[1:]:
+        svg = (frames / f"frame-cycle-{cycle:05d}.svg").read_text()
+        drawn = [(float(x), -float(y))
+                 for x, y in re.findall(r'<circle cx="(\S+)" cy="(\S+)" r="1\.0"', svg)]
+        want = replay(clock)
+        assert len(drawn) == len(want)
+        for (x, y), (wx, wy) in zip(drawn, want):
+            assert abs(x - wx) <= 1e-6 and abs(y - wy) <= 1e-6, (cycle, (x, y), (wx, wy))
+        in_flight += sum(1 for e in trace.events
+                         if e.phase == "move" and e.clock < clock < e.clock + dist(e.pos, e.dest))
+    assert in_flight > 0
+    assert len(list(frames.glob("frame-cycle-*.svg"))) == len(first_looks) - 1
 
 
 @pytest.mark.parametrize(

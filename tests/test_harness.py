@@ -517,6 +517,18 @@ class TestCli:
         assert main(["run", "--config", self.write_config(tmp_path, raw)]) == 1
         assert capsys.readouterr().err.startswith("invalid config:")
 
+    def test_run_infeasible_placement(self, tmp_path, capsys):
+        # The config parses, but six robots do not fit into a random disc
+        # of radius 2: the run stops before it starts and writes nothing.
+        raw = base_local(n=6, rad=2.0, vis=1.0, scheduler="SSYNC", seed=1, placement="random-disc")
+        trace = tmp_path / "out.jsonl"
+        argv = ["run", "--config", self.write_config(tmp_path, raw), "--trace", str(trace)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid config: could not place 6 robots with clearance 2.1\n"
+        assert not trace.exists()
+
     @pytest.mark.parametrize("body", [b"{not json", b'{"algorithm": "gl\xffobal"}'])
     def test_run_unreadable_config(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"

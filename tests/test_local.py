@@ -224,6 +224,22 @@ class TestComputeDestination:
         dest = compute_destination(sight, self.p, psi)
         assert abs(dist(dest, CENTER) - 13.0) <= 1e-9
 
+    def test_contention_inside_with_crowded_anchor_turns(self):
+        # The inside robot of a psi9 contention finds its anchor (0, 48)
+        # crowded by a third robot, not by its rival, so it turns clockwise
+        # on its own circle instead of claiming the target.
+        params = LocalParams.make(8, 48.0)
+        me, others = P(0, 40), [P(0, 56), P(2.5, 49.5)]
+        sight = sight_of(me, others, 24.0)
+        psi = classify_psi(sight, params)
+        assert psi.value == "psi9" and psi.rival == P(0, 56)
+        assert eligible_to_move(sight, params.cir.radius)
+        action = local_step(snap(me, others, 24.0), params)
+        assert action.tag == "psi9"
+        assert dist(action.dest, P(2.4988, 39.9219)) <= 1e-4
+        assert abs(dist(action.dest, CENTER) - 40.0) <= 1e-9
+        assert satisfies_direction_constraint(me, action.dest, CENTER)
+
     def test_moves_satisfy_direction_constraint(self):
         cases = [
             (P(0, 2), 1.0, []),
