@@ -64,18 +64,11 @@ Mover = tuple[Point, float, bool]
 @dataclass(frozen=True, slots=True)
 class GlobalParams:
     n: int
-    a: float
     rad_req: float
 
     @staticmethod
     def make(n: int, a: float) -> "GlobalParams":
-        return GlobalParams(n=n, a=a, rad_req=compute_radius(a, n))
-
-
-@dataclass(frozen=True, slots=True)
-class SymmetryCase:
-    kind: str  # "case1" | "case2" | "no-leader"
-    leaders: tuple[Point, ...]
+        return GlobalParams(n=n, rad_req=compute_radius(a, n))
 
 
 def compute_radius(a: float, n: int) -> float:
@@ -109,13 +102,13 @@ def _is_mirror_symmetric(points: Sequence[Point], axis_x: float, tol: float) -> 
     return True
 
 
-def detect_symmetry(on_sec: Sequence[Point], sec: Circle) -> SymmetryCase:
-    """Elect the leader(s) among the on-SEC robots.
+def detect_symmetry(on_sec: Sequence[Point], sec: Circle) -> tuple[Point, ...]:
+    """Elect the leaders among the on-SEC robots.
 
     The vertical line L through the SEC center splits the candidates; robots
-    lying on L are never leaders. A mirror-symmetric configuration yields two
-    leaders (the top mirror pair), an asymmetric one a single leader, and a
-    configuration with no off-L candidate yields no leader at all.
+    lying on L are never leaders. A mirror-symmetric configuration yields the
+    top mirror pair (left, right), an asymmetric one a single leader, and one
+    with no off-L candidate or no handedness-free tie-break yields ().
     """
     if not on_sec:
         raise ValueError("detect_symmetry needs at least one on-SEC point")
@@ -123,16 +116,15 @@ def detect_symmetry(on_sec: Sequence[Point], sec: Circle) -> SymmetryCase:
     tol = max(1e-9, 1e-9 * sec.radius)
     candidates = [p for p in on_sec if abs(p.x - ax) > tol]
     if not candidates:
-        return SymmetryCase("no-leader", ())
+        return ()
     if _is_mirror_symmetric(on_sec, ax, tol):
         # Top mirror pair among the candidates.
         best = min(candidates, key=lambda p: (-p.y, abs(p.x - ax)))
         mate = _mirror_x(best, ax)
         pair = min(candidates, key=lambda p: dist(p, mate))
         if dist(pair, mate) <= tol:
-            left, right = sorted((best, pair), key=lambda p: p.x)
-            return SymmetryCase("case2", (left, right))
-        return SymmetryCase("no-leader", ())
+            return tuple(sorted((best, pair), key=lambda p: p.x))
+        return ()
     best_key = min((-p.y, abs(p.x - ax)) for p in candidates)
     tied = [
         p
@@ -140,7 +132,7 @@ def detect_symmetry(on_sec: Sequence[Point], sec: Circle) -> SymmetryCase:
         if abs(-p.y - best_key[0]) <= tol and abs(abs(p.x - ax) - best_key[1]) <= tol
     ]
     if len(tied) == 1:
-        return SymmetryCase("case1", (tied[0],))
+        return (tied[0],)
     # Exact (y, |x|) tie between mirror twins in an asymmetric configuration:
     # an x-sign tie-break would flip with each robot's handedness, so use the
     # handedness-free profile of distances to the other boundary robots.
@@ -149,8 +141,8 @@ def detect_symmetry(on_sec: Sequence[Point], sec: Circle) -> SymmetryCase:
 
     tied.sort(key=profile)
     if profile(tied[0]) != profile(tied[1]):
-        return SymmetryCase("case1", (tied[0],))
-    return SymmetryCase("no-leader", ())
+        return (tied[0],)
+    return ()
 
 
 def _on_sec(p: Point, sec: Circle) -> bool:
@@ -203,11 +195,11 @@ def sec_expansion(points: Sequence[Point], params: GlobalParams, sec: Circle) ->
     """Grow the SEC `sec` of `points` toward the required radius, one robot
     per cycle. The robot asking is `points[0]`."""
     me = points[0]
-    sym = detect_symmetry([p for p in points if _on_sec(p, sec)], sec)
-    if sym.kind == "no-leader":
+    leaders = detect_symmetry([p for p in points if _on_sec(p, sec)], sec)
+    if not leaders:
         return Action(tag=TAG_NO_LEADER)
     tol = max(1e-9, 1e-9 * sec.radius)
-    for leader in sym.leaders:
+    for leader in leaders:
         mover, dest = _expansion_move(points, leader, sec, params)
         if dist(mover, me) <= tol and dist(dest, me) > EPS:
             return Action(dest, TAG_EXPAND)

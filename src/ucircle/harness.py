@@ -11,7 +11,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .geometry import Point, dist, min_pairwise_distance, smallest_enclosing_circle
@@ -83,18 +83,7 @@ class ScenarioConfig:
         return 3 * self.n if self.scheduler == "ASYNC" else self.n
 
 
-_KNOWN_KEYS = {
-    "algorithm",
-    "n",
-    "a",
-    "rad",
-    "vis",
-    "scheduler",
-    "seed",
-    "max_cycles",
-    "placement",
-    "fairness_bound",
-}
+_KNOWN_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
 
 
 def _is_length(value) -> bool:
@@ -295,15 +284,7 @@ class RunSummary:
     diagnosis: str = ""
 
     def to_json_line(self) -> str:
-        payload = {
-            "outcome": self.outcome,
-            "cycles_used": self.cycles_used,
-            "min_pairwise_dist": self.min_pairwise_dist,
-            "uniformity_error": self.uniformity_error,
-            "spacing_min": self.spacing_min,
-            "diagnosis": self.diagnosis,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False)
+        return json.dumps(asdict(self), sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def _ring_metrics(positions: Sequence[Point], center: Point, n: int) -> tuple[float, float]:
@@ -452,7 +433,7 @@ def curated_placement(kind: str, n: int, vis: float) -> list[list[float]]:
 
 
 def curated_local_configs(seeds: Sequence[int]) -> list[dict]:
-    """The acceptance suite: 30 scenario shapes, one config dict per seed."""
+    """The acceptance suite: 30 ASYNC scenario shapes, one config dict per seed."""
     configs = []
     for n in (4, 6, 8):
         rad = curated_rad(n)
@@ -468,8 +449,6 @@ def curated_local_configs(seeds: Sequence[int]) -> list[dict]:
                             "vis": vis,
                             "scheduler": "ASYNC",
                             "seed": seed,
-                            "max_cycles": 200 * n,
-                            "fairness_bound": 3 * n,
                             "placement": curated_placement(kind, n, vis),
                         }
                     )

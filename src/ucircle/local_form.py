@@ -46,11 +46,6 @@ CLAIM_CAP = 2.5
 SLOT_CHORD = 2.5
 LANDING_CLEARANCE = 2.5
 
-INSIDE = "inside"
-ON_CIRCLE = "on-circle"
-OUTSIDE = "outside"
-AT_CENTER = "at-center"
-
 
 @dataclass(frozen=True, slots=True)
 class LocalParams:
@@ -107,15 +102,6 @@ def measure(snapshot: Snapshot, c: Point) -> Sight:
     return Sight(me, others, snapshot.vis_radius, dist(me, c), angle_of(me, c), radii)
 
 
-def compute_robot_position(d: float, rad: float) -> str:
-    """Where a robot at distance d from C stands against CIR of radius rad."""
-    if d <= POS_EPS:
-        return AT_CENTER
-    if abs(d - rad) <= POS_EPS:
-        return ON_CIRCLE
-    return INSIDE if d < rad else OUTSIDE
-
-
 def eligible_to_move(sight: Sight, rad: float) -> bool:
     """Eligibility rule: only the robot nearest CIR, of radius rad, on its side moves.
 
@@ -162,15 +148,14 @@ def classify_psi(sight: Sight, params: LocalParams) -> PsiConfig:
     c = params.cir.center
     rad = params.cir.radius
     d, theta = sight.d, sight.theta
-    pos = compute_robot_position(d, rad)
-    if pos == AT_CENTER:
+    if d <= POS_EPS:
         return PsiConfig("psi4")
-    if pos == ON_CIRCLE:
+    if abs(d - rad) <= POS_EPS:
         t = params.targets[target_index(theta, params.n)]
         if dist(sight.me, t) <= 1e-7:
             return PsiConfig("psi1", anchor=t)
         return PsiConfig("psi0")
-    inside = pos == INSIDE
+    inside = d < rad
     target = _aligned_target(theta, params)
     if target is not None:
         # Contention: a visible robot across CIR on the same target ray.
@@ -231,12 +216,12 @@ def _rotate_cw(sight: Sight, params: LocalParams, stop_offset: Optional[float] =
     return me
 
 
-def _visible_arc_halfwidth(d: float, vis_radius: float, rad: float) -> Optional[float]:
-    """Half the central angle of CIR covered by the visibility circle."""
+def _visible_arc_halfwidth(d: float, vis_radius: float, rad: float) -> float:
+    """Half the central angle of CIR covered by the visibility circle. Every
+    caller's circle crosses CIR: psi5's and psi8's by definition, psi9's
+    outside robot's because it sees its rival inside CIR on its own ray."""
     if vis_radius >= d + rad:
         return math.pi  # whole circle visible
-    if abs(d - rad) >= vis_radius:
-        return None
     cos_b = (d * d + rad * rad - vis_radius * vis_radius) / (2.0 * d * rad)
     return math.acos(max(-1.0, min(1.0, cos_b)))
 
@@ -257,19 +242,15 @@ def _scan_or_rotate(sight: Sight, params: LocalParams, aligned: Optional[Point])
     if aligned is not None and is_vacant_target(aligned, others):
         return _claim_step(sight, aligned, params)
     half = _visible_arc_halfwidth(sight.d, sight.vis, params.cir.radius)
-    if half is not None:
-        best: Optional[tuple[float, Point]] = None
-        for t, angle in zip(params.targets, params.angles):
-            off = _cw_offset(sight.theta, angle)
-            if off <= ALIGN_TOL or off > half:
-                continue
-            if not is_vacant_target(t, others):
-                continue
-            if best is None or off < best[0]:
-                best = (off, t)
-        if best is not None:
-            return _rotate_cw(sight, params, stop_offset=best[0])
-    return _rotate_cw(sight, params)
+    # The clockwise offset of the nearest vacant target on the arc, if any.
+    stop: Optional[float] = None
+    for t, angle in zip(params.targets, params.angles):
+        off = _cw_offset(sight.theta, angle)
+        if off <= ALIGN_TOL or off > half:
+            continue
+        if is_vacant_target(t, others) and (stop is None or off < stop):
+            stop = off
+    return _rotate_cw(sight, params, stop_offset=stop)
 
 
 def compute_destination(sight: Sight, params: LocalParams, psi: PsiConfig) -> Point:

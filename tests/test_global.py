@@ -151,46 +151,38 @@ class TestTargetPoints:
 class TestDetectSymmetry:
     def test_asymmetric_single_leader(self):
         sec = Circle(P(0, 0), 5.0)
-        case = detect_symmetry([P(0, 5), P(3, 4), P(-4, 3)], sec)
-        assert case.kind == "case1"
-        assert dist(case.leaders[0], P(3, 4)) <= 1e-12
+        (leader,) = detect_symmetry([P(0, 5), P(3, 4), P(-4, 3)], sec)
+        assert dist(leader, P(3, 4)) <= 1e-12
 
     def test_mirror_pair(self):
         sec = Circle(P(0, 0), 5.0)
-        case = detect_symmetry([P(3, 4), P(-3, 4), P(0, -5)], sec)
-        assert case.kind == "case2"
-        assert len(case.leaders) == 2
-        xs = sorted(p.x for p in case.leaders)
-        assert close(xs[0], -3) and close(xs[1], 3)
+        left, right = detect_symmetry([P(3, 4), P(-3, 4), P(0, -5)], sec)
+        assert close(left.x, -3) and close(right.x, 3)
 
     def test_all_on_axis_is_leaderless(self):
         sec = Circle(P(0, 0), 5.0)
-        case = detect_symmetry([P(0, 5), P(0, -5)], sec)
-        assert case.kind == "no-leader"
+        assert detect_symmetry([P(0, 5), P(0, -5)], sec) == ()
 
     def test_leader_never_on_axis(self):
         sec = Circle(P(0, 0), 5.0)
-        case = detect_symmetry([P(0, 5), P(4, -3), P(-3, -4)], sec)
-        assert case.kind == "case1"
-        assert abs(case.leaders[0].x) > 1e-9
+        (leader,) = detect_symmetry([P(0, 5), P(4, -3), P(-3, -4)], sec)
+        assert abs(leader.x) > 1e-9
 
     def test_translation_invariance(self):
         sec0 = Circle(P(0, 0), 5.0)
         pts = [P(0, 5), P(3, 4), P(-4, 3)]
-        case0 = detect_symmetry(pts, sec0)
+        (leader0,) = detect_symmetry(pts, sec0)
         off = P(11, -7)
-        case1 = detect_symmetry([p + off for p in pts], Circle(off, 5.0))
-        assert case0.kind == case1.kind
-        assert dist(case0.leaders[0] + off, case1.leaders[0]) <= 1e-9
+        (leader1,) = detect_symmetry([p + off for p in pts], Circle(off, 5.0))
+        assert dist(leader0 + off, leader1) <= 1e-9
 
     def test_exact_profile_tie_is_leaderless(self):
         # Two robots mirror-placed with identical distance profiles cannot be
         # separated without agreeing on left/right.
         sec = Circle(P(0, 0), 5.0)
-        case = detect_symmetry([P(4, 3), P(-4, 3)], sec)
-        assert case.kind in ("case2", "no-leader")
-        # Mirror-symmetric pair: this one is actually case2.
-        assert case.kind == "case2"
+        leaders = detect_symmetry([P(4, 3), P(-4, 3)], sec)
+        # Mirror-symmetric pair: both lead, left first.
+        assert leaders == (P(-4, 3), P(4, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,7 @@ class TestSecExpansion:
         pts = [P(0.3, 3.6), P(-3.5, -1.0), P(-2.5, 2.7), P(0.9, 6.0), P(2.5, 4.7)]
         sec = smallest_enclosing_circle(pts)
         assert sec.radius < params.rad_req
-        (leader,) = detect_symmetry([p for p in pts if _on_sec(p, sec)], sec).leaders
+        (leader,) = detect_symmetry([p for p in pts if _on_sec(p, sec)], sec)
         assert leader is pts[3]
         mover, dest = _expansion_move(pts, leader, sec, params)
         assert mover is leader and dest is leader
@@ -368,7 +360,7 @@ class TestSeatsAndVacancy:
     def test_matches_the_scan_of_every_target(self, n, a, walk_agrees):
         for offset in (0.0, 1e6) if n in (6, 20) else (0.0,):
             sec, targets, probes = window_probes(n, a, offset)
-            params = GlobalParams(n=n, a=a, rad_req=sec.radius)
+            params = GlobalParams(n=n, rad_req=sec.radius)
             # Reaches no target, so each probe alone decides the vacancies.
             far = P(sec.center.x, sec.center.y - sec.radius - 50.0)
             for p in probes:

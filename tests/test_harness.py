@@ -152,6 +152,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="random-annulus"):
             parse_config(base_global(placement="random-annulus"))
 
+    @pytest.mark.parametrize("placement", [5, {}, None, True])
+    def test_placement_of_the_wrong_type(self, placement):
+        with pytest.raises(ConfigError, match="placement must be a mode name or a point list"):
+            parse_config(base_global(placement=placement))
+
     def test_bad_budget_and_fairness(self):
         with pytest.raises(ConfigError):
             parse_config(base_global(max_cycles=0))
@@ -511,6 +516,13 @@ class TestCli:
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid config:") and err.count("\n") == 1
+
+    def test_run_placement_of_the_wrong_type(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_global(placement=5))
+        assert main(["run", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid config: placement must be a mode name or a point list, got 5\n"
 
     def test_run_rad_too_small_for_n(self, tmp_path, capsys):
         raw = base_local(n=3, rad=0.3, vis=1.0, placement=[[0, 0], [3, 0], [0, 3]])

@@ -11,10 +11,10 @@ from ucircle.geometry import Circle, Point, angle_of, dist
 from ucircle.harness import parse_config, run_scenario
 from ucircle.local_form import (
     LocalParams,
+    PsiConfig,
     _aligned_target,
     classify_psi,
     compute_destination,
-    compute_robot_position,
     eligible_to_move,
     is_formed_local,
     local_step,
@@ -54,22 +54,26 @@ def snap(me, others, vis):
 
 
 class TestRobotPosition:
-    cir = Circle(CENTER, 5.0)
+    """A lone robot's case says where it stands against CIR of radius 5:
+    at C, on CIR off every target, or inside or outside it off every target
+    ray, with a visibility disc that crosses CIR."""
 
-    def position(self, p):
-        return compute_robot_position(dist(p, self.cir.center), self.cir.radius)
+    params = LocalParams.make(4, 5.0)
+
+    def case(self, p):
+        return classify_psi(sight_of(p, [], INF), self.params)
 
     def test_at_center(self):
-        assert self.position(P(0, 0)) == "at-center"
+        assert self.case(P(0, 0)) == PsiConfig("psi4")
 
     def test_on_circle(self):
-        assert self.position(P(3, 4)) == "on-circle"
+        assert self.case(P(3, 4)) == PsiConfig("psi0")
 
     def test_just_inside(self):
-        assert self.position(P(3, 3.99)) == "inside"
+        assert self.case(P(3, 3.99)) == PsiConfig("psi5")
 
     def test_outside(self):
-        assert self.position(P(3, 5)) == "outside"
+        assert self.case(P(3, 5)) == PsiConfig("psi8")
 
 
 class TestEligibility:

@@ -4,20 +4,33 @@ benchmark expects to find in it."""
 import ast
 import importlib
 import importlib.util
+import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from test_golden import CORPUS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ucircle"
 
 
-def _benchmark_patches():
+def _benchmark_layers():
     spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return layers.PATCHES
+    return layers
+
+
+def _package_modules():
+    """The modules `perfbench/layers.py` patches, by its owner names."""
+    mods = {
+        name: importlib.import_module(f"ucircle.{name}")
+        for name in ("simcore", "global_form", "local_form", "harness", "cli")
+    }
+    mods["Trace"] = mods["simcore"].Trace
+    return mods
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -43,14 +56,34 @@ def test_package_imports_only_the_standard_library(path):
 def test_every_name_the_benchmark_patches_exists():
     """`perfbench/layers.py` wraps these names in place, in the modules
     `perfbench/run.py` imports; a missing one crashes every traced run."""
-    mods = {
-        name: importlib.import_module(f"ucircle.{name}")
-        for name in ("simcore", "global_form", "local_form", "harness", "cli")
-    }
-    mods["Trace"] = mods["simcore"].Trace
+    mods = _package_modules()
     missing = [
         f"{owner}.{attr}"
-        for owner, attr, _ in _benchmark_patches()
+        for owner, attr, _ in _benchmark_layers().PATCHES
         if not hasattr(mods[owner], attr)
     ]
     assert missing == []
+
+
+def test_every_span_the_benchmark_records_is_reached(tmp_path, capsys):
+    """A caller that binds a patched name before `perfbench/layers.py`
+    wraps it would leave that span at 0 calls. Two golden scenes, a global
+    SSYNC one that expands and forms and a local ASYNC one, run through
+    `ucircle run` with a trace and every frame, reach every span."""
+    layers = _benchmark_layers()
+    mods = _package_modules()
+    tracer = layers.Tracer()
+    tracer.install(types.SimpleNamespace(**mods))
+    try:
+        for name in ("global-ssync-livelock-budget", "local-async-n8"):
+            (raw,), _ = CORPUS[name]
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(raw))
+            out = tmp_path / name
+            mods["cli"].main(["run", "--config", str(config), "--trace", str(out) + ".jsonl",
+                              "--frames", str(out), "--every", "1"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    spans = {span for _, _, span in layers.PATCHES} | {"simcore.algorithm", "simcore.termination"}
+    assert {span: tracer.calls(span) for span in spans if tracer.calls(span) == 0} == {}

@@ -190,6 +190,15 @@ class TestNextActivation:
             for i, seen in last_seen.items():
                 assert rnd - seen < fb, f"robot {i} starved"
 
+    def test_ssync_round_that_draws_nobody_activates_one_robot(self):
+        # With fairness_bound > n, rounds 3..9 mod 10 force nobody; rounds
+        # 35, 46, 56, 57 and 64 draw nobody either, so one robot is taken
+        # at random.
+        sched = Schedule("SSYNC", seed=1, fairness_bound=10)
+        fallback = {35: (1,), 46: (0,), 56: (0,), 57: (2,), 64: (2,)}
+        assert {r: next_activation(sched, 3, r) for r in fallback} == fallback
+        assert all(next_activation(sched, 3, r) for r in range(200))
+
     def test_async_has_no_rounds(self):
         # ASYNC has no rounds: `run` hands it to the event loop.
         with pytest.raises(ValueError):

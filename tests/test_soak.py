@@ -1,6 +1,7 @@
 """Soak tier: the outcome tables of four sweeps far beyond the acceptance
-seeds and of three symmetric variants of the global soak, pinned as they
-stand, defects included, and the benchmark at every seed from 1 to 10.
+seeds, of three symmetric variants of the global soak and of two of the
+local sweep, pinned as they stand, defects included, and the benchmark at
+every seed from 1 to 10.
 
 These are the gates that the behaviour fixes for local collisions and
 stalls and for global livelocks will move: a fix updates the table it
@@ -15,6 +16,7 @@ takes between a few seconds and about half a minute.
 
 import functools
 import json
+import math
 import multiprocessing
 import random
 import subprocess
@@ -86,7 +88,15 @@ SYMMETRIES = {
     "translated": lambda robots, points: (
         robots, tuple(Point(p.x + 37.25, p.y - 11.5) for p in points)
     ),
+    # A turn by 2*pi/n about the origin, the local algorithms' C, which maps
+    # their target layout onto itself.
+    "rotated": lambda robots, points: (robots, _rotated(points, 2.0 * math.pi / len(points))),
 }
+
+
+def _rotated(points, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return tuple(Point(c * p.x - s * p.y, s * p.x + c * p.y) for p in points)
 
 
 def _symmetric_outcome(job):
@@ -147,9 +157,10 @@ def test_global_symmetry_soak(symmetry):
     assert [key for key in keys if ending[key] == ("diagnosed-stall", "form")] == stalls
 
 
-def test_local_sweep():
+def local_sweep():
     """`local`, rad = 6n, vis = 3n, n in {16, 24}, `random-disc` and
-    `random-annulus`, SSYNC and ASYNC, seeds 0..39: 320 runs."""
+    `random-annulus`, SSYNC and ASYNC, seeds 0..39: 320 scenes, as the keys
+    (n, placement, scheduler, seed) and their config dicts."""
     keys = [
         (n, placement, scheduler, seed)
         for n in (16, 24)
@@ -162,27 +173,69 @@ def test_local_sweep():
              placement=placement)
         for n, placement, scheduler, seed in keys
     ]
-    results = _run_all(raws)
-    assert Counter(outcome for outcome, _ in results) == {
-        "converged": 186,
-        "diagnosed-stall": 128,
-        "budget-exhausted": 1,
-        "fault": 5,
-    }
-    # No stall carries `one-sided-psi9`: that diagnosis never fires here.
-    stalls = Counter(diagnosis for outcome, diagnosis in results if outcome == "diagnosed-stall")
-    assert stalls == {"psi1,psi5": 49, "psi1,psi8": 46, "psi1,psi3,psi5": 29, "psi1,psi5,psi8": 4}
+    return keys, raws
+
+
+def _local_table(keys, results):
+    """The outcome counts, the stall diagnoses, and the keys that ran out of
+    budget and that faulted, of the local sweep's results."""
     by_outcome = {}
     for key, (outcome, _) in zip(keys, results):
         by_outcome.setdefault(outcome, []).append(key)
-    assert by_outcome["budget-exhausted"] == [(16, "random-annulus", "SSYNC", 9)]
-    assert by_outcome["fault"] == [
+    return (
+        Counter(outcome for outcome, _ in results),
+        Counter(diagnosis for outcome, diagnosis in results if outcome == "diagnosed-stall"),
+        by_outcome.get("budget-exhausted", []),
+        by_outcome.get("fault", []),
+    )
+
+
+# No stall carries `one-sided-psi9`: that diagnosis never fires here.
+LOCAL_SWEEP_TABLE = (
+    {"converged": 186, "diagnosed-stall": 128, "budget-exhausted": 1, "fault": 5},
+    {"psi1,psi5": 49, "psi1,psi8": 46, "psi1,psi3,psi5": 29, "psi1,psi5,psi8": 4},
+    [(16, "random-annulus", "SSYNC", 9)],
+    [
         (16, "random-disc", "SSYNC", 1),
         (16, "random-disc", "ASYNC", 1),
         (16, "random-annulus", "ASYNC", 37),
         (24, "random-annulus", "ASYNC", 10),
         (24, "random-annulus", "ASYNC", 36),
-    ]
+    ],
+)
+
+
+def test_local_sweep():
+    keys, raws = local_sweep()
+    assert _local_table(keys, _run_all(raws)) == LOCAL_SWEEP_TABLE
+
+
+LOCAL_SYMMETRY_TABLES = {
+    # The rotation maps every target onto the next, and the runs end as the
+    # original ones do.
+    "rotated": LOCAL_SWEEP_TABLE,
+    # Another fair SSYNC schedule or another ASYNC delay assignment: 9
+    # outcomes differ from the original runs.
+    "reversed": (
+        {"converged": 189, "diagnosed-stall": 127, "budget-exhausted": 1, "fault": 3},
+        {"psi1,psi5": 49, "psi1,psi8": 47, "psi1,psi3,psi5": 28, "psi1,psi5,psi8": 3},
+        [(16, "random-annulus", "SSYNC", 9)],
+        [
+            (16, "random-disc", "SSYNC", 1),
+            (16, "random-disc", "ASYNC", 1),
+            (24, "random-annulus", "ASYNC", 36),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("symmetry", sorted(LOCAL_SYMMETRY_TABLES))
+def test_local_symmetry_soak(symmetry):
+    """The local sweep's 320 placements, each run from its world turned by
+    2*pi/n about C or in reversed index order."""
+    keys, raws = local_sweep()
+    results = _run_all([(symmetry, raw) for raw in raws], _symmetric_outcome)
+    assert _local_table(keys, results) == LOCAL_SYMMETRY_TABLES[symmetry]
 
 
 def test_nonuniform_sweep():

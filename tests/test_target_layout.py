@@ -27,12 +27,11 @@ from ucircle.global_form import SETTLE_TOL, GlobalParams, _walk_order, compute_r
 from ucircle.harness import TERMINATION_TOL
 from ucircle.local_form import (
     ALIGN_TOL,
-    ON_CIRCLE,
+    POS_EPS,
     LocalParams,
     _aligned_target,
     _ang_diff,
     classify_psi,
-    compute_robot_position,
     is_formed_local,
     measure,
 )
@@ -103,7 +102,7 @@ def _probes(circle, targets, tol, seed):
 @pytest.mark.parametrize("n, center", LAYOUTS, ids=LAYOUT_IDS)
 def test_seats_and_vacancy_match_the_scans(n, center, walk_agrees):
     circle, targets, _ = _layout(n, center)
-    params = GlobalParams(n=n, a=3.5, rad_req=circle.radius)
+    params = GlobalParams(n=n, rad_req=circle.radius)
     probes = _probes(circle, targets, SETTLE_TOL, n)
     rng = random.Random(n)
     # The centre is never seated, so it asks among every probe; then each
@@ -122,7 +121,7 @@ def test_psi1_anchor_matches_the_scan(n, center):
     probes = [
         p
         for p in _probes(circle, targets, PSI1_TOL, n)
-        if compute_robot_position(dist(p, circle.center), circle.radius) == ON_CIRCLE
+        if abs(dist(p, circle.center) - circle.radius) <= POS_EPS
     ]
     hits = 0
     for p in probes:
