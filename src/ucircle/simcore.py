@@ -16,6 +16,13 @@ verdict again only after a round that moved somebody. Both reuses are
 sound only because a decision is a pure function of the Snapshot, which
 those Points determine.
 
+A look costs what changed since the robot last looked, and every reuse
+keys on Point objects, never on equal values (0.0 == -0.0): only robots
+whose Point is a new object are tested against the view (`_view_holds`), a
+y-only Snapshot builds only their local Points (`take_snapshot`), an ASYNC
+world in which nobody flies shares one positions tuple, and the trace
+writer formats each Point object once per call (`Trace.to_jsonl`).
+
 A robot's handle is its index into `WorldState.robots` (what it is:
 visibility and frame, fixed for the run) and `WorldState.positions` (where
 it is, the only thing a cycle changes); only the trace records it.
@@ -30,6 +37,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (
@@ -124,16 +132,24 @@ class TraceEvent(NamedTuple):
     dest: Optional[Point] = None
     tag: str = ""
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self, places: Optional[dict[int, str]] = None) -> str:
         """The event's trace text: one JSON line, or for a look three (wait,
         look, then compute, the tag on compute only), each ending in a newline.
 
         A line holds "clock", "cycle", "robot", "phase", "x" and "y", then
         "dest_x" and "dest_y" for a destination and "tag" when it is not empty.
+        `places` maps `id(pos)` to the text of "x" and "y" already written
+        for that Point object; a caller may share one only while the Points
+        it names stay alive. It is keyed by identity, never by value: 0.0 ==
+        -0.0, yet each prints its own sign.
         """
         clock, cycle, robot, phase, pos, dest, tag = self
         head = f'{{"clock": {clock:.17g}, "cycle": {cycle}, "robot": {robot}, "phase": "'
-        at = f'", "x": {pos.x:.17g}, "y": {pos.y:.17g}'
+        if places is None:
+            places = {}
+        at = places.get(id(pos))
+        if at is None:
+            at = places[id(pos)] = f'", "x": {pos.x:.17g}, "y": {pos.y:.17g}'
         if dest is not None:
             at = f'{at}, "dest_x": {dest.x:.17g}, "dest_y": {dest.y:.17g}'
         end = f', "tag": "{tag}"}}\n' if tag else "}\n"
@@ -159,8 +175,13 @@ class Trace:
     diagnosis: str = ""
 
     def to_jsonl(self) -> str:
-        """The trace as JSON lines: each event's `TraceEvent.to_jsonl()`, joined."""
-        return "".join([ev.to_jsonl() for ev in self.events])
+        """The trace as JSON lines: each event's `TraceEvent.to_jsonl()`, joined.
+
+        A robot that stays looks on one Point object again and again, so the
+        events share one `places` map for this call, while they hold their
+        Points alive."""
+        places: dict[int, str] = {}
+        return "".join([ev.to_jsonl(places) for ev in self.events])
 
 
 # ---------------------------------------------------------------------------
@@ -175,29 +196,86 @@ def _to_world(observer: Robot, at: Point, local: Point) -> Point:
     return Point(at.x + local.x * observer.chirality, at.y + local.y)
 
 
-def visible(world: WorldState, i: int) -> tuple[Point, ...]:
-    """The world Points robot i sees, in index order: every other robot
-    within its visibility radius, the boundary (plus EPS) included."""
+def _sight(world: WorldState, i: int) -> tuple[list[bool], tuple[Point, ...]]:
+    """Robot i's view in one pass: a flag per robot, true when i sees it
+    (never for i itself), and the world Points it sees, in index order.
+
+    The one visibility rule: robot i sees every other robot within its
+    visibility radius, the boundary (plus EPS) included."""
     positions = world.positions
     vis = world.robots[i].vis_radius
-    seen = positions[:i] + positions[i + 1 :]
     if vis == math.inf:
-        return seen
-    # `dist(p, at) <= vis + EPS`, written out.
+        seen_by = [True] * len(positions)
+    else:
+        # `dist(p, at) <= vis + EPS`, written out.
+        at = positions[i]
+        hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
+        seen_by = [hypot(p.x - ax, p.y - ay) <= reach for p in positions]
+    seen_by[i] = False
+    return seen_by, tuple(compress(positions, seen_by))
+
+
+def visible(world: WorldState, i: int) -> tuple[Point, ...]:
+    """The world Points robot i sees, in index order (see `_sight`)."""
+    return _sight(world, i)[1]
+
+
+def _view_holds(world: WorldState, i: int, before: tuple[Point, ...], seen_by: list[bool]) -> bool:
+    """Whether robot i sees the same Point objects in `world` as it saw
+    among the positions `before`, where `seen_by` flagged the robots it saw
+    (see `_sight`).
+
+    Only robots whose Point is a new object are tested, and only when robot
+    i stands on the same Point object. That is sound because whether i sees
+    robot j depends only on i's Point and j's own: a robot that kept its
+    Point object kept its place in the view, and a moved one changes the
+    view only if it was seen or is seen now. Under an infinite radius every
+    robot is seen, so any move is a new view. A model in which a third robot
+    can hide j (opaque robots) breaks the premise, and this shortcut with it.
+    """
+    positions = world.positions
     at = positions[i]
-    hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
-    return tuple([p for p in seen if hypot(p.x - ax, p.y - ay) <= reach])
+    if at is not before[i]:
+        return False
+    # `_sight`'s rule, `dist(p, at) <= vis + EPS`, written out.
+    hypot, ax, ay, reach = math.hypot, at.x, at.y, world.robots[i].vis_radius + EPS
+    for j in compress(range(len(positions)), map(operator.is_not, positions, before)):
+        p = positions[j]
+        if seen_by[j] or hypot(p.x - ax, p.y - ay) <= reach:
+            return False
+    return True
 
 
-def take_snapshot(observer: Robot, at: Point, seen: tuple[Point, ...]) -> Snapshot:
+def take_snapshot(
+    observer: Robot,
+    at: Point,
+    seen: tuple[Point, ...],
+    previous: Optional[tuple[Point, tuple[Point, ...], Snapshot]] = None,
+) -> Snapshot:
     """What `observer`, standing at `at`, perceives of the world Points
-    `seen` (see `visible`): the same points in its local frame."""
+    `seen` (see `visible`): the same points in its local frame.
+
+    `previous` is the observer's last (at, seen, Snapshot), if any. A y-only
+    observer that stands on the same Point object, and sees as many robots
+    as then, reuses each local Point whose world Point is the same object at
+    the same place in `seen`: the same arithmetic on the same floats. When
+    the same robots are seen (always, under an infinite radius), only the
+    Points of robots that moved are built."""
     vis = observer.vis_radius
     if observer.frame == FRAME_FULL_AXES:
         return Snapshot(self_pos=at, others=seen, vis_radius=vis)
     # A y-only robot sees each point relative to itself, X mirrored when its
     # chirality is -1; its own position is the origin, zeros signed so.
     ax, ay, chi = at.x, at.y, observer.chirality
+    if previous is not None and previous[0] is at and len(previous[1]) == len(seen):
+        _, was_seen, was = previous
+        others = tuple(
+            [
+                q if p is w else Point((p.x - ax) * chi, p.y - ay)
+                for p, w, q in zip(seen, was_seen, was.others)
+            ]
+        )
+        return Snapshot(self_pos=was.self_pos, others=others, vis_radius=vis)
     others = tuple([Point((p.x - ax) * chi, p.y - ay) for p in seen])
     return Snapshot(self_pos=Point((ax - ax) * chi, ay - ay), others=others, vis_radius=vis)
 
@@ -239,28 +317,32 @@ def _decider(
     """The decision memo of one run of n robots: `decide(world, i)` is robot
     i's Action in `world`.
 
-    Each robot keeps one entry: the world it was last asked in, the Point it
-    stood on, the tuple of Points it saw (see `visible`) and the Action made
-    from them. Asked again in that world, or in another one where its view
-    holds the same Point objects, it reuses the Action; only a changed view
-    is snapshotted and decided. This is sound only because an algorithm is
-    a pure function of its Snapshot, which carries no clock. The test is
-    identity, not equality: 0.0 == -0.0, yet a robot can see the sign of a
-    zero. Mirror twins with equal snapshots decide apart, and a new run
-    starts with no views.
+    Each robot keeps one entry: the positions tuple it was last asked on,
+    the robots it saw there (see `_sight`), the Action, and the view it was
+    made from: the Point it stood on, the Points it saw and their Snapshot.
+    Asked again on the same tuple, or on one where it stands on the same
+    Point object and its view holds the same Point objects (see
+    `_view_holds`), it reuses the Action; only a changed view is
+    snapshotted, from the last one (see `take_snapshot`), and decided. This
+    is sound only because an algorithm is a pure function of its Snapshot,
+    which carries no clock. The test is identity, not equality: 0.0 ==
+    -0.0, yet a robot can see the sign of a zero. Mirror twins with equal
+    snapshots decide apart, and a new run starts with no views.
     """
-    memo = [(None, None, (), None)] * n
+    memo = [(None, None, None, None)] * n
 
     def decide(world: WorldState, i: int) -> Action:
-        last_world, last_at, last_seen, action = memo[i]
-        if last_world is world:
+        positions = world.positions
+        last, seen_by, action, view = memo[i]
+        if last is positions:
             return action
-        at = world.positions[i]
-        seen = visible(world, i)
-        same_view = last_at is at and len(last_seen) == len(seen)
-        if not (same_view and all(map(operator.is_, last_seen, seen))):
-            action = algorithm(take_snapshot(world.robots[i], at, seen))
-        memo[i] = (world, at, seen, action)
+        if last is None or not _view_holds(world, i, last, seen_by):
+            at = positions[i]
+            seen_by, seen = _sight(world, i)
+            snapshot = take_snapshot(world.robots[i], at, seen, view)
+            action = algorithm(snapshot)
+            view = (at, seen, snapshot)
+        memo[i] = (positions, seen_by, action, view)
         return action
 
     return decide
@@ -497,8 +579,13 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
     def delay() -> float:
         return 0.05 + rng.random() * window
 
+    # While nobody flies, every world holds this one tuple of `here`.
+    still = world.positions
+
     def world_at(t: float) -> WorldState:
         """Each robot where its latest move begun by t has got to."""
+        if not flying:
+            return WorldState(world.robots, still, t)
         positions = here.copy()
         for i in flying:
             positions[i] = tracks[i][-1].position_at(t)
@@ -542,6 +629,8 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 heapq.heappush(heap, (t + delay(), rid, "look"))
                 if flying:
                     continue
+                # `now` put the last robot in flight at the end of its move.
+                still = now.positions
             else:
                 if looks >= max_cycles * n:
                     return OUTCOME_BUDGET, now, max_cycles, min_sep, ""

@@ -37,6 +37,8 @@ from ucircle.simcore import (
     WorldState,
     _decider,
     _destination,
+    _sight,
+    _view_holds,
     next_activation,
     run,
     take_snapshot,
@@ -77,6 +79,12 @@ def reference_snapshot(world, i):
         if j != i and dist(p, at) <= obs.vis_radius + EPS
     )
     return Snapshot(to_local(at), others, obs.vis_radius)
+
+
+def signed_point(rng, span):
+    """A random Point within `span` of the origin in x and y, its y often a
+    zero of either sign."""
+    return P(rng.uniform(-span, span), rng.choice([0.0, -0.0, rng.uniform(-span, span)]))
 
 
 def snapshot_bits(snap):
@@ -156,6 +164,81 @@ class TestSnapshots:
         assert snapshot_bits(snap) == snapshot_bits(reference_snapshot(w, 0))
         if frame == FRAME_FULL_AXES:
             assert all(map(operator.is_, snap.others, seen))
+
+    @pytest.mark.parametrize("vis", [math.inf, 6.0])
+    def test_view_holds_matches_visible(self, vis):
+        # Random worlds and moves that cross the boundary, stay on it, swap a
+        # zero's sign or hand a robot a new Point of equal value: the view
+        # holds exactly when the robot stands on the same Point object and
+        # `visible` returns the same Point objects.
+        rng = random.Random(f"holds:{vis}")
+        edge = 6.0 + EPS
+        held = changed = 0
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            robots = tuple(Robot(vis) for _ in range(n))
+            before = tuple(signed_point(rng, 8) for _ in range(n))
+            after = list(before)
+            for j in rng.sample(range(n), rng.randint(0, min(3, n))):
+                p, anchor = before[j], before[rng.randrange(n)]
+                after[j] = rng.choice(
+                    [
+                        P(p.x, p.y),
+                        P(-p.x, p.y),
+                        P(anchor.x + edge * (1 + rng.randint(-2, 2) * 2.0**-52), anchor.y),
+                        P(rng.uniform(-20, 20), rng.uniform(-20, 20)),
+                    ]
+                )
+            w0, w1 = WorldState(robots, before), WorldState(robots, tuple(after))
+            for i in range(n):
+                seen_by, seen = _sight(w0, i)
+                assert seen == visible(w0, i)
+                now = visible(w1, i)
+                same = after[i] is before[i] and len(now) == len(seen)
+                same = same and all(map(operator.is_, now, seen))
+                assert _view_holds(w1, i, before, seen_by) == same
+                held += same
+                changed += not same
+        assert held > 100 and changed > 100
+
+    @pytest.mark.parametrize("vis", [math.inf, 7.5])
+    @pytest.mark.parametrize(
+        "frame, chirality", [(FRAME_Y_ONLY, 1), (FRAME_Y_ONLY, -1), (FRAME_FULL_AXES, 1)]
+    )
+    def test_snapshot_from_the_previous_one(self, vis, frame, chirality):
+        # A Snapshot built from the observer's previous one is the fresh one
+        # bit for bit. A y-only observer on the same Point that sees the same
+        # robots keeps the previous local Point of each robot that did not
+        # move.
+        rng = random.Random(f"previous:{vis}:{frame}:{chirality}")
+        observer = Robot(vis, chirality, frame)
+        kept = 0
+        for _ in range(200):
+            n = rng.randint(2, 10)
+            at = P(rng.choice([0.0, -0.0, rng.uniform(-5, 5)]), rng.choice([0.0, -0.0, 2.5]))
+            before = [at] + [signed_point(rng, 9) for _ in range(n - 1)]
+            after = list(before)
+            for j in rng.sample(range(1, n), rng.randint(0, min(2, n - 1))):
+                p = before[j]
+                after[j] = rng.choice([P(p.x, p.y), P(-p.x, -p.y), P(rng.uniform(-9, 9), 0.0)])
+            if rng.random() < 0.2:
+                after[0] = P(at.x, at.y)
+            robots = (observer,) * n
+            w0, w1 = WorldState(robots, tuple(before)), WorldState(robots, tuple(after))
+            seen0, seen1 = visible(w0, 0), visible(w1, 0)
+            previous = (at, seen0, take_snapshot(observer, at, seen0))
+            snap = take_snapshot(observer, after[0], seen1, previous)
+            assert snapshot_bits(snap) == snapshot_bits(take_snapshot(observer, after[0], seen1))
+            same_robots = [j for j in range(1, n) if dist(after[j], at) <= vis + EPS]
+            if frame == FRAME_Y_ONLY and after[0] is at:
+                if same_robots == [j for j in range(1, n) if dist(before[j], at) <= vis + EPS]:
+                    was = previous[2]
+                    assert snap.self_pos is was.self_pos
+                    for k, j in enumerate(same_robots):
+                        assert (snap.others[k] is was.others[k]) == (after[j] is before[j])
+                        kept += after[j] is before[j]
+        if frame == FRAME_Y_ONLY:
+            assert kept > 100
 
     def test_move_dest_interpreted_in_local_frame(self):
         # A mirrored y-only robot asking to move to local (1, 0) must move
@@ -481,6 +564,30 @@ class TestTraceFormat:
             ["-0", "0", "-0", "0"],
             ["0", "1", "0", "-0", "-0", "0"],
         ]
+
+    def test_trace_writes_each_point_with_its_own_sign(self):
+        # `Trace.to_jsonl` shares the text of a Point object between events
+        # that stand on it, and never between equal Points: 0.0 == -0.0.
+        plus, minus, shared = P(0.0, 1.0), P(-0.0, 1.0), P(-0.0, -0.0)
+        assert plus == minus and plus is not minus
+        events = [
+            TraceEvent(0.0, 0, 0, "move", plus, shared),
+            TraceEvent(0.5, 0, 1, "look", minus),
+            TraceEvent(1.0, 0, 2, "move", shared, minus),
+            TraceEvent(1.5, 1, 0, "look", shared),
+            TraceEvent(2.0, 1, 1, "move", plus, plus),
+        ]
+        w = WorldState((Robot(),) * 3, (plus, minus, shared))
+        text = Trace(events, OUTCOME_BUDGET, w, w, 2, math.inf).to_jsonl()
+        fields = [re.findall(r'"(?:x|y|dest_x|dest_y)": (-?\d+)', line) for line in text.splitlines()]
+        assert fields == [
+            ["0", "1", "-0", "-0"],
+            *[["-0", "1"]] * 3,
+            ["-0", "-0", "-0", "1"],
+            *[["-0", "-0"]] * 3,
+            ["0", "1", "0", "1"],
+        ]
+        assert text == "".join(ev.to_jsonl() for ev in events)
 
     def test_event_is_immutable(self):
         ev = TraceEvent(0.0, 0, 0, "look", P(0, 0))
@@ -873,6 +980,66 @@ class TestComputeOnce:
         # A new run starts with no views, so robot 1 is asked again.
         assert _decider(algo, 2)(w, 1).tag == first.tag
         assert algo.calls == 3
+
+    def test_memo_is_a_fresh_look_bit_for_bit(self):
+        # A seeded run of worlds through one memo: robots of every frame and
+        # chirality, finite and infinite radii, moves across the sight
+        # boundary, zeros of both signs, new Points of equal value, and the
+        # same positions tuple at another clock. Each decision is the fresh
+        # look's, and the algorithm runs once per new view: a robot asked on
+        # another Point object, or seeing other Point objects, than when it
+        # was last asked.
+        def algo(snap: Snapshot):
+            bits = snapshot_bits(snap)
+            return Action(P(float(len(snap.others)), snap.self_pos.x), tag=repr(bits))
+
+        rng = random.Random("memo")
+        kinds = [(math.inf, 1, FRAME_Y_ONLY), (math.inf, -1, FRAME_Y_ONLY), (6.0, -1, FRAME_Y_ONLY)]
+        kinds += [(6.0, 1, FRAME_FULL_AXES), (math.inf, 1, FRAME_FULL_AXES), (4.0, 1, FRAME_Y_ONLY)]
+        robots = tuple(Robot(*rng.choice(kinds)) for _ in range(9))
+        n, edge = len(robots), 6.0 + EPS
+        positions = tuple(signed_point(rng, 9) for _ in range(n))
+        counted = Counted(algo)
+        decide = _decider(counted, n)
+        last_view = [None] * n
+        views = 0
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.15:
+                positions = tuple(positions)  # the same tuple, another clock
+            elif roll < 0.25:
+                positions = tuple(list(positions))  # a new tuple of the same Points
+            else:
+                moved = list(positions)
+                for j in rng.sample(range(n), rng.randint(1, 3)):
+                    p, anchor = moved[j], positions[rng.randrange(n)]
+                    moved[j] = rng.choice(
+                        [
+                            P(p.x, p.y),
+                            P(-p.x, p.y),
+                            P(anchor.x + edge * (1 + rng.randint(-2, 2) * 2.0**-52), anchor.y),
+                            P(anchor.x, anchor.y - rng.uniform(5.5, 6.5)),
+                            signed_point(rng, 12),
+                        ]
+                    )
+                positions = tuple(moved)
+            world = WorldState(robots, positions, clock=float(step))
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                got = decide(world, i)
+                fresh = algo(take_snapshot(robots[i], positions[i], visible(world, i)))
+                assert (got.tag, got.dest.x.hex(), got.dest.y.hex()) == (
+                    fresh.tag,
+                    fresh.dest.x.hex(),
+                    fresh.dest.y.hex(),
+                )
+                view = (positions[i], visible(world, i))
+                was = last_view[i]
+                same = was is not None and was[0] is view[0] and len(was[1]) == len(view[1])
+                if not (same and all(map(operator.is_, was[1], view[1]))):
+                    views += 1
+                last_view[i] = view
+        assert counted.calls == views
+        assert 300 < views < 2000
 
     def test_async_look_decides_once_per_view(self, monkeypatch):
         # Robot 0 (vis 5) sees only robot 1, parked beside it, while robot 2
