@@ -328,13 +328,15 @@ def compute_metrics(trace: Trace, config: ScenarioConfig, params) -> RunSummary:
 
 def _one_sided_psi9(world: WorldState, rad: float, center: Point) -> bool:
     pts = world.positions
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if not (dist(a, center) < rad - 1e-9 and dist(b, center) > rad + 1e-9):
-                continue
-            sees_ab = any(p is b for p in visible(world, i))
-            sees_ba = any(p is a for p in visible(world, j))
-            if sees_ab == sees_ba:
+    inside = [i for i, p in enumerate(pts) if dist(p, center) < rad - 1e-9]
+    outside = [j for j, p in enumerate(pts) if dist(p, center) > rad + 1e-9]
+    if not (inside and outside):
+        return False
+    sight = {i: visible(world, i) for i in inside + outside}
+    for i in inside:
+        for j in outside:
+            a, b = pts[i], pts[j]
+            if any(p is b for p in sight[i]) == any(p is a for p in sight[j]):
                 continue
             ta = math.atan2(a.y - center.y, a.x - center.x)
             tb = math.atan2(b.y - center.y, b.x - center.x)

@@ -6,7 +6,8 @@ rigid unit-speed motion, continuous collision monitoring, and an
 append-only trace. Both loops share one look path (`_look`), one move rule
 (`_destination`), the run's one event list and one ending path: each returns
 how the run ended and `run` builds the Trace. An invalid move is a fault
-under every scheduler.
+under every scheduler. A move's motion is its event's `TraceEvent.motion()`,
+and a sync round tests only the pairs that hold a mover.
 
 An algorithm must be a pure function of its Snapshot, and a termination
 test a function of the positions: a run keeps one decision memo
@@ -131,6 +132,12 @@ class TraceEvent(NamedTuple):
     pos: Point
     dest: Optional[Point] = None
     tag: str = ""
+
+    def motion(self) -> MotionSegment:
+        """A move event's motion: rigid, at unit speed, from `pos` at `clock`
+        to `dest`, reached at `clock + dist(pos, dest)`."""
+        pos, dest, clock = self.pos, self.dest, self.clock
+        return MotionSegment(pos, dest, clock, clock + dist(pos, dest))
 
     def to_jsonl(self, places: Optional[dict[int, str]] = None) -> str:
         """The event's trace text: one JSON line, or for a look three (wait,
@@ -409,52 +416,40 @@ def execute_cycle(
 
     t0 = world.clock
     decisions = {rid: _look(world, rid, decide, t0, cycle, events) for rid in sorted(active)}
-    moves: dict[int, Point] = {}
+    motions: dict[int, MotionSegment] = {}
     for rid, action in decisions.items():
         dest = _destination(world, rid, action)
         if dest is not None:
-            moves[rid] = dest
             events.append(TraceEvent(t0, cycle, rid, "move", positions[rid], dest, action.tag))
-
-    lengths = {rid: dist(positions[rid], d) for rid, d in moves.items()}
-    t1 = t0 + max(lengths.values(), default=1.0)
-
-    # A mover arrives, then holds until t1; everyone else holds throughout.
-    # A robot's segments are built when one of its pairs is first tested.
-    pieces: list[Optional[list[MotionSegment]]] = [None] * n
-
-    def pieces_of(i: int) -> list[MotionSegment]:
-        got = pieces[i]
-        if got is None:
-            pos = positions[i]
-            if i in moves:
-                got = _pieces_over([MotionSegment(pos, moves[i], t0, t0 + lengths[i])], t0, t1)
-            else:
-                got = [MotionSegment(pos, pos, t0, t1)]
-            pieces[i] = got
-        return got
+            motions[rid] = events[-1].motion()
+    # The latest arrival: `t0 + max(lengths)`, as rounded addition is monotone.
+    t1 = max((m.t1 for m in motions.values()), default=t0 + 1.0)
+    lengths = {rid: dist(m.start, m.end) for rid, m in motions.items()}
+    # A mover arrives, then holds until t1; a robot that stays holds throughout.
+    pieces = {rid: _pieces_over([m], t0, t1) for rid, m in motions.items()}
+    movers = sorted(motions)
 
     # Over the round a robot strays at most its move's length from where it
     # starts, so a pair is never closer than its start distance less both
     # lengths. A pair whose bound clears both `floor` and the fault
     # threshold, with a margin for the rounding of the exact test, can
     # neither lower the run's minimum nor fault: it is skipped, as on an
-    # ASYNC arrival. Pairs are tested in (a, b) order, so the first pair to
-    # fault is the same.
+    # ASYNC arrival. Only pairs with a mover are walked, in (a, b) order, so
+    # the first pair to fault is the same: after a mover, every robot above
+    # it; after a robot that stays, the movers above it.
     clear = max(floor, SAFE_SEPARATION) + 1e-6
     min_sep = floor
-    for a in range(n):
+    for a in range(max(movers, default=-1) + 1):
         pa, la = positions[a], lengths.get(a, 0.0)
-        for b in range(a + 1, n):
-            if a not in moves and b not in moves:
-                continue
+        above = range(a + 1, n) if a in motions else [b for b in movers if b > a]
+        for b in above:
             pb = positions[b]
             # `dist(pa, pb)`, written out.
             if math.hypot(pa.x - pb.x, pa.y - pb.y) - la - lengths.get(b, 0.0) >= clear:
                 continue
-            sep = min(
-                min_separation_during_motion(s1, s2) for s1 in pieces_of(a) for s2 in pieces_of(b)
-            )
+            sa = pieces.get(a) or [MotionSegment(pa, pa, t0, t1)]
+            sb = pieces.get(b) or [MotionSegment(pb, pb, t0, t1)]
+            sep = min(min_separation_during_motion(s1, s2) for s1 in sa for s2 in sb)
             if sep < min_sep:
                 min_sep = sep
             if sep < SAFE_SEPARATION:
@@ -463,7 +458,7 @@ def execute_cycle(
                     sep,
                 )
 
-    new_positions = tuple(moves.get(i, pos) for i, pos in enumerate(positions))
+    new_positions = tuple(motions[i].end if i in motions else p for i, p in enumerate(positions))
     return WorldState(robots, new_positions, t1), min_sep
 
 
@@ -641,10 +636,10 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 start = t + delay()
                 if dest is not None:
                     cur = now.positions[rid]
-                    track.append(MotionSegment(cur, cur, track[-1].t1, start))
-                    track.append(MotionSegment(cur, dest, start, start + dist(cur, dest)))
-                    flying.add(rid)
                     events.append(TraceEvent(start, cycle, rid, "move", cur, dest, action.tag))
+                    track.append(MotionSegment(cur, cur, track[-1].t1, start))
+                    track.append(events[-1].motion())
+                    flying.add(rid)
                     heapq.heappush(heap, (track[-1].t1, rid, "arrive"))
                     continue
                 heapq.heappush(heap, (start + delay(), rid, "look"))

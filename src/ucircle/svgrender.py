@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .geometry import Circle, MotionSegment, Point, dist
+from .geometry import Circle, Point
 from .simcore import Trace, TraceEvent
 
 
@@ -96,8 +96,7 @@ def render_frames(
             if c % every_k == 0 and t < trace.final.clock:
                 positions = list(trace.initial.positions)
                 for i, m in moves.items():
-                    arrive = m.clock + dist(m.pos, m.dest)
-                    positions[i] = MotionSegment(m.pos, m.dest, m.clock, arrive).position_at(t)
+                    positions[i] = m.motion().position_at(t)
                 snap(f"frame-cycle-{c:05d}.svg", f"after cycle {c}", positions)
         if ev.phase == "move":
             moves[ev.robot] = ev

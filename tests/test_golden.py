@@ -30,6 +30,7 @@ from ucircle.harness import (
     parse_config,
     run_scenario,
 )
+from ucircle.svgrender import render_frames
 
 _CURATED = curated_local_configs(seeds=(1,))
 _CURATED_SEED4 = curated_local_configs(seeds=(4,))
@@ -327,19 +328,43 @@ def test_async_cycle_frames_draw_robots_where_they_are(name, tmp_path, capsys):
     assert len(list(frames.glob("frame-cycle-*.svg"))) == len(first_looks) - 1
 
 
+# The sha256 over each name and document of `render_frames(trace, 1, CIR,
+# targets)`, in name order: an ASYNC scene whose frames show robots in
+# flight, and a sync scene that faults.
+FRAME_DIGESTS = {
+    "local-async-n8": "05356e07c465b17f9ce320b31389d851e7974659737350088042903f78b1c4b0",
+    "local-fsync-random-fault": "d5cc9e9b4f583a2e1c2444325223b26b72fe8b2cedc4b9831c35118a1644f2ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_DIGESTS))
+def test_frame_bytes(name):
+    ((trace, _),) = entry_digest(name)[1]
+    (raw,), _ = CORPUS[name]
+    _, params = harness.build_algorithm(parse_config(raw))
+    docs = render_frames(trace, 1, params.cir, params.targets)
+    h = hashlib.sha256()
+    for frame in sorted(docs):
+        h.update(frame.encode("utf-8"))
+        h.update(docs[frame].encode("utf-8"))
+    assert h.hexdigest() == FRAME_DIGESTS[name]
+
+
 @pytest.mark.parametrize(
     "name, work",
     [
-        ("local-fsync-random-fault", (330, 330, 26, 26)),
-        ("global-ssync-idle", (23, 23, 7, 8)),
-        ("local-async-n8", (218, 218, 60, 61)),
+        ("local-fsync-random-fault", (330, 330, 26, 26, 13)),
+        ("global-ssync-idle", (23, 23, 7, 8, 9)),
+        ("local-async-n8", (218, 218, 60, 61, 81)),
     ],
 )
 def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     """The engine's exact work on one golden scene per scheduler: (algorithm
-    calls, `take_snapshot` calls, stall checks, termination calls). A robot
-    decides again only when its view changes, and a static world gets one
-    verdict; asking more often changes no byte, only these counts."""
+    calls, `take_snapshot` calls, stall checks, termination calls, exact pair
+    tests). A robot decides again only when its view changes, a static world
+    gets one verdict, and a pair is tested exactly only when it holds a mover
+    and its bound does not clear; asking more often or testing more pairs
+    changes no byte, only these counts."""
     ((golden, _),) = entry_digest(name)[1]
     counts = collections.Counter()
 
@@ -352,6 +377,8 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
 
     monkeypatch.setattr(simcore, "take_snapshot", counted("snapshot", simcore.take_snapshot))
     monkeypatch.setattr(simcore, "_all_would_stay", counted("stall", simcore._all_would_stay))
+    pair_test = simcore.min_separation_during_motion
+    monkeypatch.setattr(simcore, "min_separation_during_motion", counted("pairs", pair_test))
     run = harness.run
 
     def counted_run(world, algorithm, schedule, termination, max_cycles):
@@ -362,7 +389,8 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     (raw,), _ = CORPUS[name]
     trace, _ = run_scenario(parse_config(raw))
     assert trace.to_jsonl() == golden.to_jsonl()
-    assert (counts["algorithm"], counts["snapshot"], counts["stall"], counts["term"]) == work
+    keys = ("algorithm", "snapshot", "stall", "term", "pairs")
+    assert tuple(counts[key] for key in keys) == work
 
 
 if __name__ == "__main__":

@@ -451,6 +451,22 @@ class TestSyncPruning:
         outcomes = {_round_outcome(w, range(5), algo, floor) for floor in FLOORS}
         assert outcomes == {("fault", "robots 1 and 4 reach separation 0 during cycle 0", 0.0)}
 
+    def test_a_still_robot_pairs_with_the_movers_above_it_in_order(self):
+        # Robots 1 and 2 move, 0 and 3 stay. Pairs (0, 2) and (1, 3) both
+        # fault, and (0, 2) comes first in (a, b) order, though its first
+        # robot is still: a walk that tests the movers' pairs first would
+        # name robots 1 and 3.
+        w = make_world([P(0, 0), P(6, 30), P(6, 0), P(0, 30)])
+
+        def algo(snap: Snapshot):
+            me = snap.self_pos
+            return Action(P(1, me.y)) if me.x > 5 else Action()
+
+        want = _brute_round(w, range(4), algo, 0)
+        assert want == ("fault", "robots 0 and 2 reach separation 1 during cycle 0", 1.0)
+        outcomes = {_round_outcome(w, range(4), algo, floor) for floor in FLOORS}
+        assert outcomes == {want}
+
     def test_random_rounds(self, monkeypatch):
         import ucircle.simcore as simcore
 
