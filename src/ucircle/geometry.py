@@ -27,10 +27,16 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
     x: float
     y: float
+
+    def __init__(self, x: float, y: float) -> None:
+        # Stored through the slots: the `__init__` a frozen dataclass writes
+        # stores each field through `object.__setattr__`, which is slower.
+        _point_x(self, x)
+        _point_y(self, y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -48,6 +54,7 @@ class Point:
         return math.isfinite(self.x) and math.isfinite(self.y)
 
 
+_point_x, _point_y = Point.x.__set__, Point.y.__set__
 ORIGIN = Point(0.0, 0.0)
 
 
@@ -90,7 +97,7 @@ class Circle:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MotionSegment:
     """Constant-velocity motion from start (at t0) to end (reached at t1)."""
 
@@ -99,9 +106,13 @@ class MotionSegment:
     t0: float
     t1: float
 
-    def __post_init__(self) -> None:
-        if self.t1 < self.t0:
+    def __init__(self, start: Point, end: Point, t0: float, t1: float) -> None:
+        if t1 < t0:
             raise GeometryError("motion segment with t1 < t0")
+        _segment_start(self, start)
+        _segment_end(self, end)
+        _segment_t0(self, t0)
+        _segment_t1(self, t1)
 
     def velocity(self) -> Point:
         dur = self.t1 - self.t0
@@ -119,6 +130,10 @@ class MotionSegment:
             self.start.x + f * (self.end.x - self.start.x),
             self.start.y + f * (self.end.y - self.start.y),
         )
+
+
+_segment_start, _segment_end = MotionSegment.start.__set__, MotionSegment.end.__set__
+_segment_t0, _segment_t1 = MotionSegment.t0.__set__, MotionSegment.t1.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -243,13 +243,20 @@ def _scan_or_rotate(sight: Sight, params: LocalParams, aligned: Optional[Point])
         return _claim_step(sight, aligned, params)
     half = _visible_arc_halfwidth(sight.d, sight.vis, params.cir.radius)
     # The clockwise offset of the nearest vacant target on the arc, if any.
+    # Target angles fall as the index rises, so the walk goes clockwise from
+    # the target nearest theta, each offset about 2*pi/n past the last. That
+    # first target may lie just counter-clockwise of theta, so only a later
+    # one past `half` ends the walk.
     stop: Optional[float] = None
-    for t, angle in zip(params.targets, params.angles):
-        off = _cw_offset(sight.theta, angle)
-        if off <= ALIGN_TOL or off > half:
-            continue
-        if is_vacant_target(t, others) and (stop is None or off < stop):
+    n, theta, first = params.n, sight.theta, target_index(sight.theta, params.n)
+    for k in range(first, first + n):
+        i = k % n
+        off = _cw_offset(theta, params.angles[i])
+        if off > half and k > first:
+            break
+        if ALIGN_TOL < off <= half and is_vacant_target(params.targets[i], others):
             stop = off
+            break
     return _rotate_cw(sight, params, stop_offset=stop)
 
 

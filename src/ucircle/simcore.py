@@ -18,11 +18,13 @@ sound only because a decision is a pure function of the Snapshot, which
 those Points determine.
 
 A look costs what changed since the robot last looked, and every reuse
-keys on Point objects, never on equal values (0.0 == -0.0): only robots
-whose Point is a new object are tested against the view (`_view_holds`), a
-y-only Snapshot builds only their local Points (`take_snapshot`), an ASYNC
-world in which nobody flies shares one positions tuple, and the trace
-writer formats each Point object once per call (`Trace.to_jsonl`).
+keys on Point objects, never on equal values (0.0 == -0.0): a robot's sight
+is updated from its last look, testing only robots whose Point is a new
+object (`_resight`), which holds only while visibility depends on the two
+robots' Points alone; a y-only Snapshot builds only their local Points
+(`take_snapshot`); an ASYNC world in which nobody flies shares one
+positions tuple; and the trace writer formats each Point object once per
+call (`Trace.to_jsonl`).
 
 A robot's handle is its index into `WorldState.robots` (what it is:
 visibility and frame, fixed for the run) and `WorldState.positions` (where
@@ -81,13 +83,25 @@ class Robot:
     frame: str = FRAME_FULL_AXES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WorldState:
     """The robots, and where each one is at `clock`."""
 
     robots: tuple[Robot, ...]
     positions: tuple[Point, ...]
     clock: float = 0.0
+
+    def __init__(
+        self, robots: tuple[Robot, ...], positions: tuple[Point, ...], clock: float = 0.0
+    ) -> None:
+        # Stored through the slots, as `geometry.Point` is.
+        _world_robots(self, robots)
+        _world_positions(self, positions)
+        _world_clock(self, clock)
+
+
+_world_robots, _world_positions = WorldState.robots.__set__, WorldState.positions.__set__
+_world_clock = WorldState.clock.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,30 +241,37 @@ def visible(world: WorldState, i: int) -> tuple[Point, ...]:
     return _sight(world, i)[1]
 
 
-def _view_holds(world: WorldState, i: int, before: tuple[Point, ...], seen_by: list[bool]) -> bool:
-    """Whether robot i sees the same Point objects in `world` as it saw
-    among the positions `before`, where `seen_by` flagged the robots it saw
-    (see `_sight`).
+def _resight(
+    world: WorldState, i: int, before: Optional[tuple[Point, ...]], seen_by: list[bool]
+) -> Optional[list[bool]]:
+    """Robot i's flags in `world` (see `_sight`), updated from its last look
+    among the positions `before`, where it saw the robots flagged `seen_by`;
+    None when it sees the same Point objects as then.
 
-    Only robots whose Point is a new object are tested, and only when robot
-    i stands on the same Point object. That is sound because whether i sees
-    robot j depends only on i's Point and j's own: a robot that kept its
-    Point object kept its place in the view, and a moved one changes the
-    view only if it was seen or is seen now. Under an infinite radius every
-    robot is seen, so any move is a new view. A model in which a third robot
-    can hide j (opaque robots) breaks the premise, and this shortcut with it.
+    While robot i stands on the same Point object, only robots whose Point
+    is a new object are tested. That is sound because whether i sees robot j
+    depends only on i's Point and j's own: a robot that kept its Point kept
+    its flag, and a moved one changes the view only if it was seen or is
+    seen now. Under an infinite radius every robot is seen, so any move is a
+    new view. On a first look (`before` None) or after i moved, the full
+    `_sight` runs. A model in which a third robot can hide j (opaque robots)
+    breaks the premise: there, the full `_sight` must run on every look.
     """
     positions = world.positions
     at = positions[i]
-    if at is not before[i]:
-        return False
+    if before is None or at is not before[i]:
+        return _sight(world, i)[0]
     # `_sight`'s rule, `dist(p, at) <= vis + EPS`, written out.
     hypot, ax, ay, reach = math.hypot, at.x, at.y, world.robots[i].vis_radius + EPS
+    flags = None
     for j in compress(range(len(positions)), map(operator.is_not, positions, before)):
         p = positions[j]
-        if seen_by[j] or hypot(p.x - ax, p.y - ay) <= reach:
-            return False
-    return True
+        now = hypot(p.x - ax, p.y - ay) <= reach
+        if now or seen_by[j]:
+            if flags is None:
+                flags = seen_by.copy()
+            flags[j] = now
+    return flags
 
 
 def take_snapshot(
@@ -327,14 +348,15 @@ def _decider(
     Each robot keeps one entry: the positions tuple it was last asked on,
     the robots it saw there (see `_sight`), the Action, and the view it was
     made from: the Point it stood on, the Points it saw and their Snapshot.
-    Asked again on the same tuple, or on one where it stands on the same
-    Point object and its view holds the same Point objects (see
-    `_view_holds`), it reuses the Action; only a changed view is
-    snapshotted, from the last one (see `take_snapshot`), and decided. This
-    is sound only because an algorithm is a pure function of its Snapshot,
-    which carries no clock. The test is identity, not equality: 0.0 ==
-    -0.0, yet a robot can see the sign of a zero. Mirror twins with equal
-    snapshots decide apart, and a new run starts with no views.
+    Asked again on the same tuple, it reuses the Action. Otherwise its sight
+    is updated from its last look (see `_resight`), which holds only while
+    whether i sees j depends on their two Points alone: on the same Point
+    objects the Action is reused, and only a changed view is snapshotted,
+    from the last one (see `take_snapshot`), and decided. This is sound only
+    because an algorithm is a pure function of its Snapshot, which carries
+    no clock. The test is identity, not equality: 0.0 == -0.0, yet a robot
+    can see the sign of a zero. Mirror twins with equal snapshots decide
+    apart, and a new run starts with no views.
     """
     memo = [(None, None, None, None)] * n
 
@@ -343,9 +365,10 @@ def _decider(
         last, seen_by, action, view = memo[i]
         if last is positions:
             return action
-        if last is None or not _view_holds(world, i, last, seen_by):
-            at = positions[i]
-            seen_by, seen = _sight(world, i)
+        flags = _resight(world, i, last, seen_by)
+        if flags is not None:
+            at, seen_by = positions[i], flags
+            seen = tuple(compress(positions, flags))
             snapshot = take_snapshot(world.robots[i], at, seen, view)
             action = algorithm(snapshot)
             view = (at, seen, snapshot)

@@ -7,7 +7,9 @@ both tiers sorted and grouped, then walked over a given pool of movers.
 over every unseated robot.
 
 `sight_of` builds the view a local activation reads, and `round_of` runs one
-sync round of an algorithm with a fresh decision memo.
+sync round of an algorithm with a fresh decision memo. `reference_arc_stop`
+is the eager scan of every target that `local_form._scan_or_rotate` walks
+only as far as the nearest vacant one.
 `satisfies_direction_constraint` checks the paper's move rule for `local`:
 every move is radial or a clockwise turn about the target circle's center.
 """
@@ -17,9 +19,10 @@ import struct
 
 import pytest
 
+from ucircle import local_form
 from ucircle.geometry import EPS, ORIGIN, angle_of, compute_target_points, dist, is_vacant_target
 from ucircle.global_form import SETTLE_TOL, TAG_FORM, _arc_step, _on_sec, _straight_step, form_ucircle
-from ucircle.local_form import POS_EPS, measure
+from ucircle.local_form import ALIGN_TOL, POS_EPS, _cw_offset, measure
 from ucircle.simcore import Action, Snapshot, _decider, execute_cycle
 
 
@@ -35,6 +38,22 @@ def round_of(world, active, algo, cycle=0, floor=math.inf):
     decide = _decider(algo, len(world.robots))
     new, min_sep = execute_cycle(world, active, decide, cycle, floor, events)
     return new, events, min_sep
+
+
+def reference_arc_stop(sight, params):
+    """The clockwise offset of the nearest vacant target on the robot's
+    visible arc of CIR, or None: every target is tested, and the smallest
+    offset kept. The arc's half-width is `local_form._visible_arc_halfwidth`,
+    looked up at call time."""
+    half = local_form._visible_arc_halfwidth(sight.d, sight.vis, params.cir.radius)
+    stop = None
+    for t, angle in zip(params.targets, params.angles):
+        off = _cw_offset(sight.theta, angle)
+        if off <= ALIGN_TOL or off > half:
+            continue
+        if is_vacant_target(t, sight.others) and (stop is None or off < stop):
+            stop = off
+    return stop
 
 
 def _cross(p, q):

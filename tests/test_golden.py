@@ -353,18 +353,19 @@ def test_frame_bytes(name):
 @pytest.mark.parametrize(
     "name, work",
     [
-        ("local-fsync-random-fault", (330, 330, 26, 26, 13)),
-        ("global-ssync-idle", (23, 23, 7, 8, 9)),
-        ("local-async-n8", (218, 218, 60, 61, 81)),
+        ("local-fsync-random-fault", (330, 330, 26, 26, 13, 129)),
+        ("global-ssync-idle", (23, 23, 7, 8, 9, 11)),
+        ("local-async-n8", (218, 218, 60, 61, 81, 107)),
     ],
 )
 def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     """The engine's exact work on one golden scene per scheduler: (algorithm
     calls, `take_snapshot` calls, stall checks, termination calls, exact pair
-    tests). A robot decides again only when its view changes, a static world
-    gets one verdict, and a pair is tested exactly only when it holds a mover
-    and its bound does not clear; asking more often or testing more pairs
-    changes no byte, only these counts."""
+    tests, full `_sight` passes). A robot decides again only when its view
+    changes, its sight is updated from its last look unless it moved, a
+    static world gets one verdict, and a pair is tested exactly only when it
+    holds a mover and its bound does not clear; asking more often or testing
+    more pairs changes no byte, only these counts."""
     ((golden, _),) = entry_digest(name)[1]
     counts = collections.Counter()
 
@@ -377,6 +378,7 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
 
     monkeypatch.setattr(simcore, "take_snapshot", counted("snapshot", simcore.take_snapshot))
     monkeypatch.setattr(simcore, "_all_would_stay", counted("stall", simcore._all_would_stay))
+    monkeypatch.setattr(simcore, "_sight", counted("sight", simcore._sight))
     pair_test = simcore.min_separation_during_motion
     monkeypatch.setattr(simcore, "min_separation_during_motion", counted("pairs", pair_test))
     run = harness.run
@@ -389,7 +391,7 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     (raw,), _ = CORPUS[name]
     trace, _ = run_scenario(parse_config(raw))
     assert trace.to_jsonl() == golden.to_jsonl()
-    keys = ("algorithm", "snapshot", "stall", "term", "pairs")
+    keys = ("algorithm", "snapshot", "stall", "term", "pairs", "sight")
     assert tuple(counts[key] for key in keys) == work
 
 

@@ -2,17 +2,23 @@
 
 import collections
 import math
+import random
+import struct
 
 import pytest
-from conftest import satisfies_direction_constraint, sight_of
+from conftest import reference_arc_stop, satisfies_direction_constraint, sight_of
 
 from ucircle import local_form
-from ucircle.geometry import Circle, Point, angle_of, dist
+from ucircle.geometry import Circle, Point, angle_of, dist, is_vacant_target, target_index
 from ucircle.harness import parse_config, run_scenario
 from ucircle.local_form import (
+    ALIGN_TOL,
     LocalParams,
     PsiConfig,
+    Sight,
     _aligned_target,
+    _cw_offset,
+    _scan_or_rotate,
     classify_psi,
     compute_destination,
     eligible_to_move,
@@ -373,6 +379,69 @@ def test_one_measure_from_center_per_activation(monkeypatch):
     assert len(measures) > 100 and set(measures) == {1}
     # Only the contention test asks for another robot's angle from C.
     assert {call for step_calls in calls for call in step_calls} == {("angle_of", False)}
+
+
+@pytest.mark.parametrize("n", [3, 5, 16, 24, 97])
+def test_arc_walk_matches_the_scan_of_every_target(monkeypatch, n):
+    # `_scan_or_rotate` walks clockwise from the target nearest theta and
+    # stops at the first vacant one on the arc; the reference tests every
+    # target. Both must pass `_rotate_cw` the same stop and give the same
+    # destination, bit for bit. Theta lies on a target ray, one ulp either
+    # side of it, or anywhere; the walk starts at every target, and often at
+    # one of the last, so that arcs wrap past target 0. The arc's half-width
+    # is set exactly: near 0, at a target's offset or one ulp either side, or
+    # pi.
+    params = LocalParams.make(n, 2.0 * n)
+    rad, angles = params.cir.radius, params.angles
+    rng = random.Random(f"arc:{n}")
+    stops, half = [], [0.0]
+    real_rotate = local_form._rotate_cw
+
+    def rotate(sight, params, stop_offset=None):
+        stops.append(stop_offset)
+        return real_rotate(sight, params, stop_offset=stop_offset)
+
+    monkeypatch.setattr(local_form, "_rotate_cw", rotate)
+    monkeypatch.setattr(local_form, "_visible_arc_halfwidth", lambda d, vis, rad: half[0])
+    found = from_first = wrapped = 0
+    for trial in range(400):
+        # Each target in turn, and every other trial one of the last few.
+        ray = angles[(n - 1 - trial % 8 if trial % 2 else trial // 2) % n]
+        theta = rng.choice(
+            [ray, math.nextafter(ray, math.inf), math.nextafter(ray, -math.inf)]
+            + [ray + rng.uniform(-1, 1) * math.pi / n, rng.uniform(-math.pi, math.pi)]
+        )
+        # `_visible_arc_halfwidth` is an acos, so the arc reaches at most pi.
+        off = rng.choice([o for o in (_cw_offset(theta, a) for a in angles) if o <= math.pi])
+        half[0] = rng.choice(
+            [0.0, 1e-12, off, math.nextafter(off, 0.0), math.nextafter(off, math.inf)]
+            + [rng.uniform(0.0, math.pi), math.pi]
+        )
+        d = rad + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+        me = P(d * math.cos(theta), d * math.sin(theta))
+        others = [
+            P(t.x + rng.uniform(-2.0, 2.0), t.y + rng.uniform(-2.0, 2.0))
+            for t in params.targets
+            if rng.random() < 0.6
+        ]
+        others = [o for o in others if dist(o, me) > 2.0]
+        sight = Sight(me, others, rad + d, d, theta, [dist(o, CENTER) for o in others])
+        aligned = _aligned_target(theta, params) if rng.random() < 0.2 else None
+        dest = _scan_or_rotate(sight, params, aligned)
+        if aligned is not None and is_vacant_target(aligned, others):
+            assert not stops
+            continue
+        want = reference_arc_stop(sight, params)
+        assert stops.pop() == want
+        ref = real_rotate(sight, params, stop_offset=want)
+        assert struct.pack("<dd", dest.x, dest.y) == struct.pack("<dd", ref.x, ref.y), theta
+        if want is not None:
+            found += 1
+            start = target_index(theta, n)
+            first = _cw_offset(theta, angles[start])
+            from_first += want == first and ALIGN_TOL < first
+            wrapped += [_cw_offset(theta, a) for a in angles].index(want) < start
+    assert found > 50 and from_first > 10 and wrapped > 10
 
 
 class TestIsFormedLocal:

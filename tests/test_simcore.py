@@ -1,15 +1,24 @@
 """Tests for the look-compute-move scheduler core."""
 
+import dataclasses
 import json
 import math
 import operator
 import random
 import re
+from itertools import compress
 
 import pytest
 from conftest import round_of
 
-from ucircle.geometry import EPS, MotionSegment, Point, dist, min_separation_during_motion
+from ucircle.geometry import (
+    EPS,
+    GeometryError,
+    MotionSegment,
+    Point,
+    dist,
+    min_separation_during_motion,
+)
 from ucircle.harness import (
     build_algorithm,
     curated_local_configs,
@@ -37,8 +46,8 @@ from ucircle.simcore import (
     WorldState,
     _decider,
     _destination,
+    _resight,
     _sight,
-    _view_holds,
     next_activation,
     run,
     take_snapshot,
@@ -166,11 +175,12 @@ class TestSnapshots:
             assert all(map(operator.is_, snap.others, seen))
 
     @pytest.mark.parametrize("vis", [math.inf, 6.0])
-    def test_view_holds_matches_visible(self, vis):
+    def test_resight_matches_sight(self, vis):
         # Random worlds and moves that cross the boundary, stay on it, swap a
-        # zero's sign or hand a robot a new Point of equal value: the view
-        # holds exactly when the robot stands on the same Point object and
-        # `visible` returns the same Point objects.
+        # zero's sign or hand a robot a new Point of equal value: the sight
+        # updated from the last look is None exactly when the robot stands
+        # on the same Point object and `visible` returns the same Point
+        # objects, and otherwise the flags of a full `_sight`.
         rng = random.Random(f"holds:{vis}")
         edge = 6.0 + EPS
         held = changed = 0
@@ -196,7 +206,14 @@ class TestSnapshots:
                 now = visible(w1, i)
                 same = after[i] is before[i] and len(now) == len(seen)
                 same = same and all(map(operator.is_, now, seen))
-                assert _view_holds(w1, i, before, seen_by) == same
+                flags = _resight(w1, i, before, seen_by)
+                if same:
+                    assert flags is None
+                else:
+                    assert flags == _sight(w1, i)[0]
+                    picked = tuple(compress(w1.positions, flags))
+                    assert len(picked) == len(now) and all(map(operator.is_, picked, now))
+                assert _resight(w1, i, None, seen_by) == _sight(w1, i)[0]
                 held += same
                 changed += not same
         assert held > 100 and changed > 100
@@ -1455,3 +1472,48 @@ class TestLookReplay:
         assert looks > 50 and sum(map(len, walks)) > 40
         # Under ASYNC some looks see a robot part way along its walk.
         assert (sees_a_walk > 0) == (config.scheduler == "ASYNC")
+
+
+# ---------------------------------------------------------------------------
+# Per-event value types
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Point, dict(x=-0.0, y=2.5)),
+        (MotionSegment, dict(start=P(0.0, -0.0), end=P(-0.0, 1.0), t0=0.5, t1=1.5)),
+        (WorldState, dict(robots=(Robot(6.0),), positions=(P(-0.0, 0.0),), clock=2.0)),
+    ],
+)
+def test_value_types_are_frozen_dataclasses(cls, fields):
+    # Each stores its fields through its own `__init__`, yet stays a frozen
+    # dataclass: no assignment or deletion, and equality, hash and repr of
+    # a fresh build, the sign of a zero included.
+    value = cls(*fields.values())
+    again = cls(**fields)
+    assert value == again and hash(value) == hash(again) and repr(value) == repr(again)
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, fields[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    name, first = next(iter(fields.items()))
+    changed = dataclasses.replace(value, **{name: first})
+    assert changed == value and changed is not value
+    assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+
+
+def test_value_types_keep_their_defaults_and_checks():
+    assert repr(P(-0.0, 0.0)) == "Point(x=-0.0, y=0.0)"
+    assert P(0.0, 0.0) == P(-0.0, 0.0) and hash(P(0.0, 0.0)) == hash(P(-0.0, 0.0))
+    world = WorldState((Robot(),), (P(1.0, 2.0),))
+    assert world.clock == 0.0 and world == WorldState(robots=(Robot(),), positions=(P(1.0, 2.0),))
+    assert dataclasses.replace(world, clock=3.0).clock == 3.0
+    with pytest.raises(GeometryError, match=r"^motion segment with t1 < t0$"):
+        MotionSegment(P(0, 0), P(1, 0), 1.0, 0.5)
+    seg = MotionSegment(P(0, 0), P(1, 0), 0.0, 1.0)
+    with pytest.raises(GeometryError, match=r"^motion segment with t1 < t0$"):
+        dataclasses.replace(seg, t1=-1.0)
