@@ -35,7 +35,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .geometry import smallest_enclosing_circle_bruteforce
 from .harness import (
@@ -198,6 +197,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 1
     jobs = [(path, args.out) for path in files]
     if args.jobs > 1:
+        # Imported here, so that a run without a pool never loads `multiprocessing`.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_batch_one, jobs))
     else:

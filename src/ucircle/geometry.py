@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterable, Sequence
 
 EPS = 1e-9
@@ -211,40 +212,59 @@ def _sec_order(n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
+def smallest_enclosing_circle(points: Sequence[Point], memo: dict | None = None) -> Circle:
     """Minimum-radius circle enclosing all points (incremental construction).
 
     The result is bit for bit that of the construction from `dist`,
     `_circle_from_two` and `circumcircle`. It runs on plain floats, with the
     enclose test `dist(center, p) <= r + EPS`, the diameter circle of two
     points and the circumcircle of three written out in the same
-    expressions. Each point's `x*x + y*y` is computed once per call, and a
+    expressions. Each point's `x*x + y*y` is computed once, and a
     circumcircle's radius only for the two circles that can win.
+
+    The circle after visiting step i depends only on the first i + 1 points
+    visited. `memo` (a dict owned by the caller, or None) keeps, per first
+    point `points[0]`, the Points visited last time, their `(x, y, x*x +
+    y*y)` and the circle after each step; a call resumes after the longest
+    prefix whose Points are the same objects (identity, never equality: 0.0
+    == -0.0). It holds at most 2n entries, the least recently used going
+    first. Without a memo the same loop runs from step 0.
     """
-    pts = [(p.x, p.y, p.x * p.x + p.y * p.y) for p in points]
-    if not pts:
+    n = len(points)
+    if not n:
         raise GeometryError("smallest_enclosing_circle: empty point set")
-    pts = [pts[k] for k in _sec_order(len(pts))]
+    visited = [points[k] for k in _sec_order(n)]
+    key = id(points[0])
+    was, pts, circles = (memo is not None and memo.pop(key, None)) or ((), [], [])
+    # The first step at which a new Point object is visited.
+    start = next(compress(count(), map(operator.is_not, visited, was)), min(n, len(was)))
+    del pts[start:], circles[start:]
+    pts += [(p.x, p.y, p.x * p.x + p.y * p.y) for p in visited[start:]]
     hypot = math.hypot
-    cx, cy, r = pts[0][0], pts[0][1], 0.0
+    cx, cy, r = circles[-1] if circles else (pts[0][0], pts[0][1], 0.0)
     reach = r + EPS
-    for i, p in enumerate(pts):
+    for i in range(start, n):
+        p = pts[i]
         px, py, _ = p
-        if hypot(cx - px, cy - py) <= reach:
-            continue
-        # The smallest circle of pts[: i + 1] with p on its boundary.
-        cx, cy, r = px, py, 0.0
-        reach = r + EPS
-        for j in range(i + 1):
-            q = pts[j]
-            qx, qy, _ = q
-            if hypot(cx - qx, cy - qy) <= reach:
-                continue
-            if r == 0.0:
-                cx, cy, r = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
-            else:
-                cx, cy, r = _sec_two_boundary(pts, j + 1, p, q)
+        if not hypot(cx - px, cy - py) <= reach:
+            # The smallest circle of pts[: i + 1] with p on its boundary.
+            cx, cy, r = px, py, 0.0
             reach = r + EPS
+            for j in range(i + 1):
+                q = pts[j]
+                qx, qy, _ = q
+                if hypot(cx - qx, cy - qy) <= reach:
+                    continue
+                if r == 0.0:
+                    cx, cy, r = (px + qx) / 2.0, (py + qy) / 2.0, hypot(px - qx, py - qy) / 2.0
+                else:
+                    cx, cy, r = _sec_two_boundary(pts, j + 1, p, q)
+                reach = r + EPS
+        circles.append((cx, cy, r))
+    if memo is not None:
+        memo[key] = (visited, pts, circles)
+        if len(memo) > 2 * n:
+            del memo[next(iter(memo))]
     return Circle(Point(cx, cy), r)
 
 

@@ -406,19 +406,26 @@ def _move_step(mover: Mover, target: Point, points: Sequence[Point], sec: Circle
     return dest
 
 
-def global_step(snapshot: Snapshot, params: GlobalParams) -> Action:
+def global_step(snapshot: Snapshot, params: GlobalParams, memo: Optional[dict] = None) -> Action:
     """Dispatch between the expansion and formation phases, both given the
-    snapshot's points, the robot asking first, and their SEC."""
+    snapshot's points, the robot asking first, and their SEC.
+
+    `memo` is a run's SEC memo (see `smallest_enclosing_circle`), keyed by
+    the robot's own Point, which a snapshot keeps while the robot stands
+    still. The Action is bit for bit that of a call without one."""
     points = [snapshot.self_pos, *snapshot.others]
-    sec = smallest_enclosing_circle(points)
+    sec = smallest_enclosing_circle(points, memo)
     if sec.radius < params.rad_req - PHASE_TOL:
         return sec_expansion(points, params, sec)
     return form_ucircle(points, params, sec)
 
 
 def make_global_algorithm(params: GlobalParams):
+    """The algorithm of one run: `global_step` with the run's SEC memo."""
+    memo: dict = {}
+
     def algo(snapshot: Snapshot) -> Action:
-        return global_step(snapshot, params)
+        return global_step(snapshot, params, memo)
 
     return algo
 

@@ -13,9 +13,13 @@ An algorithm must be a pure function of its Snapshot, and a termination
 test a function of the positions: a run keeps one decision memo
 (`_decider`), and a robot decides again only when its view changes: the
 Point it stands on, or the tuple of Points it sees. A sync run asks for a
-verdict again only after a round that moved somebody. Both reuses are
-sound only because a decision is a pure function of the Snapshot, which
-those Points determine.
+verdict again only after a round that moved somebody (a round that moves
+nobody keeps its positions tuple), and its stall check asks the robots in
+the order they will be activated, so every decision it makes is one a look
+uses. These reuses are sound only because a decision is a pure function of
+the Snapshot, which those Points determine. An algorithm may keep a
+run-scoped cache only when its answers are bit for bit those of the pure
+function (the global SEC memo checks this by Point identity).
 
 A look costs what changed since the robot last looked, and every reuse
 keys on Point objects, never on equal values (0.0 == -0.0): a robot's sight
@@ -39,9 +43,10 @@ import heapq
 import math
 import operator
 import random
+from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import chain, compress
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .geometry import (
     EPS,
@@ -252,17 +257,21 @@ def _resight(
     is a new object are tested. That is sound because whether i sees robot j
     depends only on i's Point and j's own: a robot that kept its Point kept
     its flag, and a moved one changes the view only if it was seen or is
-    seen now. Under an infinite radius every robot is seen, so any move is a
-    new view. On a first look (`before` None) or after i moved, the full
-    `_sight` runs. A model in which a third robot can hide j (opaque robots)
-    breaks the premise: there, the full `_sight` must run on every look.
+    seen now. Under an infinite radius every robot is seen: the flags stay as
+    they were, and any move is a new view. On a first look (`before` None)
+    or after i moved, the full `_sight` runs. A model in which a third robot
+    can hide j (opaque robots) breaks the premise: there, the full `_sight`
+    must run on every look.
     """
     positions = world.positions
     at = positions[i]
     if before is None or at is not before[i]:
         return _sight(world, i)[0]
+    vis = world.robots[i].vis_radius
+    if vis == math.inf:
+        return seen_by if any(map(operator.is_not, positions, before)) else None
     # `_sight`'s rule, `dist(p, at) <= vis + EPS`, written out.
-    hypot, ax, ay, reach = math.hypot, at.x, at.y, world.robots[i].vis_radius + EPS
+    hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
     flags = None
     for j in compress(range(len(positions)), map(operator.is_not, positions, before)):
         p = positions[j]
@@ -285,10 +294,11 @@ def take_snapshot(
 
     `previous` is the observer's last (at, seen, Snapshot), if any. A y-only
     observer that stands on the same Point object, and sees as many robots
-    as then, reuses each local Point whose world Point is the same object at
-    the same place in `seen`: the same arithmetic on the same floats. When
-    the same robots are seen (always, under an infinite radius), only the
-    Points of robots that moved are built."""
+    as then, keeps its own local Point and each local Point whose world
+    Point is the same object at the same place in `seen`: the same
+    arithmetic on the same floats. Only the Points at the places whose world
+    Point is a new object are built, which under an infinite radius are
+    those of the robots that moved."""
     vis = observer.vis_radius
     if observer.frame == FRAME_FULL_AXES:
         return Snapshot(self_pos=at, others=seen, vis_radius=vis)
@@ -297,13 +307,11 @@ def take_snapshot(
     ax, ay, chi = at.x, at.y, observer.chirality
     if previous is not None and previous[0] is at and len(previous[1]) == len(seen):
         _, was_seen, was = previous
-        others = tuple(
-            [
-                q if p is w else Point((p.x - ax) * chi, p.y - ay)
-                for p, w, q in zip(seen, was_seen, was.others)
-            ]
-        )
-        return Snapshot(self_pos=was.self_pos, others=others, vis_radius=vis)
+        others = list(was.others)
+        for k in compress(range(len(seen)), map(operator.is_not, seen, was_seen)):
+            p = seen[k]
+            others[k] = Point((p.x - ax) * chi, p.y - ay)
+        return Snapshot(self_pos=was.self_pos, others=tuple(others), vis_radius=vis)
     others = tuple([Point((p.x - ax) * chi, p.y - ay) for p in seen])
     return Snapshot(self_pos=Point((ax - ax) * chi, ay - ay), others=others, vis_radius=vis)
 
@@ -427,9 +435,10 @@ def execute_cycle(
     appended to the run's `events` as it is made, so a round that faults
     leaves them in the trace. Returns (new world, the run's minimum
     separation after the round: `floor`, or less if a pair with a mover
-    comes closer). A still pair's distance counts at the start of the next
-    round that moves either robot, or else in the final world. Raises
-    CollisionFault when motions come closer than two units.
+    comes closer); a round that moves nobody keeps the positions tuple. A
+    still pair's distance counts at the start of the next round that moves
+    either robot, or else in the final world. Raises CollisionFault when
+    motions come closer than two units.
     """
     robots, positions = world.robots, world.positions
     n = len(robots)
@@ -481,8 +490,9 @@ def execute_cycle(
                     sep,
                 )
 
-    new_positions = tuple(motions[i].end if i in motions else p for i, p in enumerate(positions))
-    return WorldState(robots, new_positions, t1), min_sep
+    if motions:
+        positions = tuple(motions[i].end if i in motions else p for i, p in enumerate(positions))
+    return WorldState(robots, positions, t1), min_sep
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +503,17 @@ def execute_cycle(
 def _all_would_stay(
     world: WorldState,
     decide: Callable[[WorldState, int], Action],
-    first: Sequence[int] = (),
+    first: Collection[int] = (),
 ) -> bool:
-    """True when no robot would move. Robots in `first` are asked first.
+    """True when no robot would move. Robots in `first` are asked first, in
+    the order given, then the rest in index order.
 
     A NaN destination counts as staying here; a robot that asks for it
     faults when it looks in a round or an ASYNC cycle.
     """
     ahead = set(first)
-    for i in sorted(range(len(world.robots)), key=lambda i: i not in ahead):
+    rest = [i for i in range(len(world.robots)) if i not in ahead]
+    for i in chain(first, rest):
         if _destination(world, i, decide(world, i)) is not None:
             return False
     return True
@@ -511,13 +523,13 @@ def _verdict(
     world: WorldState,
     decide: Callable[[WorldState, int], Action],
     termination: Callable[[WorldState], bool],
-    first: Sequence[int] = (),
+    first: Collection[int] = (),
 ) -> Optional[tuple[str, str]]:
     """How a run ends in this static world: (outcome, diagnosis), or None.
 
     A formed world has converged. A world in which no robot would move has
     stalled; the diagnosis names the tags the robots decide with. Robots in
-    `first` are asked first whether they would move.
+    `first` are asked first, in that order, whether they would move.
     """
     if termination(world):
         return OUTCOME_CONVERGED, ""
@@ -555,23 +567,36 @@ def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
     min_sep = min_pairwise_distance(world.positions)
     n = len(world.robots)
     decide = _decider(algorithm, n)
+    # The activation sets of this round and the later ones drawn so far.
+    rounds: deque[tuple[int, ...]] = deque()
     moved = True
     for cycle in range(max_cycles):
         # One verdict per static world: after a round that moved nobody,
         # every robot stands on the same Point and the verdict (None) holds.
-        active = next_activation(schedule, n, cycle)
         if moved:
-            verdict = _verdict(world, decide, termination, active)
+            # Ask the robots in the order they will look, up to the fairness
+            # bound: the world stays still until the first one that would
+            # move is activated, so each robot asked before it looks on
+            # this very decision.
+            first: dict[int, None] = {}
+            for k in range(min(schedule.fairness_bound, max_cycles - cycle)):
+                if len(first) == n:
+                    break
+                if k == len(rounds):
+                    rounds.append(next_activation(schedule, n, cycle + k))
+                first.update(dict.fromkeys(rounds[k]))
+            verdict = _verdict(world, decide, termination, first)
             if verdict is not None:
                 outcome, diagnosis = verdict
                 return outcome, world, cycle, min_sep, diagnosis
+        active = rounds.popleft() if rounds else next_activation(schedule, n, cycle)
         try:
             new, min_sep = execute_cycle(world, active, decide, cycle, min_sep, events)
         except SimulationFault as exc:
             if isinstance(exc, CollisionFault):
                 min_sep = min(min_sep, exc.separation)
             return OUTCOME_FAULT, world, cycle, min_sep, str(exc)
-        moved = not all(map(operator.is_, new.positions, world.positions))
+        moved = new.positions is not world.positions
         world = new
     outcome = OUTCOME_CONVERGED if termination(world) else OUTCOME_BUDGET
     return outcome, world, max_cycles, min_sep, ""

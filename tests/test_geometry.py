@@ -590,3 +590,82 @@ class TestSecAgainstReference:
             assert (c.center.x.hex(), c.center.y.hex(), c.radius.hex()) == tuple(v.hex() for v in want), pts
         # The nearly collinear skip is reached, so that branch is compared too.
         assert hits["collinear"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The SEC resumed from a memo
+# ---------------------------------------------------------------------------
+
+
+def _memo_world(kind, n, rng):
+    """n Points of one kind, and the move that gives one of them a new place:
+    a random disc; a formation of n targets moved by 1e-9; or a set mirrored
+    across the x axis at a scale of 2e-9..1e-6 with EPS-sized offsets, whose
+    left and right circumcircles tie."""
+    if kind == "disc":
+        spread = rng.choice((3.0, 3.0 * n, 1e3))
+
+        def move(p):
+            r, ang = spread * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+            return P(r * math.cos(ang), r * math.sin(ang))
+
+        return [move(None) for _ in range(n)], move
+    if kind == "formation":
+        radius = 3.5 / (2.0 * math.sin(math.pi / max(n, 2)))
+        c = P(rng.uniform(-50, 50), rng.uniform(-50, 50))
+        angles = [math.pi / 2.0 - 2.0 * math.pi * i / n for i in range(n)]
+        world = [P(c.x + radius * math.cos(a), c.y + radius * math.sin(a)) for a in angles]
+        return world, lambda p: P(p.x + rng.choice((-1e-9, 1e-9)), p.y + rng.choice((-1e-9, 0.0, 1e-9)))
+    scale = rng.choice((2e-9, 1e-8, 1e-7, 1e-6))
+
+    def nudge():
+        return rng.choice((0.0, 0.0, -EPS, EPS, rng.uniform(-EPS, EPS)))
+
+    half = [(rng.uniform(-scale, scale), rng.uniform(0.1 * scale, scale)) for _ in range((n - 1) // 2)]
+    world = [P(-scale, 0.0), P(scale, 0.0)][: n - 2 * len(half)]
+    world += [P(x, y + nudge()) for x, y in half] + [P(x, -y + nudge()) for x, y in half]
+    rng.shuffle(world)
+    return world, lambda p: P(p.x + nudge(), p.y + nudge())
+
+
+def _sec_bits(c):
+    return (c.center.x.hex(), c.center.y.hex(), c.radius.hex())
+
+
+@pytest.mark.parametrize("kind", ["disc", "formation", "eps-tie"])
+def test_sec_resumed_from_a_memo_is_the_fresh_one(kind):
+    """Chains of calls share one memo. Each call is a robot's look, its own
+    Point first and the others in index order; between calls a random subset
+    of Points is swapped for new objects: moved, of equal value, or the
+    `-0.0` twin of a zero. Each circle is the fresh one to the last bit, and
+    the memo never holds more than 2n entries."""
+    rng = random.Random(f"sec-memo:{kind}")
+    sizes = (4, 5) if kind == "eps-tie" else (1, 2, 3, 8, 20, 50)
+    resumed = 0
+    for n in sizes:
+        for _ in range(36 // len(sizes)):
+            world, move = _memo_world(kind, n, rng)
+            memo = {}
+            for _ in range(40):
+                for j in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                    p = world[j]
+                    world[j] = rng.choice(
+                        [
+                            move(p),
+                            P(p.x, p.y),
+                            P(-p.x if p.x == 0.0 else p.x, -p.y if p.y == 0.0 else p.y),
+                            P(rng.choice((0.0, -0.0)), p.y),
+                        ]
+                    )
+                i = rng.randrange(min(n, 3))
+                points = [world[i], *world[:i], *world[i + 1 :]]
+                entry = memo.get(id(points[0]))
+                if entry is not None:
+                    visited = [points[k] for k in _sec_order(n)]
+                    same = next((k for k, p in enumerate(visited) if p is not entry[0][k]), n)
+                    resumed += 0 < same < n
+                got = smallest_enclosing_circle(points, memo)
+                assert _sec_bits(got) == _sec_bits(smallest_enclosing_circle(points)), points
+                assert len(memo) <= 2 * n
+    # Calls that resume part way through the visiting order.
+    assert resumed > 200

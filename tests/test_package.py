@@ -5,6 +5,8 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -87,3 +89,14 @@ def test_every_span_the_benchmark_records_is_reached(tmp_path, capsys):
     capsys.readouterr()
     spans = {span for _, _, span in layers.PATCHES} | {"simcore.algorithm", "simcore.termination"}
     assert {span: tracer.calls(span) for span in spans if tracer.calls(span) == 0} == {}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only `batch --jobs m` with m > 1 starts a process pool, so importing
+    the CLI, as every `ucircle run` does, leaves `multiprocessing` unloaded."""
+    code = "import sys, ucircle.cli; print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = [sys.executable, "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,15 +1,19 @@
 """Tests for the look-compute-move scheduler core."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import operator
 import random
 import re
+import sys
 from itertools import compress
+from pathlib import Path
 
 import pytest
 from conftest import round_of
+from test_golden import CORPUS
 
 from ucircle.geometry import (
     EPS,
@@ -44,6 +48,7 @@ from ucircle.simcore import (
     Trace,
     TraceEvent,
     WorldState,
+    _all_would_stay,
     _decider,
     _destination,
     _resight,
@@ -55,6 +60,7 @@ from ucircle.simcore import (
 )
 
 P = Point
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_world(positions, **kw):
@@ -1141,6 +1147,94 @@ class TestComputeOnce:
 
         trace = run(w, algo, Schedule("FSYNC"), lambda w_: False, max_cycles=5)
         assert trace.diagnosis == "neg,pos"
+
+    def test_stall_check_asks_first_in_the_order_given(self):
+        w = make_world([P(0, 0), P(9, 0), P(0, 9), P(9, 9), P(-9, 0)])
+        asked = []
+
+        def decide(world, i):
+            asked.append(i)
+            return Action(P(5.0, 5.0), "go") if i == 4 else Action(tag="stay")
+
+        assert not _all_would_stay(w, decide, [3, 0, 4, 1])
+        assert asked == [3, 0, 4]
+        asked.clear()
+        assert not _all_would_stay(w, decide, [3, 0])
+        assert asked == [3, 0, 1, 2, 4]
+        asked.clear()
+        assert _all_would_stay(w, lambda world, i: asked.append(i) or Action(), [2, 4, 1])
+        assert asked == [2, 4, 1, 0, 3]
+
+
+def _seed1_global_ssync_configs():
+    """Every tenth scene of the benchmark's seed-1 `global-ssync` list."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    raws = workloads.global_configs(1, workloads.GLOBAL_NS, workloads.GLOBAL_SEEDS_PER_CELL)
+    return raws[::10]
+
+
+# The FSYNC and SSYNC scenes of each golden entry, by entry name.
+SYNC_GOLDEN = {
+    name: sync
+    for name, (raws, _) in CORPUS.items()
+    if (sync := [raw for raw in raws if raw["scheduler"] != "ASYNC"])
+}
+
+
+@pytest.mark.parametrize(
+    "raws",
+    [*SYNC_GOLDEN.values(), _seed1_global_ssync_configs()],
+    ids=[*SYNC_GOLDEN, "global-ssync-seed-1"],
+)
+def test_no_wasted_decision(raws, monkeypatch):
+    """Under FSYNC and SSYNC, each algorithm call for robot i is followed by a
+    look of i before i's next call: the stall check asks the robots in the
+    order they look, and the world stays still until the first that would
+    move is activated. Only the calls in a run's last world may go unused."""
+    import ucircle.simcore as simcore
+
+    log = []
+    decider, look = simcore._decider, simcore._look
+
+    def logged_decider(algorithm, n):
+        asking = [None]  # (robot, positions) of the decision being made
+
+        def algo(snapshot):
+            log.append(("call", *asking[0]))
+            return algorithm(snapshot)
+
+        decide = decider(algo, n)
+
+        def logged(world, i):
+            asking[0] = (i, world.positions)
+            return decide(world, i)
+
+        return logged
+
+    def logged_look(world, i, *args):
+        action = look(world, i, *args)
+        log.append(("look", i, world.positions))
+        return action
+
+    monkeypatch.setattr(simcore, "_decider", logged_decider)
+    monkeypatch.setattr(simcore, "_look", logged_look)
+    calls = 0
+    for raw in raws:
+        log.clear()
+        trace, _ = run_scenario(parse_config(raw))
+        unused = {}
+        for kind, i, positions in log:
+            if kind == "call":
+                assert i not in unused, f"robot {i}'s decision was replaced before a look used it"
+                unused[i] = positions
+                calls += 1
+            else:
+                unused.pop(i, None)
+        assert all(positions is trace.final.positions for positions in unused.values())
+    assert calls > 0
 
 
 class TestBadDestination:
