@@ -125,10 +125,10 @@ def _write_outputs(
             if not os.path.isdir(frames):
                 os.makedirs(frames)
                 made.append(frames)
-            _, params = build_algorithm(config)
             if config.algorithm == "global":
                 docs = render_frames(trace, every)
             else:
+                _, params = build_algorithm(config)
                 docs = render_frames(trace, every, params.cir, params.targets)
             for name, doc in sorted(docs.items()):
                 write(os.path.join(frames, name), doc)

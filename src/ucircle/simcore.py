@@ -12,14 +12,16 @@ and a sync round tests only the pairs that hold a mover.
 An algorithm must be a pure function of its Snapshot, and a termination
 test a function of the positions: a run keeps one decision memo
 (`_decider`), and a robot decides again only when its view changes: the
-Point it stands on, or the tuple of Points it sees. A sync run asks for a
-verdict again only after a round that moved somebody (a round that moves
-nobody keeps its positions tuple), and its stall check asks the robots in
-the order they will be activated, so every decision it makes is one a look
-uses. These reuses are sound only because a decision is a pure function of
-the Snapshot, which those Points determine. An algorithm may keep a
-run-scoped cache only when its answers are bit for bit those of the pure
-function (the global SEC memo checks this by Point identity).
+Point it stands on, or the tuple of Points it sees. A decision is recorded
+with its world move, and the look, the round, the ASYNC track and the stall
+check all read that record. A sync run asks for a verdict again only after
+a round that moved somebody (a round that moves nobody keeps its positions
+tuple), and its stall check asks the robots in the order they will be
+activated, so every decision it makes is one a look uses. These reuses are
+sound only because a decision is a pure function of the Snapshot, which
+those Points determine. An algorithm may keep a run-scoped cache only when
+its answers are bit for bit those of the pure function (the global SEC
+memo checks this by Point identity).
 
 A look costs what changed since the robot last looked, and every reuse
 keys on Point objects, never on equal values (0.0 == -0.0): a robot's sight
@@ -215,16 +217,9 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
-def _to_world(observer: Robot, at: Point, local: Point) -> Point:
-    """Local point of `observer` standing at `at`, in world coordinates."""
-    if observer.frame == FRAME_FULL_AXES:
-        return local
-    return Point(at.x + local.x * observer.chirality, at.y + local.y)
-
-
-def _sight(world: WorldState, i: int) -> tuple[list[bool], tuple[Point, ...]]:
-    """Robot i's view in one pass: a flag per robot, true when i sees it
-    (never for i itself), and the world Points it sees, in index order.
+def _sight(world: WorldState, i: int) -> list[bool]:
+    """Robot i's sight in one pass: a flag per robot, true when i sees it
+    (never for i itself).
 
     The one visibility rule: robot i sees every other robot within its
     visibility radius, the boundary (plus EPS) included."""
@@ -238,12 +233,12 @@ def _sight(world: WorldState, i: int) -> tuple[list[bool], tuple[Point, ...]]:
         hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
         seen_by = [hypot(p.x - ax, p.y - ay) <= reach for p in positions]
     seen_by[i] = False
-    return seen_by, tuple(compress(positions, seen_by))
+    return seen_by
 
 
 def visible(world: WorldState, i: int) -> tuple[Point, ...]:
     """The world Points robot i sees, in index order (see `_sight`)."""
-    return _sight(world, i)[1]
+    return tuple(compress(world.positions, _sight(world, i)))
 
 
 def _resight(
@@ -266,7 +261,7 @@ def _resight(
     positions = world.positions
     at = positions[i]
     if before is None or at is not before[i]:
-        return _sight(world, i)[0]
+        return _sight(world, i)
     vis = world.robots[i].vis_radius
     if vis == math.inf:
         return seen_by if any(map(operator.is_not, positions, before)) else None
@@ -347,64 +342,72 @@ def next_activation(schedule: Schedule, n_robots: int, round_index: int) -> tupl
 # ---------------------------------------------------------------------------
 
 
+def _destination(world: WorldState, i: int, action: Action) -> Optional[Point]:
+    """Where `action` sends robot i in world coordinates, or None if it stays.
+    A missing destination, a NaN one, or one within EPS of the robot is none."""
+    dest, pos, robot = action.dest, world.positions[i], world.robots[i]
+    if dest is None:
+        return None
+    if robot.frame != FRAME_FULL_AXES:
+        dest = Point(pos.x + dest.x * robot.chirality, pos.y + dest.y)
+    return dest if dist(dest, pos) > EPS else None
+
+
 def _decider(
     algorithm: Callable[[Snapshot], Action], n: int
-) -> Callable[[WorldState, int], Action]:
+) -> Callable[[WorldState, int], tuple[Action, Optional[Point]]]:
     """The decision memo of one run of n robots: `decide(world, i)` is robot
-    i's Action in `world`.
+    i's decision in `world`, recorded with its world move as (Action,
+    `_destination` of it): the look, the round, the ASYNC track and the
+    stall check read this record, and none works the move out again.
 
     Each robot keeps one entry: the positions tuple it was last asked on,
-    the robots it saw there (see `_sight`), the Action, and the view it was
+    the robots it saw there (see `_sight`), the record, and the view it was
     made from: the Point it stood on, the Points it saw and their Snapshot.
-    Asked again on the same tuple, it reuses the Action. Otherwise its sight
+    Asked again on the same tuple, it reuses the record. Otherwise its sight
     is updated from its last look (see `_resight`), which holds only while
     whether i sees j depends on their two Points alone: on the same Point
-    objects the Action is reused, and only a changed view is snapshotted,
-    from the last one (see `take_snapshot`), and decided. This is sound only
-    because an algorithm is a pure function of its Snapshot, which carries
-    no clock. The test is identity, not equality: 0.0 == -0.0, yet a robot
-    can see the sign of a zero. Mirror twins with equal snapshots decide
-    apart, and a new run starts with no views.
+    objects (its own too, so the move holds) the record is reused, and only
+    a changed view is snapshotted, from the last one (see `take_snapshot`),
+    and decided. This is sound only because an algorithm is a pure function
+    of its Snapshot, which carries no clock. The test is identity, not
+    equality: 0.0 == -0.0, yet a robot can see the sign of a zero. Mirror
+    twins with equal snapshots decide apart, and a new run starts fresh.
     """
     memo = [(None, None, None, None)] * n
 
-    def decide(world: WorldState, i: int) -> Action:
+    def decide(world: WorldState, i: int) -> tuple[Action, Optional[Point]]:
         positions = world.positions
-        last, seen_by, action, view = memo[i]
+        last, seen_by, decision, view = memo[i]
         if last is positions:
-            return action
+            return decision
         flags = _resight(world, i, last, seen_by)
         if flags is not None:
             at, seen_by = positions[i], flags
             seen = tuple(compress(positions, flags))
             snapshot = take_snapshot(world.robots[i], at, seen, view)
             action = algorithm(snapshot)
+            decision = (action, _destination(world, i, action))
             view = (at, seen, snapshot)
-        memo[i] = (positions, seen_by, action, view)
-        return action
+        memo[i] = (positions, seen_by, decision, view)
+        return decision
 
     return decide
 
 
-def _look(world: WorldState, i: int, decide, t: float, cycle: int, events: list) -> Action:
-    """Robot i looks and decides at clock t, and its look event, tagged with
-    the decision, is appended to `events`. A NaN or infinite destination
-    raises InvalidActionFault instead, with no event appended."""
-    action = decide(world, i)
+def _look(
+    world: WorldState, i: int, decide, t: float, cycle: int, events: list
+) -> tuple[Action, Optional[Point]]:
+    """Robot i looks at clock t: its look event, tagged with the decision, is
+    appended to `events`, and its decision record (see `_decider`) returned,
+    for the round or the ASYNC track to read the move from. A NaN or
+    infinite destination raises InvalidActionFault, with no event appended."""
+    decision = decide(world, i)
+    action = decision[0]
     if action.dest is not None and not action.dest.is_finite():
         raise InvalidActionFault(f"non-finite move destination {action.dest}")
     events.append(TraceEvent(t, cycle, i, "look", world.positions[i], tag=action.tag))
-    return action
-
-
-def _destination(world: WorldState, i: int, action: Action) -> Optional[Point]:
-    """Where `action` sends robot i in world coordinates, or None if it stays.
-    A missing destination, a NaN one, or one within EPS of the robot is none."""
-    if action.dest is None:
-        return None
-    pos = world.positions[i]
-    dest = _to_world(world.robots[i], pos, action.dest)
-    return dest if dist(dest, pos) > EPS else None
+    return decision
 
 
 def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionSegment]:
@@ -423,7 +426,7 @@ def _pieces_over(track: list[MotionSegment], a: float, b: float) -> list[MotionS
 def execute_cycle(
     world: WorldState,
     active: Sequence[int],
-    decide: Callable[[WorldState, int], Action],
+    decide: Callable[[WorldState, int], tuple[Action, Optional[Point]]],
     cycle: int,
     floor: float,
     events: list[TraceEvent],
@@ -449,8 +452,7 @@ def execute_cycle(
     t0 = world.clock
     decisions = {rid: _look(world, rid, decide, t0, cycle, events) for rid in sorted(active)}
     motions: dict[int, MotionSegment] = {}
-    for rid, action in decisions.items():
-        dest = _destination(world, rid, action)
+    for rid, (action, dest) in decisions.items():
         if dest is not None:
             events.append(TraceEvent(t0, cycle, rid, "move", positions[rid], dest, action.tag))
             motions[rid] = events[-1].motion()
@@ -502,7 +504,7 @@ def execute_cycle(
 
 def _all_would_stay(
     world: WorldState,
-    decide: Callable[[WorldState, int], Action],
+    decide: Callable[[WorldState, int], tuple[Action, Optional[Point]]],
     first: Collection[int] = (),
 ) -> bool:
     """True when no robot would move. Robots in `first` are asked first, in
@@ -513,15 +515,12 @@ def _all_would_stay(
     """
     ahead = set(first)
     rest = [i for i in range(len(world.robots)) if i not in ahead]
-    for i in chain(first, rest):
-        if _destination(world, i, decide(world, i)) is not None:
-            return False
-    return True
+    return all(decide(world, i)[1] is None for i in chain(first, rest))
 
 
 def _verdict(
     world: WorldState,
-    decide: Callable[[WorldState, int], Action],
+    decide: Callable[[WorldState, int], tuple[Action, Optional[Point]]],
     termination: Callable[[WorldState], bool],
     first: Collection[int] = (),
 ) -> Optional[tuple[str, str]]:
@@ -535,7 +534,7 @@ def _verdict(
         return OUTCOME_CONVERGED, ""
     if not _all_would_stay(world, decide, first):
         return None
-    decided = {decide(world, i).tag for i in range(len(world.robots))}
+    decided = {decide(world, i)[0].tag for i in range(len(world.robots))}
     tags = sorted(decided - {""})
     return OUTCOME_STALL, ",".join(tags) or "fixed-point"
 
@@ -679,8 +678,7 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                     return OUTCOME_BUDGET, now, max_cycles, min_sep, ""
                 looks += 1
                 cycle = (looks - 1) // n
-                action = _look(now, rid, decide, t, cycle, events)
-                dest = _destination(now, rid, action)
+                action, dest = _look(now, rid, decide, t, cycle, events)
                 start = t + delay()
                 if dest is not None:
                     cur = now.positions[rid]

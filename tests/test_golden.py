@@ -328,10 +328,13 @@ def test_async_cycle_frames_draw_robots_where_they_are(name, tmp_path, capsys):
     assert len(list(frames.glob("frame-cycle-*.svg"))) == len(first_looks) - 1
 
 
-# The sha256 over each name and document of `render_frames(trace, 1, CIR,
-# targets)`, in name order: an ASYNC scene whose frames show robots in
-# flight, and a sync scene that faults.
+# The sha256 over each name and document of `render_frames(trace, 1)`, in
+# name order, drawn as `ucircle run --every 1` draws them: with CIR and the
+# targets for a local scene, with neither for a global one. An ASYNC scene
+# whose frames show robots in flight, a sync scene that faults, and a global
+# ASYNC scene (14 documents).
 FRAME_DIGESTS = {
+    "global-async-n4": "406ee70578c80eebe15f061c9f38f4169c0b638b64e83d97bbb6126fedf897de",
     "local-async-n8": "05356e07c465b17f9ce320b31389d851e7974659737350088042903f78b1c4b0",
     "local-fsync-random-fault": "d5cc9e9b4f583a2e1c2444325223b26b72fe8b2cedc4b9831c35118a1644f2ff",
 }
@@ -341,8 +344,12 @@ FRAME_DIGESTS = {
 def test_frame_bytes(name):
     ((trace, _),) = entry_digest(name)[1]
     (raw,), _ = CORPUS[name]
-    _, params = harness.build_algorithm(parse_config(raw))
-    docs = render_frames(trace, 1, params.cir, params.targets)
+    config = parse_config(raw)
+    if config.algorithm == "global":
+        docs = render_frames(trace, 1)
+    else:
+        _, params = harness.build_algorithm(config)
+        docs = render_frames(trace, 1, params.cir, params.targets)
     h = hashlib.sha256()
     for frame in sorted(docs):
         h.update(frame.encode("utf-8"))
@@ -353,19 +360,20 @@ def test_frame_bytes(name):
 @pytest.mark.parametrize(
     "name, work",
     [
-        ("local-fsync-random-fault", (330, 330, 26, 26, 13, 129)),
-        ("global-ssync-idle", (23, 23, 7, 8, 9, 11)),
-        ("local-async-n8", (218, 218, 60, 61, 81, 107)),
+        ("local-fsync-random-fault", (330, 330, 26, 26, 13, 129, 330)),
+        ("global-ssync-idle", (23, 23, 7, 8, 9, 11, 23)),
+        ("local-async-n8", (218, 218, 60, 61, 81, 107, 218)),
     ],
 )
 def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     """The engine's exact work on one golden scene per scheduler: (algorithm
     calls, `take_snapshot` calls, stall checks, termination calls, exact pair
-    tests, full `_sight` passes). A robot decides again only when its view
-    changes, its sight is updated from its last look unless it moved, a
-    static world gets one verdict, and a pair is tested exactly only when it
-    holds a mover and its bound does not clear; asking more often or testing
-    more pairs changes no byte, only these counts."""
+    tests, full `_sight` passes, `_destination` calls). A robot decides again
+    only when its view changes, its sight is updated from its last look
+    unless it moved, a decision's world move is worked out once, with the
+    decision, a static world gets one verdict, and a pair is tested exactly
+    only when it holds a mover and its bound does not clear; asking more
+    often or testing more pairs changes no byte, only these counts."""
     ((golden, _),) = entry_digest(name)[1]
     counts = collections.Counter()
 
@@ -379,6 +387,7 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     monkeypatch.setattr(simcore, "take_snapshot", counted("snapshot", simcore.take_snapshot))
     monkeypatch.setattr(simcore, "_all_would_stay", counted("stall", simcore._all_would_stay))
     monkeypatch.setattr(simcore, "_sight", counted("sight", simcore._sight))
+    monkeypatch.setattr(simcore, "_destination", counted("dest", simcore._destination))
     pair_test = simcore.min_separation_during_motion
     monkeypatch.setattr(simcore, "min_separation_during_motion", counted("pairs", pair_test))
     run = harness.run
@@ -391,7 +400,7 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
     (raw,), _ = CORPUS[name]
     trace, _ = run_scenario(parse_config(raw))
     assert trace.to_jsonl() == golden.to_jsonl()
-    keys = ("algorithm", "snapshot", "stall", "term", "pairs", "sight")
+    keys = ("algorithm", "snapshot", "stall", "term", "pairs", "sight", "dest")
     assert tuple(counts[key] for key in keys) == work
 
 

@@ -577,9 +577,16 @@ class TestCli:
         assert max(name for name in names if "cycle" in name) == "frame-cycle-00024.svg"
 
     @pytest.mark.parametrize("algorithm", ["global", "local", "local-nonuniform"])
-    def test_run_frames_draw_each_robots_visibility(self, tmp_path, capsys, algorithm):
+    def test_run_frames_draw_each_robots_visibility(
+        self, tmp_path, capsys, monkeypatch, algorithm
+    ):
         # Global robots see everything: no visibility circle. Local robots
-        # get one dashed circle each, with the robot's own radius.
+        # get one dashed circle each, with the robot's own radius. Only a
+        # local run builds its algorithm again, for CIR and the targets.
+        import ucircle.cli as cli
+
+        built, build = [], cli.build_algorithm
+        monkeypatch.setattr(cli, "build_algorithm", lambda c: built.append(c) or build(c))
         if algorithm == "global":
             raw = base_global(seed=5)
         else:
@@ -595,6 +602,7 @@ class TestCli:
             want = [raw["vis"]] * raw["n"]
         else:
             want = raw["vis"]
+        assert len(built) == (algorithm != "global")
         names = sorted(p.name for p in frames.iterdir())
         assert len(names) > 2
         for name in names:

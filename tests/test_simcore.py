@@ -186,7 +186,8 @@ class TestSnapshots:
         # zero's sign or hand a robot a new Point of equal value: the sight
         # updated from the last look is None exactly when the robot stands
         # on the same Point object and `visible` returns the same Point
-        # objects, and otherwise the flags of a full `_sight`.
+        # objects, and otherwise the flags of a full `_sight`, which pick
+        # out what `visible` returns.
         rng = random.Random(f"holds:{vis}")
         edge = 6.0 + EPS
         held = changed = 0
@@ -207,8 +208,10 @@ class TestSnapshots:
                 )
             w0, w1 = WorldState(robots, before), WorldState(robots, tuple(after))
             for i in range(n):
-                seen_by, seen = _sight(w0, i)
-                assert seen == visible(w0, i)
+                seen_by = _sight(w0, i)
+                seen = tuple(compress(before, seen_by))
+                assert len(seen) == len(visible(w0, i))
+                assert all(map(operator.is_, seen, visible(w0, i)))
                 now = visible(w1, i)
                 same = after[i] is before[i] and len(now) == len(seen)
                 same = same and all(map(operator.is_, now, seen))
@@ -216,10 +219,10 @@ class TestSnapshots:
                 if same:
                     assert flags is None
                 else:
-                    assert flags == _sight(w1, i)[0]
+                    assert flags == _sight(w1, i)
                     picked = tuple(compress(w1.positions, flags))
                     assert len(picked) == len(now) and all(map(operator.is_, picked, now))
-                assert _resight(w1, i, None, seen_by) == _sight(w1, i)[0]
+                assert _resight(w1, i, None, seen_by) == _sight(w1, i)
                 held += same
                 changed += not same
         assert held > 100 and changed > 100
@@ -1002,22 +1005,24 @@ class TestComputeOnce:
 
     def test_the_memo_reuses_a_decision_only_for_the_same_points(self):
         # Equal points are not enough: 0.0 == -0.0, yet robot 1 sees the
-        # sign of robot 0's x.
+        # sign of robot 0's x. A decision is the record (Action, world
+        # move), reused whole.
         algo = Counted(lambda snap: Action(tag=str(snap.others)))
         robots = (Robot(), Robot())
         w = WorldState(robots, (P(0.0, 0.0), P(5.0, 0.0)))
         decide = _decider(algo, 2)
         first = decide(w, 1)
+        assert first[1] is None
         assert decide(w, 1) is first and algo.calls == 1
         # Another world on the same Points, at another clock: the same view.
         later = WorldState(robots, w.positions, clock=3.0)
         assert decide(later, 1) is first and algo.calls == 1
         flipped = WorldState(robots, (P(-0.0, 0.0), w.positions[1]))
         assert flipped.positions == w.positions
-        assert decide(flipped, 1).tag != first.tag
+        assert decide(flipped, 1)[0].tag != first[0].tag
         assert algo.calls == 2
         # A new run starts with no views, so robot 1 is asked again.
-        assert _decider(algo, 2)(w, 1).tag == first.tag
+        assert _decider(algo, 2)(w, 1)[0].tag == first[0].tag
         assert algo.calls == 3
 
     def test_memo_is_a_fresh_look_bit_for_bit(self):
@@ -1025,9 +1030,9 @@ class TestComputeOnce:
         # chirality, finite and infinite radii, moves across the sight
         # boundary, zeros of both signs, new Points of equal value, and the
         # same positions tuple at another clock. Each decision is the fresh
-        # look's, and the algorithm runs once per new view: a robot asked on
-        # another Point object, or seeing other Point objects, than when it
-        # was last asked.
+        # look's, its world move the fresh `_destination`, and the algorithm
+        # runs once per new view: a robot asked on another Point object, or
+        # seeing other Point objects, than when it was last asked.
         def algo(snap: Snapshot):
             bits = snapshot_bits(snap)
             return Action(P(float(len(snap.others)), snap.self_pos.x), tag=repr(bits))
@@ -1041,7 +1046,7 @@ class TestComputeOnce:
         counted = Counted(algo)
         decide = _decider(counted, n)
         last_view = [None] * n
-        views = 0
+        views = moves = 0
         for step in range(400):
             roll = rng.random()
             if roll < 0.15:
@@ -1064,13 +1069,18 @@ class TestComputeOnce:
                 positions = tuple(moved)
             world = WorldState(robots, positions, clock=float(step))
             for i in rng.sample(range(n), rng.randint(1, n)):
-                got = decide(world, i)
+                got, move = decide(world, i)
                 fresh = algo(take_snapshot(robots[i], positions[i], visible(world, i)))
                 assert (got.tag, got.dest.x.hex(), got.dest.y.hex()) == (
                     fresh.tag,
                     fresh.dest.x.hex(),
                     fresh.dest.y.hex(),
                 )
+                want = _destination(world, i, fresh)
+                assert (move is None) == (want is None)
+                if move is not None:
+                    assert (move.x.hex(), move.y.hex()) == (want.x.hex(), want.y.hex())
+                    moves += 1
                 view = (positions[i], visible(world, i))
                 was = last_view[i]
                 same = was is not None and was[0] is view[0] and len(was[1]) == len(view[1])
@@ -1078,7 +1088,7 @@ class TestComputeOnce:
                     views += 1
                 last_view[i] = view
         assert counted.calls == views
-        assert 300 < views < 2000
+        assert 300 < views < 2000 and moves > 300
 
     def test_async_look_decides_once_per_view(self, monkeypatch):
         # Robot 0 (vis 5) sees only robot 1, parked beside it, while robot 2
@@ -1154,7 +1164,10 @@ class TestComputeOnce:
 
         def decide(world, i):
             asked.append(i)
-            return Action(P(5.0, 5.0), "go") if i == 4 else Action(tag="stay")
+            # A decision record: (Action, world move).
+            if i == 4:
+                return Action(P(5.0, 5.0), "go"), P(5.0, 5.0)
+            return Action(tag="stay"), None
 
         assert not _all_would_stay(w, decide, [3, 0, 4, 1])
         assert asked == [3, 0, 4]
@@ -1162,7 +1175,7 @@ class TestComputeOnce:
         assert not _all_would_stay(w, decide, [3, 0])
         assert asked == [3, 0, 1, 2, 4]
         asked.clear()
-        assert _all_would_stay(w, lambda world, i: asked.append(i) or Action(), [2, 4, 1])
+        assert _all_would_stay(w, lambda world, i: asked.append(i) or (Action(), None), [2, 4, 1])
         assert asked == [2, 4, 1, 0, 3]
 
 

@@ -1,7 +1,8 @@
 """Soak tier: the outcome tables of four sweeps far beyond the acceptance
 seeds, of three symmetric variants of the global soak and of two of the
-local sweep, pinned as they stand, defects included, and the benchmark at
-every seed from 1 to 10.
+local sweep, and of the golden corpus and the global soak under a one-ulp
+change of the platform's trigonometry, pinned as they stand, defects
+included, and the benchmark at every seed from 1 to 10.
 
 These are the gates that the behaviour fixes for local collisions and
 stalls and for global livelocks will move: a fix updates the table it
@@ -26,7 +27,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from test_golden import CORPUS, corpus_digest, entry_digest
 
+from ucircle import geometry
 from ucircle.geometry import Point
 from ucircle.harness import (
     build_algorithm,
@@ -52,21 +55,30 @@ def _outcome(raw):
     return summary.outcome, summary.diagnosis
 
 
-def _run_all(raws, outcome=_outcome):
+def _run_all(raws, outcome=_outcome, initializer=None, initargs=()):
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=WORKERS, mp_context=spawn) as pool:
+    with ProcessPoolExecutor(
+        max_workers=WORKERS, mp_context=spawn, initializer=initializer, initargs=initargs
+    ) as pool:
         return list(pool.map(outcome, raws, chunksize=8))
 
 
-def test_global_soak():
+def global_soak():
     """`global`, SSYNC, `random-disc`, n = 3..16, a in {3.5, 5.0}, seeds
-    20..59, default budget: 1120 runs. The 14 that run out of budget
-    alternate between expansion and formation, all at a = 5.0."""
+    20..59, default budget: 1120 scenes, as the keys (n, a, seed) and their
+    config dicts."""
     keys = [(n, a, seed) for n in range(3, 17) for a in (3.5, 5.0) for seed in range(20, 60)]
     raws = [
         dict(algorithm="global", n=n, a=a, scheduler="SSYNC", seed=seed, placement="random-disc")
         for n, a, seed in keys
     ]
+    return keys, raws
+
+
+def test_global_soak():
+    """The global soak's 1120 runs. The 14 that run out of budget
+    alternate between expansion and formation, all at a = 5.0."""
+    keys, raws = global_soak()
     results = _run_all(raws)
     assert Counter(outcome for outcome, _ in results) == {"converged": 1106, "budget-exhausted": 14}
     budget = sorted(key for key, (outcome, _) in zip(keys, results) if outcome == "budget-exhausted")
@@ -153,6 +165,82 @@ def test_global_symmetry_soak(symmetry):
     outcomes, budget, stalls = SYMMETRY_TABLES[symmetry]
     assert Counter(outcome for outcome, _ in results) == outcomes
     ending = dict(zip(keys, results))
+    assert [key for key in keys if ending[key][0] == "budget-exhausted"] == budget
+    assert [key for key in keys if ending[key] == ("diagnosed-stall", "form")] == stalls
+
+
+# The libm functions the package calls whose last bit IEEE 754 leaves open;
+# `math.hypot` and `math.sqrt` are not among them.
+JITTERED = ("sin", "cos", "atan2", "acos", "asin")
+
+
+def _jitter(toward):
+    """Process-pool initializer: each function of JITTERED returns the float
+    next to its result toward `toward` (+inf or -inf), as a C library that
+    rounds the other way would. Package code looks each one up in `math` at
+    call time; the cached target directions are dropped so they are
+    recomputed with the jittered functions."""
+    for name in JITTERED:
+        setattr(math, name, lambda *args, f=getattr(math, name): math.nextafter(f(*args), toward))
+    geometry._target_directions.cache_clear()
+
+
+def _golden_ending(raws):
+    """(digest, [(outcome, cycles used)] per scene) of one golden entry."""
+    digest, runs = corpus_digest(raws)
+    return digest, [(summary.outcome, summary.cycles_used) for _, summary in runs]
+
+
+# Under each direction: the golden entries whose digest holds (the two
+# no-leader stalls, whose given placements never move),
+# the global soak's outcome counts, and the (n, a, seed) of its runs out of
+# budget and of its `form` stalls. Against `test_global_soak`, +1 ulp trades
+# (15, 5.0, 52) for (15, 5.0, 20) out of budget, and -1 ulp keeps the same
+# 14; both turn converged runs into `form` stalls.
+_NO_LEADER = ["global-async-no-leader-stall", "global-ssync-no-leader-stall"]
+JITTER_TABLES = {
+    "up": (
+        _NO_LEADER,
+        {"converged": 1104, "budget-exhausted": 14, "diagnosed-stall": 2},
+        [(6, 5.0, 49), (13, 5.0, 22), (15, 5.0, 20), (15, 5.0, 33), (15, 5.0, 39),
+         (15, 5.0, 43), (16, 5.0, 20), (16, 5.0, 33), (16, 5.0, 39), (16, 5.0, 42),
+         (16, 5.0, 44), (16, 5.0, 45), (16, 5.0, 52), (16, 5.0, 56)],
+        [(12, 3.5, 50), (12, 5.0, 50)],
+    ),
+    "down": (
+        _NO_LEADER,
+        {"converged": 1102, "budget-exhausted": 14, "diagnosed-stall": 4},
+        [(6, 5.0, 49), (13, 5.0, 22), (15, 5.0, 33), (15, 5.0, 39), (15, 5.0, 43),
+         (15, 5.0, 52), (16, 5.0, 20), (16, 5.0, 33), (16, 5.0, 39), (16, 5.0, 42),
+         (16, 5.0, 44), (16, 5.0, 45), (16, 5.0, 52), (16, 5.0, 56)],
+        [(13, 3.5, 43), (13, 5.0, 43), (16, 3.5, 31), (16, 5.0, 47)],
+    ),
+}
+
+
+@pytest.mark.parametrize("toward", ["up", "down"])
+def test_ulp_jitter_soak(toward):
+    """The golden corpus and the global soak with every function of JITTERED
+    one ulp off, in the workers only. No golden outcome or cycle count
+    moves, yet 26 of the 28 digests do: the bytes depend on the platform's
+    libm. The global soak's table moves too."""
+    jitter = (math.inf if toward == "up" else -math.inf,)
+    names = sorted(CORPUS)
+    endings = _run_all([CORPUS[name][0] for name in names], _golden_ending, _jitter, jitter)
+    held = []
+    for name, (digest, scenes) in zip(names, endings):
+        got, runs = entry_digest(name)
+        assert got == CORPUS[name][1], f"{name}: the main process must not be jittered"
+        assert scenes == [(summary.outcome, summary.cycles_used) for _, summary in runs], name
+        if digest == got:
+            held.append(name)
+    keys, raws = global_soak()
+    results = _run_all(raws, _outcome, _jitter, jitter)
+    ending = dict(zip(keys, results))
+    held_pin, outcomes, budget, stalls = JITTER_TABLES[toward]
+    # Some digest moves, so a jitter that patched nothing fails here.
+    assert held == held_pin and len(held) < len(names)
+    assert Counter(outcome for outcome, _ in results) == outcomes
     assert [key for key in keys if ending[key][0] == "budget-exhausted"] == budget
     assert [key for key in keys if ending[key] == ("diagnosed-stall", "form")] == stalls
 
