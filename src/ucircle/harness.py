@@ -14,7 +14,7 @@ import random
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
 
-from .geometry import Point, dist, min_pairwise_distance, smallest_enclosing_circle
+from .geometry import Point, dist, smallest_enclosing_circle
 from .global_form import GlobalParams, is_formed, make_global_algorithm
 from .local_form import LocalParams, is_formed_local, make_local_algorithm
 from .simcore import (
@@ -28,8 +28,8 @@ from .simcore import (
     Schedule,
     Trace,
     WorldState,
+    _sight,
     run,
-    visible,
 )
 
 PLACEMENT_CLEARANCE = 2.1
@@ -314,12 +314,10 @@ def compute_metrics(trace: Trace, config: ScenarioConfig, params) -> RunSummary:
     else:
         center = params.cir.center
     uerr, smin = _ring_metrics(positions, center, config.n)
-    # The trace's minimum already covers the initial world.
-    min_pd = min(trace.min_separation, min_pairwise_distance(positions))
     return RunSummary(
         outcome=trace.outcome,
         cycles_used=trace.cycles_used,
-        min_pairwise_dist=min_pd,
+        min_pairwise_dist=trace.min_separation,
         uniformity_error=uerr,
         spacing_min=smin,
         diagnosis=trace.diagnosis,
@@ -332,12 +330,12 @@ def _one_sided_psi9(world: WorldState, rad: float, center: Point) -> bool:
     outside = [j for j, p in enumerate(pts) if dist(p, center) > rad + 1e-9]
     if not (inside and outside):
         return False
-    sight = {i: visible(world, i) for i in inside + outside}
+    sight = {i: _sight(world, i) for i in inside + outside}
     for i in inside:
         for j in outside:
-            a, b = pts[i], pts[j]
-            if any(p is b for p in sight[i]) == any(p is a for p in sight[j]):
+            if sight[i][j] == sight[j][i]:
                 continue
+            a, b = pts[i], pts[j]
             ta = math.atan2(a.y - center.y, a.x - center.x)
             tb = math.atan2(b.y - center.y, b.x - center.x)
             if abs(math.remainder(ta - tb, 2.0 * math.pi)) <= 1e-3:

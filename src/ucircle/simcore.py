@@ -24,10 +24,11 @@ its answers are bit for bit those of the pure function (the global SEC
 memo checks this by Point identity).
 
 A look costs what changed since the robot last looked, and every reuse
-keys on Point objects, never on equal values (0.0 == -0.0): a robot's sight
-is updated from its last look, testing only robots whose Point is a new
-object (`_resight`), which holds only while visibility depends on the two
-robots' Points alone; a y-only Snapshot builds only their local Points
+keys on Point objects, never on equal values (0.0 == -0.0): `_sight`, the
+one visibility rule, tests only robots whose Point is a new object since
+the robot's last look, which holds only while visibility depends on the
+two robots' Points alone, and only the decision memo turns sight into
+seen Points; a y-only Snapshot builds only their local Points
 (`take_snapshot`); an ASYNC world in which nobody flies shares one
 positions tuple; and the trace writer formats each Point object once per
 call (`Trace.to_jsonl`).
@@ -217,56 +218,40 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
-def _sight(world: WorldState, i: int) -> list[bool]:
-    """Robot i's sight in one pass: a flag per robot, true when i sees it
-    (never for i itself).
+def _sight(
+    world: WorldState,
+    i: int,
+    before: Optional[tuple[Point, ...]] = None,
+    seen_by: Optional[list[bool]] = None,
+) -> Optional[list[bool]]:
+    """Robot i's sight: a flag per robot, true when i sees it (never for i
+    itself); None when it sees the same Point objects as at its last look,
+    among the positions `before`, where it saw the robots flagged `seen_by`.
 
     The one visibility rule: robot i sees every other robot within its
-    visibility radius, the boundary (plus EPS) included."""
-    positions = world.positions
-    vis = world.robots[i].vis_radius
-    if vis == math.inf:
-        seen_by = [True] * len(positions)
-    else:
-        # `dist(p, at) <= vis + EPS`, written out.
-        at = positions[i]
-        hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
-        seen_by = [hypot(p.x - ax, p.y - ay) <= reach for p in positions]
-    seen_by[i] = False
-    return seen_by
-
-
-def visible(world: WorldState, i: int) -> tuple[Point, ...]:
-    """The world Points robot i sees, in index order (see `_sight`)."""
-    return tuple(compress(world.positions, _sight(world, i)))
-
-
-def _resight(
-    world: WorldState, i: int, before: Optional[tuple[Point, ...]], seen_by: list[bool]
-) -> Optional[list[bool]]:
-    """Robot i's flags in `world` (see `_sight`), updated from its last look
-    among the positions `before`, where it saw the robots flagged `seen_by`;
-    None when it sees the same Point objects as then.
-
-    While robot i stands on the same Point object, only robots whose Point
-    is a new object are tested. That is sound because whether i sees robot j
-    depends only on i's Point and j's own: a robot that kept its Point kept
-    its flag, and a moved one changes the view only if it was seen or is
-    seen now. Under an infinite radius every robot is seen: the flags stay as
-    they were, and any move is a new view. On a first look (`before` None)
-    or after i moved, the full `_sight` runs. A model in which a third robot
-    can hide j (opaque robots) breaks the premise: there, the full `_sight`
-    must run on every look.
+    visibility radius, the boundary (plus EPS) included. On a first look
+    (`before` None) or after i moved, every robot is tested. Otherwise only
+    robots whose Point is a new object are. That is sound because whether i
+    sees robot j depends only on i's Point and j's own: a robot that kept
+    its Point kept its flag, and a moved one changes the view only if it was
+    seen or is seen now. Under an infinite radius every robot is seen: the
+    flags stay as they were, and any move is a new view. A model in which a
+    third robot can hide j (opaque robots) breaks the premise: there, the
+    update must never be taken, and every robot is tested on every look.
     """
     positions = world.positions
-    at = positions[i]
+    at, vis = positions[i], world.robots[i].vis_radius
+    # `dist(p, at) <= vis + EPS`, written out.
+    hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
     if before is None or at is not before[i]:
-        return _sight(world, i)
-    vis = world.robots[i].vis_radius
+        if vis == math.inf:
+            flags = [True] * len(positions)
+        else:
+            flags = [hypot(p.x - ax, p.y - ay) <= reach for p in positions]
+        flags[i] = False
+        return flags
     if vis == math.inf:
         return seen_by if any(map(operator.is_not, positions, before)) else None
-    # `_sight`'s rule, `dist(p, at) <= vis + EPS`, written out.
-    hypot, ax, ay, reach = math.hypot, at.x, at.y, vis + EPS
     flags = None
     for j in compress(range(len(positions)), map(operator.is_not, positions, before)):
         p = positions[j]
@@ -285,7 +270,8 @@ def take_snapshot(
     previous: Optional[tuple[Point, tuple[Point, ...], Snapshot]] = None,
 ) -> Snapshot:
     """What `observer`, standing at `at`, perceives of the world Points
-    `seen` (see `visible`): the same points in its local frame.
+    `seen` (those `_sight` flags, in index order): the same points in its
+    local frame.
 
     `previous` is the observer's last (at, seen, Snapshot), if any. A y-only
     observer that stands on the same Point object, and sees as many robots
@@ -362,17 +348,17 @@ def _decider(
     stall check read this record, and none works the move out again.
 
     Each robot keeps one entry: the positions tuple it was last asked on,
-    the robots it saw there (see `_sight`), the record, and the view it was
-    made from: the Point it stood on, the Points it saw and their Snapshot.
-    Asked again on the same tuple, it reuses the record. Otherwise its sight
-    is updated from its last look (see `_resight`), which holds only while
-    whether i sees j depends on their two Points alone: on the same Point
-    objects (its own too, so the move holds) the record is reused, and only
-    a changed view is snapshotted, from the last one (see `take_snapshot`),
-    and decided. This is sound only because an algorithm is a pure function
-    of its Snapshot, which carries no clock. The test is identity, not
-    equality: 0.0 == -0.0, yet a robot can see the sign of a zero. Mirror
-    twins with equal snapshots decide apart, and a new run starts fresh.
+    the robots it saw there, the record, and the view it was made from: the
+    Point it stood on, the Points it saw and their Snapshot. Asked again on
+    the same tuple, it reuses the record. Otherwise `_sight` updates its
+    flags from its last look: on the same Point objects (its own too, so
+    the move holds) the record is reused, and only a changed view is built
+    into its tuple of seen Points (here alone), snapshotted from the last
+    one (see `take_snapshot`) and decided. This is sound only because an
+    algorithm is a pure function of its Snapshot, which carries no clock.
+    The test is identity, not equality: 0.0 == -0.0, yet a robot can see
+    the sign of a zero. Mirror twins with equal snapshots decide apart, and
+    a new run starts fresh.
     """
     memo = [(None, None, None, None)] * n
 
@@ -381,7 +367,7 @@ def _decider(
         last, seen_by, decision, view = memo[i]
         if last is positions:
             return decision
-        flags = _resight(world, i, last, seen_by)
+        flags = _sight(world, i, last, seen_by)
         if flags is not None:
             at, seen_by = positions[i], flags
             seen = tuple(compress(positions, flags))
@@ -549,7 +535,8 @@ def run(
     """Run the scheduler loop until convergence, stall, fault, or budget.
 
     Both loops append to `events` and return how the run ended: (outcome,
-    final world, cycles used, minimum separation, diagnosis). `algorithm`
+    final world, cycles used, minimum separation, diagnosis); the Trace's
+    minimum also covers the final world, so it is the run's. `algorithm`
     must be a pure function of its Snapshot, since a robot is asked again
     only when its view changes, and `termination` a function of the
     positions, since it is asked once per static world.
@@ -558,8 +545,11 @@ def run(
         raise ValueError("max_cycles must be >= 1")
     loop = _run_async if schedule.kind == "ASYNC" else _run_sync
     events: list[TraceEvent] = []
-    outcome, *ending = loop(world, algorithm, schedule, termination, max_cycles, events)
-    return Trace(events, outcome, world, *ending)
+    outcome, final, cycles, min_sep, diagnosis = loop(
+        world, algorithm, schedule, termination, max_cycles, events
+    )
+    min_sep = min(min_sep, min_pairwise_distance(final.positions))
+    return Trace(events, outcome, world, final, cycles, min_sep, diagnosis)
 
 
 def _run_sync(world, algorithm, schedule, termination, max_cycles, events):
@@ -633,48 +623,57 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
             positions[i] = tracks[i][-1].position_at(t)
         return WorldState(world.robots, tuple(positions), t)
 
-    # Event queue of (time, robot, kind), kind "look" or "arrive". Each robot
-    # has exactly one pending event, so (time, robot) orders it alone.
-    heap = [(world.clock + delay(), rid, "look") for rid in range(n)]
+    def monitor(rid: int, seg: MotionSegment, positions, floor: float) -> float:
+        """`floor` lowered by robot rid's past segment `seg` against each
+        other robot's track, with `positions` at `seg.t1`. Both move at unit
+        speed at most, so a pair is never closer than its distance then less
+        `reach`: one whose bound clears `floor` and the fault threshold, by a
+        margin for rounding, is skipped. Raises CollisionFault."""
+        reach = 2.0 * (seg.t1 - seg.t0)
+        clear = max(floor, SAFE_SEPARATION) + 1e-6
+        ex, ey = seg.end.x, seg.end.y  # `dist(seg.end, q)`, written out
+        for other, q in enumerate(positions):
+            if other == rid or math.hypot(ex - q.x, ey - q.y) - reach >= clear:
+                continue
+            for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
+                sep = min_separation_during_motion(seg, piece)
+                if sep < SAFE_SEPARATION:
+                    raise CollisionFault(
+                        f"robots {rid} and {other} reach separation {sep:.6g}", sep
+                    )
+                floor = min(floor, sep)
+        return floor
+
+    # Event queue of (time, robot): each robot's one pending event, its
+    # arrival while it is in `flying`, else its next look.
+    heap = [(world.clock + delay(), rid) for rid in range(n)]
     heapq.heapify(heap)
     looks = 0
     decide = _decider(algorithm, n)
     try:
         while True:
-            t, rid, kind = heapq.heappop(heap)
+            t, rid = heapq.heappop(heap)
             now = world_at(t)
             track = tracks[rid]
-            if kind == "arrive":
+            if rid in flying:
+                # The past is fully determined: check the finished segment.
                 seg = track[-1]
-                # The past is fully determined: check the finished segment
-                # against every other robot's trajectory over its interval.
-                # Both robots move at unit speed at most, so over the segment
-                # a pair is never closer than its distance now less `reach`.
-                # A pair whose bound clears both min_sep and the fault
-                # threshold, with a margin for the rounding of the exact
-                # test, can neither lower min_sep nor fault: it is skipped.
-                reach = 2.0 * (seg.t1 - seg.t0)
-                clear = max(min_sep, SAFE_SEPARATION) + 1e-6
-                ex, ey = seg.end.x, seg.end.y  # `dist(seg.end, q)`, written out
-                for other, q in enumerate(now.positions):
-                    if other == rid or math.hypot(ex - q.x, ey - q.y) - reach >= clear:
-                        continue
-                    for piece in _pieces_over(tracks[other], seg.t0, seg.t1):
-                        sep = min_separation_during_motion(seg, piece)
-                        min_sep = min(min_sep, sep)
-                        if sep < SAFE_SEPARATION:
-                            raise CollisionFault(
-                                f"robots {rid} and {other} reach separation {sep:.6g}", sep
-                            )
+                min_sep = monitor(rid, seg, now.positions, min_sep)
                 here[rid] = seg.end
                 flying.remove(rid)
-                heapq.heappush(heap, (t + delay(), rid, "look"))
+                heapq.heappush(heap, (t + delay(), rid))
                 if flying:
                     continue
                 # `now` put the last robot in flight at the end of its move.
                 still = now.positions
             else:
                 if looks >= max_cycles * n:
+                    # Each move begun by t is checked as far as it has got.
+                    for i in sorted(flying):
+                        seg = tracks[i][-1]
+                        if seg.t0 < t:
+                            cut = MotionSegment(seg.start, now.positions[i], seg.t0, t)
+                            min_sep = monitor(i, cut, now.positions, min_sep)
                     return OUTCOME_BUDGET, now, max_cycles, min_sep, ""
                 looks += 1
                 cycle = (looks - 1) // n
@@ -686,9 +685,9 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                     track.append(MotionSegment(cur, cur, track[-1].t1, start))
                     track.append(events[-1].motion())
                     flying.add(rid)
-                    heapq.heappush(heap, (track[-1].t1, rid, "arrive"))
+                    heapq.heappush(heap, (track[-1].t1, rid))
                     continue
-                heapq.heappush(heap, (start + delay(), rid, "look"))
+                heapq.heappush(heap, (start + delay(), rid))
                 # The initial world is checked once, if the first look stays.
                 if looks > 1:
                     continue
@@ -700,4 +699,6 @@ def _run_async(world, algorithm, schedule, termination, max_cycles, events):
                 outcome, diagnosis = verdict
                 return outcome, now, (looks + n - 1) // n, min_sep, diagnosis
     except SimulationFault as exc:
+        if isinstance(exc, CollisionFault):
+            min_sep = min(min_sep, exc.separation)
         return OUTCOME_FAULT, now, looks // n, min_sep, str(exc)

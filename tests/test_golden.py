@@ -386,7 +386,15 @@ def test_engine_work_on_golden_scenes(name, work, monkeypatch):
 
     monkeypatch.setattr(simcore, "take_snapshot", counted("snapshot", simcore.take_snapshot))
     monkeypatch.setattr(simcore, "_all_would_stay", counted("stall", simcore._all_would_stay))
-    monkeypatch.setattr(simcore, "_sight", counted("sight", simcore._sight))
+    sight = simcore._sight
+
+    def counted_sight(world, i, before=None, seen_by=None):
+        # Only a full pass counts: a first look, or a look after i moved.
+        if before is None or world.positions[i] is not before[i]:
+            counts["sight"] += 1
+        return sight(world, i, before, seen_by)
+
+    monkeypatch.setattr(simcore, "_sight", counted_sight)
     monkeypatch.setattr(simcore, "_destination", counted("dest", simcore._destination))
     pair_test = simcore.min_separation_during_motion
     monkeypatch.setattr(simcore, "min_separation_during_motion", counted("pairs", pair_test))

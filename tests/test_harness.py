@@ -28,7 +28,7 @@ from ucircle.harness import (
     parse_config,
     run_scenario,
 )
-from ucircle.simcore import Robot, WorldState, visible
+from ucircle.simcore import Robot, WorldState, _sight
 
 P = Point
 
@@ -415,10 +415,10 @@ class TestOneSidedPsi9:
         import ucircle.harness as harness
 
         def hide_outside(world, i):
-            return () if i == 0 else visible(world, i)
+            return [False] * len(world.positions) if i == 0 else _sight(world, i)
 
         assert not self.diagnosed(turn=5e-4, vis_outside=10.0)
-        monkeypatch.setattr(harness, "visible", hide_outside)
+        monkeypatch.setattr(harness, "_sight", hide_outside)
         assert self.diagnosed(turn=5e-4, vis_outside=10.0)
 
 

@@ -51,12 +51,10 @@ from ucircle.simcore import (
     _all_would_stay,
     _decider,
     _destination,
-    _resight,
     _sight,
     next_activation,
     run,
     take_snapshot,
-    visible,
 )
 
 P = Point
@@ -72,10 +70,16 @@ def make_world(positions, **kw):
 # ---------------------------------------------------------------------------
 
 
+def seen_points(world, i):
+    """The world Points robot i sees on a first look, in index order, as the
+    engine's decision memo builds them from `_sight`."""
+    return tuple(compress(world.positions, _sight(world, i)))
+
+
 def snapshot_of(world, i):
     """Robot i's snapshot as the engine takes it: the world-level filter,
     then the frame step."""
-    return take_snapshot(world.robots[i], world.positions[i], visible(world, i))
+    return take_snapshot(world.robots[i], world.positions[i], seen_points(world, i))
 
 
 def reference_snapshot(world, i):
@@ -185,9 +189,8 @@ class TestSnapshots:
         # Random worlds and moves that cross the boundary, stay on it, swap a
         # zero's sign or hand a robot a new Point of equal value: the sight
         # updated from the last look is None exactly when the robot stands
-        # on the same Point object and `visible` returns the same Point
-        # objects, and otherwise the flags of a full `_sight`, which pick
-        # out what `visible` returns.
+        # on the same Point object and sees the same Point objects as a
+        # first look gives, and otherwise the flags of a first look.
         rng = random.Random(f"holds:{vis}")
         edge = 6.0 + EPS
         held = changed = 0
@@ -209,20 +212,19 @@ class TestSnapshots:
             w0, w1 = WorldState(robots, before), WorldState(robots, tuple(after))
             for i in range(n):
                 seen_by = _sight(w0, i)
+                # A first look's flags are the rule itself.
+                rule = [j != i and dist(p, before[i]) <= vis + EPS for j, p in enumerate(before)]
+                assert seen_by == rule
                 seen = tuple(compress(before, seen_by))
-                assert len(seen) == len(visible(w0, i))
-                assert all(map(operator.is_, seen, visible(w0, i)))
-                now = visible(w1, i)
+                now = seen_points(w1, i)
                 same = after[i] is before[i] and len(now) == len(seen)
                 same = same and all(map(operator.is_, now, seen))
-                flags = _resight(w1, i, before, seen_by)
+                flags = _sight(w1, i, before, seen_by)
                 if same:
                     assert flags is None
                 else:
                     assert flags == _sight(w1, i)
-                    picked = tuple(compress(w1.positions, flags))
-                    assert len(picked) == len(now) and all(map(operator.is_, picked, now))
-                assert _resight(w1, i, None, seen_by) == _sight(w1, i)
+                assert _sight(w1, i, None, seen_by) == _sight(w1, i)
                 held += same
                 changed += not same
         assert held > 100 and changed > 100
@@ -251,7 +253,7 @@ class TestSnapshots:
                 after[0] = P(at.x, at.y)
             robots = (observer,) * n
             w0, w1 = WorldState(robots, tuple(before)), WorldState(robots, tuple(after))
-            seen0, seen1 = visible(w0, 0), visible(w1, 0)
+            seen0, seen1 = seen_points(w0, 0), seen_points(w1, 0)
             previous = (at, seen0, take_snapshot(observer, at, seen0))
             snap = take_snapshot(observer, after[0], seen1, previous)
             assert snapshot_bits(snap) == snapshot_bits(take_snapshot(observer, after[0], seen1))
@@ -1070,7 +1072,7 @@ class TestComputeOnce:
             world = WorldState(robots, positions, clock=float(step))
             for i in rng.sample(range(n), rng.randint(1, n)):
                 got, move = decide(world, i)
-                fresh = algo(take_snapshot(robots[i], positions[i], visible(world, i)))
+                fresh = algo(take_snapshot(robots[i], positions[i], seen_points(world, i)))
                 assert (got.tag, got.dest.x.hex(), got.dest.y.hex()) == (
                     fresh.tag,
                     fresh.dest.x.hex(),
@@ -1081,7 +1083,7 @@ class TestComputeOnce:
                 if move is not None:
                     assert (move.x.hex(), move.y.hex()) == (want.x.hex(), want.y.hex())
                     moves += 1
-                view = (positions[i], visible(world, i))
+                view = (positions[i], seen_points(world, i))
                 was = last_view[i]
                 same = was is not None and was[0] is view[0] and len(was[1]) == len(view[1])
                 if not (same and all(map(operator.is_, was[1], view[1]))):
@@ -1403,8 +1405,10 @@ def brute_force_min_separation(trace) -> float:
 
     Between two consecutive start or end times of a pair's moves both robots
     move at constant velocity, so the pair's closest approach on that interval
-    is the closest point of one line segment to the origin.
+    is the closest point of one line segment to the origin. The run ends at
+    the final world's clock: a move still in flight counts as far as it got.
     """
+    end = trace.final.clock
     legs = [[] for _ in trace.initial.positions]
     for e in trace.events:
         if e.phase == "move":
@@ -1425,7 +1429,8 @@ def brute_force_min_separation(trace) -> float:
     best = math.inf
     for i in range(len(legs)):
         for j in range(i + 1, len(legs)):
-            times = sorted({trace.initial.clock}.union(*(leg[:2] for leg in legs[i] + legs[j])))
+            times = {trace.initial.clock, end}.union(*(leg[:2] for leg in legs[i] + legs[j]))
+            times = sorted(t for t in times if t <= end)
             rel = [position(i, t) - position(j, t) for t in times]
             best = min(best, rel[0].norm())
             for p, q in zip(rel, rel[1:]):
@@ -1467,11 +1472,11 @@ def _global(n, seed, scheduler="ASYNC", a=4.0):
 
 
 class TestAsyncMinSeparation:
-    """`Trace.min_separation` of a run that ends with every move arrived is
-    the exact minimum over all pairs and times, so no pair the monitor
-    skipped came closer than the pairs it tested: under every scheduler the
-    pairs that cannot come closer than the run's minimum so far, and in an
-    SSYNC or FSYNC round also the pairs with no mover."""
+    """`Trace.min_separation` is the exact minimum over all pairs and times
+    up to the final world's clock, so no pair the monitor skipped came
+    closer than the pairs it tested: under every scheduler the pairs that
+    cannot come closer than the run's minimum so far, and in an SSYNC or
+    FSYNC round also the pairs with no mover."""
 
     @pytest.mark.parametrize(
         "raw",
@@ -1514,6 +1519,25 @@ class TestAsyncMinSeparation:
         assert trace.outcome in (OUTCOME_CONVERGED, OUTCOME_STALL)
         assert any(e.phase == "move" for e in trace.events)
         assert trace.min_separation == pytest.approx(brute_force_min_separation(trace), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "raw, reported",
+        [
+            (dict(_local(6, 36.0, 18.0, "ASYNC", 28), max_cycles=3), 9.092339640423646),
+            (dict(_global(6, 5), max_cycles=3), 2.924364659133099),
+        ],
+        ids=["local-6-seed-28", "global-6-seed-5"],
+    )
+    def test_a_budget_end_checks_the_moves_in_flight(self, raw, reported):
+        # Each run comes closest during a move that has begun but not
+        # arrived when the budget runs out.
+        trace, summary = run_scenario(parse_config(raw))
+        assert trace.outcome == OUTCOME_BUDGET
+        end = trace.final.clock
+        moves = [e for e in trace.events if e.phase == "move"]
+        assert any(e.clock < end < e.motion().t1 for e in moves)
+        assert trace.min_separation == pytest.approx(brute_force_min_separation(trace), abs=1e-9)
+        assert summary.min_pairwise_dist == trace.min_separation == reported
 
 
 class TestLookReplay:
